@@ -43,6 +43,7 @@ from .matrix import (
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
+    random_invertible,
 )
 from .oracle import (
     OracleCapError,
@@ -91,6 +92,7 @@ __all__ = [
     "paley_type_one",
     "paley_type_two",
     "predict_parameters",
+    "random_invertible",
     "read_cert",
     "read_matrix",
     "split_g_kron",

@@ -29,6 +29,7 @@ from .matrix import (
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
+    _canon_coo,
     hstack,
     rank_of_product,
     vstack,
@@ -240,20 +241,24 @@ def split_g_kron(field, vectors, offset, weights=None):
     z = ExactMatrix._raw_coo(field, n, n, ri[keep].copy(), ci[keep].copy(),
                              vals[keep].copy())
 
+    # u: a unit column per low-score row, then the entries of high-score
+    # columns outside those rows; v: the entries of the low-score rows,
+    # then a unit row per high-score column
     r_cnt, c_cnt = len(row_idx), len(col_idx)
-    one = field.one
-    u_trips = [(int(row_idx[t]), t, one) for t in range(r_cnt)]
+    inner = r_cnt + c_cnt
+    ones = np.full(inner, field.one, dtype=vals.dtype)
     um = in_high_col & ~in_low_row
-    cpos = np.searchsorted(col_idx, ci[um])
-    u_trips += [(int(a), int(r_cnt + b), val)
-                for a, b, val in zip(ri[um], cpos, vals[um])]
-    u = ExactMatrix.from_triplets(field, n, r_cnt + c_cnt, u_trips)
-
-    vm = in_low_row
-    rpos = np.searchsorted(row_idx, ri[vm])
-    v_trips = [(int(a), int(b), val) for a, b, val in zip(rpos, ci[vm], vals[vm])]
-    v_trips += [(int(r_cnt + t), int(col_idx[t]), one) for t in range(c_cnt)]
-    v = ExactMatrix.from_triplets(field, r_cnt + c_cnt, n, v_trips)
+    u = ExactMatrix._raw_coo(field, n, inner, *_canon_coo(
+        field, (n, inner),
+        np.concatenate([row_idx, ri[um]]),
+        np.concatenate([np.arange(r_cnt), r_cnt + np.searchsorted(col_idx, ci[um])]),
+        np.concatenate([ones[:r_cnt], vals[um]])))
+    v = ExactMatrix._raw_coo(field, inner, n, *_canon_coo(
+        field, (inner, n),
+        np.concatenate([np.searchsorted(row_idx, ri[in_low_row]),
+                        np.arange(r_cnt, inner)]),
+        np.concatenate([ci[in_low_row], col_idx]),
+        np.concatenate([vals[in_low_row], ones[r_cnt:]])))
 
     fill_col, fill_row = neighborhood_counts(dims, weights, offset)
     return Certificate(field, n, u, v, z, r_cnt + c_cnt, max(fill_col, fill_row),
@@ -370,13 +375,13 @@ def verify_cert(cert, target):
         raise ValueError(f"target shape {target.shape} vs certificate order {cert.n}")
     if target.field != cert.field:
         raise ValueError("field mismatch between certificate and target")
-    diff = cert.reconstruct() - target
-    recon_ok = diff.is_zero()
-    mismatch = None
-    if not recon_ok:
-        ri, ci, _ = diff.triplets()
-        mismatch = (int(ri[0]), int(ci[0]))  # canonical order: row-major first
-    rank_actual = rank_of_product(cert.u, cert.v)
+    uv = cert.e_matrix()
+    # canonical order: the first nonzero of the difference is the row-major
+    # first mismatch; the n x n difference itself is freed before the rank
+    ri, ci, _ = (uv + cert.z - target).triplets()
+    recon_ok = len(ri) == 0
+    mismatch = None if recon_ok else (int(ri[0]), int(ci[0]))
+    rank_actual = rank_of_product(cert.u, cert.v, uv)
     row_max, col_max = cert.z.row_col_nnz()
     rank_ok = rank_actual <= cert.claimed_rank
     sparsity_ok = max(row_max, col_max) <= cert.claimed_sparsity

@@ -83,9 +83,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class PrimeField(Field):
     """F_p for a verified prime p < 2**61."""

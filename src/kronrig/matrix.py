@@ -9,7 +9,6 @@ to canonical residues.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,22 +58,11 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
     dup[1:] = (ri[1:] == ri[:-1]) & (ci[1:] == ci[:-1])
     if dup.any():
         starts = np.flatnonzero(~dup)
-        if vals.dtype == object:
-            merged = np.empty(len(starts), dtype=object)
-            bounds = np.append(starts, len(ri))
-            for t in range(len(starts)):
-                acc = vals[bounds[t]]
-                for u in range(bounds[t] + 1, bounds[t + 1]):
-                    acc = field.add(acc, vals[u])
-                merged[t] = acc
-            vals = merged
-        else:
-            vals = np.add.reduceat(vals, starts) % field.p
+        vals = np.add.reduceat(vals, starts)
+        if isinstance(field, PrimeField):
+            vals = vals % field.p
         ri, ci = ri[starts], ci[starts]
-    if isinstance(field, PrimeField) and vals.dtype != object:
-        keep = vals != 0
-    else:
-        keep = np.array([v != 0 for v in vals], dtype=bool)
+    keep = vals != 0
     if not keep.all():
         ri, ci, vals = ri[keep], ci[keep], vals[keep]
     return ri, ci, vals
@@ -173,11 +161,7 @@ class ExactMatrix:
         """Canonical COO arrays (row, col, value), cached."""
         if self._coo is None:
             arr = self._dense
-            if arr.dtype == object:
-                mask = np.array([[v != 0 for v in row] for row in arr], dtype=bool)
-            else:
-                mask = arr != 0
-            ri, ci = np.nonzero(mask)
+            ri, ci = np.nonzero(arr != 0)
             self._coo = (ri.astype(np.int64), ci.astype(np.int64), arr[ri, ci])
         return self._coo
 
@@ -299,31 +283,21 @@ class ExactMatrix:
             return ExactMatrix._raw_dense(self.field, a + b)
         ar, ac, av = self.triplets()
         br, bc, bv = other.triplets()
-        if av.dtype == object or bv.dtype == object:
-            vals = np.empty(len(av) + len(bv), dtype=object)
-            vals[:len(av)] = av
-            vals[len(av):] = bv
-        else:
-            vals = np.concatenate([av, bv])
         coo = _canon_coo(self.field, self.shape, np.concatenate([ar, br]),
-                         np.concatenate([ac, bc]), vals, assume_clean=True)
+                         np.concatenate([ac, bc]), np.concatenate([av, bv]),
+                         assume_clean=True)
         return ExactMatrix._raw_coo(self.field, self.rows, self.cols, *coo)
 
     def __neg__(self):
         f = self.field
+
+        def neg(x):
+            return -x % f.p if isinstance(f, PrimeField) else -x
         if self._dense is not None:
-            arr = self._dense
-            if isinstance(f, PrimeField) and arr.dtype != object:
-                return ExactMatrix._raw_dense(f, (-arr) % f.p)
-            return ExactMatrix._raw_dense(f, np.array(
-                [[f.neg(v) for v in row] for row in arr], dtype=object))
+            return ExactMatrix._raw_dense(f, neg(self._dense))
         ri, ci, vals = self._coo
-        if vals.dtype == object:
-            nv = np.empty(len(vals), dtype=object)
-            nv[:] = [f.neg(v) for v in vals]
-        else:
-            nv = (-vals) % f.p
-        return ExactMatrix._raw_coo(f, self.rows, self.cols, ri.copy(), ci.copy(), nv)
+        return ExactMatrix._raw_coo(f, self.rows, self.cols, ri.copy(), ci.copy(),
+                                    neg(vals))
 
     def __sub__(self, other):
         return self + (-other)
@@ -332,11 +306,9 @@ class ExactMatrix:
         f = self.field
         c = f.canon(c)
         ri, ci, vals = self.triplets()
-        if vals.dtype == object:
-            nv = np.empty(len(vals), dtype=object)
-            nv[:] = [f.mul(c, v) for v in vals]
-        else:
-            nv = vals * int(c) % f.p
+        nv = vals * c
+        if isinstance(f, PrimeField):
+            nv = nv % f.p
         coo = _canon_coo(f, self.shape, ri.copy(), ci.copy(), nv, assume_clean=True)
         out = ExactMatrix._raw_coo(f, self.rows, self.cols, *coo)
         return out.density_preferred() if self.is_dense else out
@@ -381,14 +353,9 @@ class ExactMatrix:
                 f"entries, beyond the cap of {DENSE_CELL_CAP}")
         ri = (ar[:, None] * other.rows + br[None, :]).ravel()
         ci = (ac[:, None] * other.cols + bc[None, :]).ravel()
-        if av.dtype == object or bv.dtype == object:
-            vals = np.multiply.outer(av, bv).ravel()
-            if isinstance(f, PrimeField):
-                canon = np.empty(len(vals), dtype=object)
-                canon[:] = [int(v) % f.p for v in vals]
-                vals = canon
-        else:
-            vals = (av[:, None] * bv[None, :]).ravel() % f.p
+        vals = np.multiply.outer(av, bv).ravel()
+        if isinstance(f, PrimeField):
+            vals = vals % f.p
         coo = _canon_coo(f, (out_r, out_c), ri, ci, vals, assume_clean=True)
         return ExactMatrix._raw_coo(f, out_r, out_c, *coo)
 
@@ -448,20 +415,9 @@ def _dense_matmul(field, a, b):
     if isinstance(field, RationalField):
         return np.dot(a, b)
     p = field.p
-    if a.dtype == object or b.dtype == object:
-        return np.dot(a, b) % p
-    inner = a.shape[1]
-    worst = (p - 1) * (p - 1)
-    if worst * inner < 2**53:
-        c = np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return c % p
-    chunk = max(1, (2**62) // worst)
-    if p < 2**31:
-        acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-        for s in range(0, inner, chunk):
-            acc = (acc + a[:, s:s + chunk] @ b[s:s + chunk, :]) % p
-        return acc
-    return np.dot(a.astype(object), b.astype(object)) % p
+    if a.dtype == object or b.dtype == object or p >= _FLOAT_P:
+        return _matmul_mod(a, b, p)
+    return _matmul_mod(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
 
 
 def _sparse_matmul(a, b):
@@ -519,116 +475,167 @@ def _sparse_dense_matmul(a, b, f):
     return ExactMatrix._raw_dense(f, out)
 
 
-def _dense_rank(field, arr):
-    if isinstance(field, PrimeField):
-        if (arr.dtype != object and field.p <= 1 << 23
-                and arr.size >= 1 << 16):
-            return _rank_mod_blocked(arr, field.p)
-        return _rank_mod(arr, field.p)
-    return _rank_bareiss(arr)
+# ----------------------------------------------------------------------
+# exact rank: one elimination kernel for every field
+#
+# Over F_p the kernel holds residues as float64 when p < _FLOAT_P, so
+# block products run in BLAS.  Every float it forms is a nonnegative
+# integer of at most _FLOAT_LIMIT: p**2 at most outside block products,
+# whose inner dimension is chunked to stay below it.  Residues are int64
+# below 2**31 and Python ints above.  Over Q the rank is the largest rank
+# modulo enough primes.
+
+_FLOAT_LIMIT = 1 << 50
+_FLOAT_P = 1 << 25
+_LEAF = 4  # columns (and triangular-solve rows) eliminated one at a time
 
 
-def _rank_mod(a, p):
-    a = a.copy()
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        col = a[r:, c]
-        nz = np.flatnonzero(col != 0)
+def _reduce(x, p):
+    """x mod p for a nonnegative kernel array; overwrites a float x.
+
+    x - p*floor(x * pinv) with pinv = 1/p rounded up is exact for x up to
+    _FLOAT_LIMIT: the quotient is never too small, and x * pinv errs by
+    less than 1/p, so it is never too large.
+    """
+    if x.dtype != np.float64:
+        return x % p
+    q = x * np.nextafter(1.0 / p, 1.0)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _matmul_mod(a, b, p, c=None):
+    """(c + a @ b) mod p for kernel arrays of one dtype, c defaulting to 0.
+    The inner dimension is cut into chunks whose sums stay exact."""
+    if a.dtype == object or b.dtype == object:
+        prod = np.dot(a, b)
+        return (prod if c is None else c + prod) % p
+    limit = _FLOAT_LIMIT if a.dtype == np.float64 else (1 << 63) - 1
+    step = max(1, (limit - p) // (p - 1) ** 2)
+    for s in range(0, a.shape[-1] or 1, step):
+        prod = a[..., s:s + step] @ b[s:s + step]
+        if c is not None:
+            prod += c
+        c = _reduce(prod, p)
+    return c
+
+
+def _solve_unit_lower(nl, x, p):
+    """Overwrite x with L^-1 @ x mod p, where the strictly lower part of nl
+    is -L and L is unit lower triangular.  Splits the rows in half, as the
+    kernel splits columns."""
+    q = len(nl)
+    if q <= _LEAF:
+        for j in range(1, q):
+            x[j] = _matmul_mod(nl[j, :j], x[:j], p, x[j])
+        return
+    h = q // 2
+    _solve_unit_lower(nl[:h, :h], x[:h], p)
+    x[h:] = _matmul_mod(nl[h:, :h], x[:h], p, x[h:])
+    _solve_unit_lower(nl[h:, h:], x[h:], p)
+
+
+def _eliminate(w, p, r0, c0, c1):
+    """Eliminate columns c0:c1 of the residue array w below row r0, in place.
+
+    Returns the pivot columns.  Whole rows of w are swapped so that pivot
+    j sits in row r0 + j, and below it column pivots[j] holds the
+    negated multipliers: the strictly lower part of w[r0:, pivots] is -L
+    in the factorization P w[r0:, c0:c1] = L E with E in echelon form.
+    The left half of the columns is eliminated first; one triangular
+    solve and one block product then leave the Schur complement in the
+    right half, which is eliminated in turn.
+    """
+    m = len(w)
+    if c1 - c0 > _LEAF:
+        mid = (c0 + c1) // 2
+        pivots = _eliminate(w, p, r0, c0, mid)
+        r1 = r0 + len(pivots)
+        if r1 == m:
+            return pivots
+        if pivots:
+            nl = w[r0:, pivots]
+            top = w[r0:r1, mid:c1]
+            _solve_unit_lower(nl[:len(pivots)], top, p)
+            w[r1:, mid:c1] = _matmul_mod(nl[len(pivots):], top, p, w[r1:, mid:c1])
+        return pivots + _eliminate(w, p, r1, mid, c1)
+    pivots = []
+    r = r0
+    for c in range(c0, c1):
+        if r == m:
+            break
+        nz = np.flatnonzero(w[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = a[r, c:] * inv % p
-        if r + 1 < m:
-            fac = a[r + 1:, c]
-            a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(fac, a[r, c:])) % p
+            w[[r, i]] = w[[i, r]]
+        neg_inv = p - pow(int(w[r, c]), p - 2, p)
+        g = _reduce(w[r + 1:, c] * neg_inv, p)
+        w[r + 1:, c + 1:c1] = _reduce(
+            w[r + 1:, c + 1:c1] + np.multiply.outer(g, w[r, c + 1:c1]), p)
+        w[r + 1:, c] = g
+        pivots.append(c)
         r += 1
-        if r == m:
-            break
-    return r
+    return pivots
 
 
-def _rank_mod_blocked(a, p, panel=64):
-    """Elimination in panels with one BLAS update per panel.
+def _rank_mod_p(a, p):
+    """Rank modulo the prime p of an integer array."""
+    dtype = np.float64 if p < _FLOAT_P else np.int64 if p < 1 << 31 else object
+    w = np.remainder(a, p, out=np.empty(a.shape, dtype=dtype), casting="unsafe")
+    if w.shape[1] > w.shape[0]:
+        w = np.ascontiguousarray(w.T)  # the leaves loop over columns
+    return len(_eliminate(w, p, 0, 0, w.shape[1]))
 
-    Multipliers are stored in place of eliminated entries, LAPACK
-    style, so row swaps stay consistent; trailing columns get a forward
-    substitution through the panel pivots and a single matmul.  All
-    intermediate values stay below 2**53, so float64 arithmetic is
-    exact (guarded by the caller's bound on p).
+
+def _rank_primes():
+    """Odd primes below 2**17, largest first.  With (p-1)**2 * KRON_ORDER_CAP
+    below 2**50, no block product of the kernel needs a chunked inner
+    dimension for them."""
+    for q in range((1 << 17) - 1, 2, -2):
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _rank_rational(arr):
+    """Rank over Q by multimodular reduction.
+
+    Each row is scaled to integers.  Rank modulo p never exceeds the rank
+    r over Q, and falls below it only if p divides every r-minor.  So
+    once the product of the primes tried exceeds the Hadamard bound on
+    (s+1)-minors, s the largest rank seen, no larger rank is possible.
     """
-    a = a.astype(np.float64, copy=True)
-    m, n = a.shape
-    rank = 0
-    col = 0
-    while col < n and rank < m:
-        hi = min(col + panel, n)
-        r0 = rank
-        piv_cols = []
-        for c in range(col, hi):
-            nz = np.flatnonzero(a[rank:, c])
-            if nz.size == 0:
-                continue
-            i = rank + int(nz[0])
-            if i != rank:
-                a[[rank, i]] = a[[i, rank]]
-            inv = float(pow(int(a[rank, c]), p - 2, p))
-            if rank + 1 < m:
-                f = a[rank + 1:, c] * inv % p
-                a[rank + 1:, c:hi] -= np.outer(f, a[rank, c:hi])
-                a[rank + 1:, c:hi] %= p
-                a[rank + 1:, c] = f
-            piv_cols.append(c)
-            rank += 1
-        q = rank - r0
-        if q and hi < n:
-            t = a[r0:rank, hi:]
-            lo = a[r0:rank, piv_cols]
-            for j in range(1, q):
-                t[j] -= lo[j, :j] @ t[:j]
-                t[j] %= p
-            if rank < m:
-                a[rank:, hi:] -= a[rank:, piv_cols] @ t
-                a[rank:, hi:] %= p
-        col = hi
-    return rank
-
-
-def _rank_bareiss(arr):
-    """Fraction-free elimination on a denominator-cleared integer copy."""
     m, n = arr.shape
-    M = np.empty((m, n), dtype=object)
-    for i in range(m):
-        row = [Fraction(v) for v in arr[i]]
-        den = 1
-        for v in row:
-            den = math.lcm(den, v.denominator)
-        M[i] = [int(v * den) for v in row]
-    prev = 1
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        if r + 1 < m:
-            below = M[r + 1:, c + 1:]
-            M[r + 1:, c + 1:] = (M[r, c] * below
-                                 - np.outer(M[r + 1:, c], M[r, c + 1:])) // prev
-            M[r + 1:, c] = 0
-        prev = M[r, c]
-        r += 1
-        if r == m:
-            break
-    return r
+    rows = []
+    norms = []
+    for row in arr:
+        den = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (den // v.denominator) for v in row]
+        rows.append(ints)
+        sq = sum(x * x for x in ints)
+        norms.append(math.isqrt(sq - 1) + 1 if sq else 1)
+    ints = np.array(rows, dtype=object).reshape(m, n)
+    if max(norms, default=0) < 1 << 62:  # no entry exceeds its row's norm
+        ints = ints.astype(np.int64)
+    norms.sort(reverse=True)
+    rank = 0
+    modulus = 1
+    for q in _rank_primes():
+        rank = max(rank, _rank_mod_p(ints, q))
+        modulus *= q
+        if rank == min(m, n) or modulus > math.prod(norms[:rank + 1]):
+            return rank
+    raise ArithmeticError("rank bound beyond the product of the kernel's primes")
+
+
+def _dense_rank(field, arr):
+    """Exact rank of a dense array over `field`."""
+    if isinstance(field, PrimeField):
+        return _rank_mod_p(arr, field.p)
+    return _rank_rational(arr)
 
 
 def _echelon(field, arr):
@@ -719,13 +726,16 @@ def _rank_streaming(mat):
     return len(basis)
 
 
-def rank_of_product(u, v):
-    """Exact rank of u @ v, picking the cheaper of two exact routes."""
+def rank_of_product(u, v, uv=None):
+    """Exact rank of u @ v, picking the cheaper of two exact routes.
+
+    `uv`, if given, is u @ v already formed.
+    """
     if u.cols == 0 or min(u.rows, v.cols) == 0:
         return 0
     if u.rows * v.cols <= DENSE_CELL_CAP:
         # wide inner dimensions make the echelon route the expensive one
-        return (u @ v).exact_rank()
+        return (u @ v if uv is None else uv).exact_rank()
     rb = u.row_basis()
     return (rb @ v).exact_rank()
 
@@ -739,7 +749,6 @@ def hstack(mats):
     rows = mats[0].rows
     ri_all, ci_all, val_all = [], [], []
     shift = 0
-    obj = False
     for m in mats:
         if m.rows != rows:
             raise ValueError("hstack row mismatch")
@@ -747,19 +756,9 @@ def hstack(mats):
         ri_all.append(ri)
         ci_all.append(ci + shift)
         val_all.append(vals)
-        obj = obj or vals.dtype == object
         shift += m.cols
-    if obj:
-        total = sum(len(v) for v in val_all)
-        vals = np.empty(total, dtype=object)
-        at = 0
-        for v in val_all:
-            vals[at:at + len(v)] = v
-            at += len(v)
-    else:
-        vals = np.concatenate(val_all) if val_all else _empty_vals(f)
     coo = _canon_coo(f, (rows, shift), np.concatenate(ri_all), np.concatenate(ci_all),
-                     vals, assume_clean=True)
+                     np.concatenate(val_all), assume_clean=True)
     return ExactMatrix._raw_coo(f, rows, shift, *coo)
 
 
@@ -818,28 +817,14 @@ class MonomialMatrix:
         """Monomial product self @ other."""
         if self.field != other.field or self.n != other.n:
             raise ValueError("monomial compose mismatch")
-        f = self.field
-        sigma = other.sigma[self.sigma]
-        osc = other.scales[self.sigma]
-        if self.scales.dtype == object or osc.dtype == object:
-            sc = np.empty(self.n, dtype=object)
-            sc[:] = [f.mul(a, b) for a, b in zip(self.scales, osc)]
-        else:
-            sc = self.scales * osc % f.p
-        return MonomialMatrix(f, sigma, sc)
+        # the constructor reduces the scales
+        return MonomialMatrix(self.field, other.sigma[self.sigma],
+                              self.scales * other.scales[self.sigma])
 
     def kron(self, other):
-        f = self.field
-        m = other.n
-        sigma = (self.sigma[:, None] * m + other.sigma[None, :]).ravel()
-        if self.scales.dtype == object or other.scales.dtype == object:
-            sc = np.multiply.outer(self.scales, other.scales).ravel()
-            canon = np.empty(len(sc), dtype=object)
-            canon[:] = [f.canon(v) for v in sc]
-            sc = canon
-        else:
-            sc = (self.scales[:, None] * other.scales[None, :]).ravel() % f.p
-        return MonomialMatrix(f, sigma, sc)
+        sigma = (self.sigma[:, None] * other.n + other.sigma[None, :]).ravel()
+        return MonomialMatrix(self.field, sigma,
+                              np.multiply.outer(self.scales, other.scales).ravel())
 
     def transpose(self):
         inv = np.empty(self.n, dtype=np.int64)
@@ -856,15 +841,6 @@ class MonomialMatrix:
     def __repr__(self):
         kind = "diagonal" if self.is_diagonal else "monomial"
         return f"<MonomialMatrix {kind} n={self.n} over {self.field.header}>"
-
-
-def permutation_from_pairs(field, n, mapping):
-    """Permutation matrix sending row i to row mapping[i] when left-multiplied.
-
-    Concretely P @ A stacks A's rows in the order mapping[0], mapping[1], ...
-    """
-    sigma = np.asarray(mapping, dtype=np.int64)
-    return MonomialMatrix(field, sigma)
 
 
 def transposition(field, n, i, j):

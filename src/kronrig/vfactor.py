@@ -89,9 +89,6 @@ class Factor:
         g = v_matrix(self.field, self.vec)
         return g.T if self.kind == VROW else g
 
-    def is_monomial(self):
-        return self.kind in (PERM, DIAG)
-
     def __repr__(self):
         return f"<Factor {self.kind} d={self.size}>"
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from kronrig.field import PrimeField, QQ
 from kronrig.matrix import (
@@ -201,6 +202,100 @@ def test_rank_q_against_sympy():
             rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
         m = ExactMatrix.from_dense(QQ, rows)
         assert m.exact_rank() == to_sympy(m).rank()
+
+
+def _known_rank_matrix(rng, p, shape, core, ones):
+    """An integer matrix of `shape` over F_p whose rank is rank(core) + ones.
+
+    L @ diag(core, I_ones, 0) @ U with L unit lower and U unit upper
+    triangular (so both invertible), rows and columns shuffled, then
+    spread over `shape` with zero rows and columns in between.
+    """
+    m, n = shape[0] - 3, shape[1] - 5
+    # int64 holds every sum of 500 products of residues below 2**26
+    dtype = np.int64 if p < 2**26 else object
+    d = np.zeros((m, n), dtype=dtype)
+    k = len(core)
+    d[:k, :k] = core
+    d[k + np.arange(ones), k + np.arange(ones)] = 1
+
+    def unit_triangular(size, lower):
+        t = np.tril(rng.integers(0, p, size=(size, size)).astype(dtype), -1)
+        t = t + np.eye(size, dtype=dtype)
+        return t if lower else t.T
+
+    a = unit_triangular(m, True).dot(d) % p
+    a = a.dot(unit_triangular(n, False)) % p
+    a = a[rng.permutation(m)][:, rng.permutation(n)]
+    out = np.zeros(shape, dtype=dtype)
+    rows = np.sort(rng.choice(shape[0], m, replace=False))
+    cols = np.sort(rng.choice(shape[1], n, replace=False))
+    out[np.ix_(rows, cols)] = a
+    return out
+
+
+@pytest.mark.parametrize("p,shapes", [
+    (2, [(300, 500), (500, 300)]),
+    (5, [(300, 500), (500, 300)]),
+    (33554393, [(300, 500), (120, 90)]),     # largest prime of the float64 path
+    (33554467, [(90, 120)]),                 # int64 residues
+    (2147483659, [(40, 60), (60, 40)]),      # object residues, p >= 2**31
+])
+def test_rank_kernel_known_ranks_fp(p, shapes):
+    rng = np.random.default_rng(p % 1000)
+    f = PrimeField(p)
+    for shape in shapes:
+        for ones in (0, min(shape) // 3, min(shape) - 10):
+            if p < 10:
+                core = rng.integers(0, p, size=(5, 5))
+                core[4] = (core[0] + core[1]) % p
+                core_rank = brute_rank_mod_p(core.tolist(), p)
+            else:
+                core, core_rank = np.zeros((0, 0), dtype=np.int64), 0
+            arr = _known_rank_matrix(rng, p, shape, core, ones)
+            m = ExactMatrix.from_dense(f, arr)
+            assert m.exact_rank() == core_rank + ones, (p, shape, ones)
+
+
+def test_rank_kernel_brute_force_recursing_sizes():
+    # more columns than one leaf of the kernel, few enough to enumerate
+    rng = np.random.default_rng(53)
+    for f, p, shape in [(F2, 2, (14, 11)), (F2, 2, (11, 14)), (F3, 3, (10, 9))]:
+        for _ in range(3):
+            rows = rng.integers(0, p, size=shape)
+            rows[rng.integers(shape[0])] = 0
+            rows[:, rng.integers(shape[1])] = 0
+            rows[-2] = (rows[0] + 2 * rows[1]) % p
+            rows = rows.tolist()
+            cols = [list(c) for c in zip(*rows)]
+            want = brute_rank_mod_p(rows if shape[1] <= shape[0] else cols, p)
+            assert ExactMatrix.from_dense(f, rows).exact_rank() == want
+
+
+def test_rank_q_multimodular_against_sympy(monkeypatch):
+    import kronrig.matrix as km
+    calls = []
+    real = km._rank_mod_p
+    monkeypatch.setattr(km, "_rank_mod_p", lambda a, p: calls.append(p) or real(a, p))
+    rng = np.random.default_rng(59)
+    for shape, rank in [((12, 10), 6), ((30, 40), 17), ((40, 30), 30)]:
+        x = [[Fraction(int(rng.integers(-2**40, 2**40)), int(rng.integers(1, 4)))
+              for _ in range(rank)] for _ in range(shape[0])]
+        y = [[Fraction(int(rng.integers(-2**20, 2**20)), int(rng.integers(1, 3)))
+              for _ in range(shape[1])] for _ in range(rank)]
+        m = ExactMatrix.from_dense(QQ, x) @ ExactMatrix.from_dense(QQ, y)
+        calls.clear()
+        assert m.exact_rank() == DomainMatrix.from_Matrix(to_sympy(m)).rank() == rank
+        # full rank settles at the first prime; a rank drop needs the bound
+        assert (len(calls) == 1) == (rank == min(shape))
+    # 131071 is the first prime tried and divides the only 2x2 minor
+    m = ExactMatrix.from_dense(QQ, [[1, 0], [0, 131071]])
+    assert m.exact_rank() == 2
+    # the same determinant from short rows: the bound must take both norms
+    m = ExactMatrix.from_dense(QQ, [[362, 27], [-1, 362]])
+    assert m.exact_rank() == 2
+    m = ExactMatrix.from_dense(QQ, [[Fraction(1, 131071), 1], [1, 131071]])
+    assert m.exact_rank() == 1
 
 
 def test_rank_streaming_matches_dense():
