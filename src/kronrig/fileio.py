@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cert import Certificate
-from .field import field_from_header
+from .field import PrimeField, field_from_header
 from .matrix import ExactMatrix
 
 __all__ = [
@@ -40,27 +40,29 @@ class FileFormatError(ValueError):
     pass
 
 
-def _content_lines(text):
-    """(line_number, stripped_text) for every non-comment, non-blank line."""
-    out = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        s = raw.strip()
-        if s and not s.startswith("#"):
-            out.append((no, s))
-    return out
-
-
 class _LineReader:
+    """Content lines of a text: lines that are neither blank nor '#'
+    comments, numbered as `str.splitlines` counts them."""
+
     def __init__(self, text):
-        self.lines = _content_lines(text)
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.pos = 0  # index of the next unread line
+
+    def _skip(self):
+        """The next content line, stripped, or None at the end."""
+        while self.pos < len(self.lines):
+            s = self.lines[self.pos].strip()
+            if s and not s.startswith("#"):
+                return s
+            self.pos += 1
+        return None
 
     def next(self, what):
-        if self.pos >= len(self.lines):
+        s = self._skip()
+        if s is None:
             raise FileFormatError(f"unexpected end of file, expected {what}")
-        no, s = self.lines[self.pos]
         self.pos += 1
-        return no, s
+        return self.pos, s
 
     def key(self, name):
         no, s = self.next(f"'{name}:'")
@@ -78,7 +80,97 @@ class _LineReader:
                 f"line {no}: '{name}' needs an integer, got {raw!r}") from None
 
     def exhausted(self):
-        return self.pos >= len(self.lines)
+        return self._skip() is None
+
+    def finish(self):
+        if not self.exhausted():
+            no, s = self.next("")
+            raise FileFormatError(f"line {no}: trailing content {s!r}")
+
+
+# ----------------------------------------------------------------------
+# triplet lines "i j value", shared by sparse matrices and certificates
+
+
+def _render_triplets(out, m):
+    """Append m's canonical triplet lines to `out`, joined into one string."""
+    ri, ci, vals = m.triplets()
+    if len(ri):
+        cells = np.stack([ri, ci, vals], axis=1).ravel().tolist()
+        out.append("\n".join(["%s %s %s"] * len(ri)) % tuple(cells))
+
+
+def _parse_value(field, tok, no):
+    try:
+        return field.parse(tok)
+    except ValueError as e:
+        raise FileFormatError(f"line {no}: {e}") from None
+
+
+# 10**18 < 2**63, so tokens of at most this many digits fit int64.
+_BULK_DIGITS = 18
+
+
+def _bulk_triplets(lines, rows, cols):
+    """int64 arrays (i, j, value) of `lines`, or None unless each line is
+    exactly three tokens -?[0-9]{1,18} joined by single spaces and every
+    index is in range.  On such lines int() and this parse agree; the
+    renderer writes only such lines."""
+    body = "\n".join(lines)
+    if not body.isascii():
+        return None
+    body = body.encode("ascii")
+    buf = np.frombuffer(body, dtype=np.uint8)
+    sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
+    ntok = 3 * len(lines)
+    if len(sep) != ntok - 1 or not np.array_equal(
+            buf[sep] == ord("\n"), np.arange(1, ntok) % 3 == 0):
+        return None
+    starts = np.concatenate(([0], sep + 1))
+    width = np.concatenate((sep, [len(buf)])) - starts
+    if width.min() < 1:
+        return None
+    neg = buf[starts] == ord("-")
+    digits = width - neg
+    if digits.min() < 1 or digits.max() > _BULK_DIGITS:
+        return None
+    # every byte is a separator, a digit or the '-' that starts a token
+    if (len(sep) + np.count_nonzero(neg)
+            + np.count_nonzero(buf - ord("0") < 10)) != len(buf):
+        return None
+    ri, ci, vals = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3).T
+    if ri.min() < 0 or ri.max() >= rows or ci.min() < 0 or ci.max() >= cols:
+        return None
+    return ri, ci, vals
+
+
+def _parse_triplets(rd, field, rows, cols, count=None, name=None):
+    """The next `count` triplet lines of `rd`, or all the rest when count is
+    None, as a rows x cols matrix; `name` is the certificate block named in
+    errors.  Over F_p a block of canonical lines is decoded in bulk; the
+    line loop parses everything else and names the first bad line."""
+    end = len(rd.lines) if count is None else rd.pos + count
+    if isinstance(field, PrimeField) and rd.pos <= end <= len(rd.lines):
+        bulk = _bulk_triplets(rd.lines[rd.pos:end], rows, cols)
+        if bulk is not None:
+            rd.pos = end
+            return ExactMatrix.from_coo(field, rows, cols, *bulk)
+    block = f"block '{name}' " if name else ""
+    trips = []
+    while (not rd.exhausted()) if count is None else len(trips) < count:
+        no, s = rd.next(f"a triplet of block '{name}'")
+        toks = s.split()
+        if len(toks) != 3:
+            raise FileFormatError(f"line {no}: expected 'i j value', got {s!r}")
+        try:
+            i, j = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise FileFormatError(f"line {no}: bad indices in {s!r}") from None
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise FileFormatError(
+                f"line {no}: {block}index ({i}, {j}) outside {rows}x{cols}")
+        trips.append((i, j, _parse_value(field, toks[2], no)))
+    return ExactMatrix.from_triplets(field, rows, cols, trips)
 
 
 # ----------------------------------------------------------------------
@@ -99,17 +191,8 @@ def render_matrix(m, fmt=None):
             for i in range(m.rows):
                 out.append(" ".join(f.fmt(v) for v in arr[i]))
     else:
-        ri, ci, vals = m.triplets()
-        for i, j, v in zip(ri, ci, vals):
-            out.append(f"{int(i)} {int(j)} {f.fmt(v)}")
+        _render_triplets(out, m)
     return "\n".join(out) + "\n"
-
-
-def _parse_value(field, tok, no):
-    try:
-        return field.parse(tok)
-    except ValueError as e:
-        raise FileFormatError(f"line {no}: {e}") from None
 
 
 def parse_matrix(text):
@@ -136,29 +219,11 @@ def parse_matrix(text):
                 data.append([_parse_value(f, t, no) for t in toks])
             m = ExactMatrix.from_dense(f, data)
     elif fmt == "sparse":
-        trips = []
-        while not rd.exhausted():
-            no, s = rd.next("a triplet")
-            toks = s.split()
-            if len(toks) != 3:
-                raise FileFormatError(
-                    f"line {no}: expected 'i j value', got {s!r}")
-            try:
-                i, j = int(toks[0]), int(toks[1])
-            except ValueError:
-                raise FileFormatError(
-                    f"line {no}: bad indices in {s!r}") from None
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise FileFormatError(
-                    f"line {no}: index ({i}, {j}) outside {rows}x{cols}")
-            trips.append((i, j, _parse_value(f, toks[2], no)))
-        m = ExactMatrix.from_triplets(f, rows, cols, trips)
+        m = _parse_triplets(rd, f, rows, cols)
     else:
         raise FileFormatError(
             f"line {no}: format must be dense or sparse, got {fmt!r}")
-    if not rd.exhausted():
-        no, s = rd.lines[rd.pos]
-        raise FileFormatError(f"line {no}: trailing content {s!r}")
+    rd.finish()
     return m
 
 
@@ -174,14 +239,6 @@ def write_matrix(path, m, fmt=None):
 
 # ----------------------------------------------------------------------
 # certificates
-
-
-def _render_block(out, name, m):
-    ri, ci, vals = m.triplets()
-    out.append(f"{name}: {len(ri)}")
-    f = m.field
-    for i, j, v in zip(ri, ci, vals):
-        out.append(f"{int(i)} {int(j)} {f.fmt(v)}")
 
 
 def _render_support(name, idx):
@@ -200,9 +257,9 @@ def render_cert(cert):
            f"claimed_sparsity: {cert.claimed_sparsity}",
            _render_support("support_rows", cert.support_rows),
            _render_support("support_cols", cert.support_cols)]
-    _render_block(out, "u", cert.u)
-    _render_block(out, "v", cert.v)
-    _render_block(out, "z", cert.z)
+    for name, m in (("u", cert.u), ("v", cert.v), ("z", cert.z)):
+        out.append(f"{name}: {m.nnz}")
+        _render_triplets(out, m)
     return "\n".join(out) + "\n"
 
 
@@ -213,22 +270,7 @@ def _parse_block(rd, name, field, rows, cols):
     except ValueError:
         raise FileFormatError(
             f"line {no}: '{name}' needs a triplet count, got {raw!r}") from None
-    trips = []
-    for _ in range(count):
-        no, s = rd.next(f"a triplet of block '{name}'")
-        toks = s.split()
-        if len(toks) != 3:
-            raise FileFormatError(f"line {no}: expected 'i j value', got {s!r}")
-        try:
-            i, j = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise FileFormatError(f"line {no}: bad indices in {s!r}") from None
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise FileFormatError(
-                f"line {no}: block '{name}' index ({i}, {j}) outside "
-                f"{rows}x{cols}")
-        trips.append((i, j, _parse_value(field, toks[2], no)))
-    return ExactMatrix.from_triplets(field, rows, cols, trips)
+    return _parse_triplets(rd, field, rows, cols, count, name)
 
 
 def _parse_support(rd, name):
@@ -258,9 +300,7 @@ def parse_cert(text):
     u = _parse_block(rd, "u", f, n, inner)
     v = _parse_block(rd, "v", f, inner, n)
     z = _parse_block(rd, "z", f, n, n)
-    if not rd.exhausted():
-        no, s = rd.lines[rd.pos]
-        raise FileFormatError(f"line {no}: trailing content {s!r}")
+    rd.finish()
     return Certificate(f, n, u, v, z, rank, sparsity,
                        support_rows=sup_r, support_cols=sup_c)
 

@@ -26,6 +26,12 @@ class SizeCapError(ValueError):
     """Requested materialization exceeds the configured size caps."""
 
 
+def _prefers_dense(rows, cols, nnz):
+    """Whether a rows x cols matrix with nnz nonzeros is stored dense."""
+    cells = rows * cols
+    return cells <= DENSE_CELL_CAP and nnz * 3 > cells
+
+
 def _empty_vals(field):
     return np.empty(0, dtype=field.dtype)
 
@@ -94,14 +100,19 @@ class ExactMatrix:
         return cls(field, arr.shape[0], arr.shape[1], dense=flat.reshape(arr.shape))
 
     @classmethod
+    def from_coo(cls, field, rows, cols, ri, ci, vals):
+        """From index and value arrays in any order; duplicates are summed."""
+        coo = _canon_coo(field, (rows, cols), ri, ci, _canon_vals(field, vals))
+        return cls(field, rows, cols, coo=coo)
+
+    @classmethod
     def from_triplets(cls, field, rows, cols, triplets):
         if triplets:
             ri, ci, vals = zip(*[(int(i), int(j), v) for i, j, v in triplets])
         else:
             ri, ci, vals = (), (), ()
-        coo = _canon_coo(field, (rows, cols), np.array(ri, dtype=np.int64),
-                         np.array(ci, dtype=np.int64), _canon_vals(field, list(vals)))
-        return cls(field, rows, cols, coo=coo)
+        return cls.from_coo(field, rows, cols, np.array(ri, dtype=np.int64),
+                            np.array(ci, dtype=np.int64), list(vals))
 
     @classmethod
     def _raw_dense(cls, field, arr):
@@ -171,8 +182,7 @@ class ExactMatrix:
 
     def density_preferred(self):
         """Re-wrap with the storage that suits the fill-in."""
-        cells = self.rows * self.cols
-        if cells <= DENSE_CELL_CAP and self.nnz * 3 > cells:
+        if _prefers_dense(self.rows, self.cols, self.nnz):
             self.to_dense()
         return self
 
@@ -431,12 +441,16 @@ def _sparse_matmul(a, b):
             am = sp.csr_matrix((av, (ar, ac)), shape=a.shape, dtype=np.int64)
             br, bc, bv = b.triplets()
             bm = sp.csr_matrix((bv, (br, bc)), shape=b.shape, dtype=np.int64)
-            cm = (am @ bm).tocoo()
-            vals = cm.data % p
-            coo = _canon_coo(f, (a.rows, b.cols), cm.row.astype(np.int64),
-                             cm.col.astype(np.int64), vals, assume_clean=True)
-            out = ExactMatrix._raw_coo(f, a.rows, b.cols, *coo)
-            return out.density_preferred()
+            # scipy's product holds no duplicate entries
+            cm = am @ bm
+            cm.data %= p
+            cm.eliminate_zeros()
+            if _prefers_dense(a.rows, b.cols, cm.nnz):
+                return ExactMatrix._raw_dense(f, cm.toarray())
+            cm.sort_indices()
+            cm = cm.tocoo()
+            return ExactMatrix._raw_coo(f, a.rows, b.cols, cm.row.astype(np.int64),
+                                        cm.col.astype(np.int64), cm.data)
     # exact object fallback
     br, bc, bv = b.triplets()
     rows_of_b = {}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kronrig.cert import verify_cert
-from kronrig.field import QQ, PrimeField
+from kronrig import fileio
+from kronrig.field import QQ, PrimeField, field_from_header
 from kronrig.fileio import (
     FileFormatError,
     parse_cert,
@@ -61,6 +62,9 @@ def test_comments_and_blanks_ignored():
     assert m == ExactMatrix.from_dense(F5, [[3, 4]])
 
 
+_SPARSE_F5 = "field: Fp 5\nrows: 2\ncols: 2\nformat: sparse\n0 0 1\n1 1 1\n"
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("rows: 2\n", "expected 'field:'"),
     ("field: Fp 4\nrows: 1\ncols: 1\nformat: dense\n0\n", "prime"),
@@ -71,6 +75,21 @@ def test_comments_and_blanks_ignored():
     ("field: Q\nrows: 2\ncols: 2\nformat: sparse\n5 0 1\n", "outside"),
     ("field: Q\nrows: 2\ncols: 2\nformat: sparse\n0 0\n", "i j value"),
     ("field: Fp 5\nrows: 1\ncols: 1\nformat: dense\nq\n", "literal"),
+    # whole messages, with the line numbers the line-by-line parser gives;
+    # after canonical lines, so the bulk decoder sees each case first
+    (_SPARSE_F5 + "0 0\n1 1 1 1\n", "line 7: expected 'i j value', got '0 0'"),
+    (_SPARSE_F5 + "1000000000000000000 0 1\n",
+     "line 7: index (1000000000000000000, 0) outside 2x2"),
+    (_SPARSE_F5 + "0 -1 1\n", "line 7: index (0, -1) outside 2x2"),
+    (_SPARSE_F5 + "0 2 1\n", "line 7: index (0, 2) outside 2x2"),
+    (_SPARSE_F5 + "0 1 x\n", "line 7: bad F_5 literal 'x'"),
+    (_SPARSE_F5 + "a 1 1\n", "line 7: bad indices in 'a 1 1'"),
+    (_SPARSE_F5 + "1 0 1\n# end\n0 0 1 1\n",
+     "line 9: expected 'i j value', got '0 0 1 1'"),
+    ("field: Q\nrows: 2\ncols: 2\nformat: sparse\n0 0 1\n1 1 1/0\n",
+     "line 6: bad rational literal '1/0'"),
+    ("field: Q\nrows: 2\ncols: 1\nformat: dense\n1\n",
+     "unexpected end of file, expected a row of 1 entries"),
 ])
 def test_matrix_rejections(text, fragment):
     with pytest.raises(FileFormatError) as e:
@@ -119,12 +138,42 @@ def test_cert_without_supports():
     assert back.same_witness(cert)
 
 
+def _set_line(no, new):
+    """Replace line `no` (1-based) of a text."""
+    def mangle(text):
+        lines = text.splitlines()
+        lines[no - 1] = new
+        return "\n".join(lines) + "\n"
+    return mangle
+
+
 @pytest.mark.parametrize("mangle,fragment", [
     (lambda t: t.replace("kind: certificate", "kind: matrix"),
      "expected kind"),
     (lambda t: t.replace("claimed_rank", "rank"), "claimed_rank"),
     (lambda t: t + "0 0 1\n", "trailing"),
     (lambda t: "\n".join(t.splitlines()[:-1]) + "\n", "unexpected end"),
+    # whole messages; the certificate has 'u: 3' on line 9, its triplets
+    # on lines 10-12, 'v: 4' on line 13, its triplets on lines 14-17 and
+    # 'z: 0' on line 18.  First a 2-token and a 4-token line: six tokens,
+    # as in two good lines.
+    (lambda t: t.replace("0 1 4\n1 0 4\n", "0 1\n4 1 0 4\n"),
+     "line 14: expected 'i j value', got '0 1'"),
+    (_set_line(15, "1000000000000000000 0 4"),
+     "line 15: block 'v' index (1000000000000000000, 0) outside 4x2"),
+    (_set_line(16, "2 -1 1"), "line 16: block 'v' index (2, -1) outside 4x2"),
+    (_set_line(17, "4 0 1"), "line 17: block 'v' index (4, 0) outside 4x2"),
+    (_set_line(11, "1 0 x"), "line 11: bad F_5 literal 'x'"),
+    (_set_line(12, "a 1 1"), "line 12: bad indices in 'a 1 1'"),
+    (lambda t: "\n".join(t.splitlines()[:15]) + "\n",
+     "unexpected end of file, expected a triplet of block 'v'"),
+    (_set_line(13, "v: 5"), "line 18: expected 'i j value', got 'z: 0'"),
+    (_set_line(9, "u: many"), "line 9: 'u' needs a triplet count, got 'many'"),
+    # a negative count reads no triplet at all
+    (_set_line(9, "u: -15"), "line 10: expected 'v:', got '0 0 1'"),
+    (lambda t: _set_line(18, "z: 20")(_set_line(9, "u: -16")(t)) + "0 0 1\n",
+     "line 10: expected 'v:', got '0 0 1'"),
+    (_set_line(13, "v: -3"), "line 14: expected 'z:', got '0 1 4'"),
 ])
 def test_cert_rejections(mangle, fragment):
     rng = np.random.default_rng(13)
@@ -132,6 +181,114 @@ def test_cert_rejections(mangle, fragment):
     with pytest.raises(FileFormatError) as e:
         parse_cert(mangle(render_cert(cert)))
     assert fragment in str(e.value)
+
+
+def _per_line(monkeypatch, parse, text):
+    """`parse(text)` with every triplet block read by the line loop."""
+    with monkeypatch.context() as mp:
+        mp.setattr(fileio, "_bulk_triplets", lambda lines, rows, cols: None)
+        return parse(text)
+
+
+def _cert(header):
+    rng = np.random.default_rng(11)
+    facs = [random_invertible(field_from_header(header), d, rng)
+            for d in (2, 3, 2)]
+    return decompose_kron_product(facs, "0.5")[0]
+
+
+def _first_triplet(text, block, change):
+    """Rewrite the first triplet line of `block` as change(i, j, value)."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(next(s for s in lines if s.startswith(f"{block}:"))) + 1
+    i, j, v = lines[at].split()
+    lines[at] = change(i, j, v) + "\n"
+    return "".join(lines)
+
+
+_BIG = 5 * 2**64  # a multiple of 5 beyond int64
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda t: t,
+    lambda t: _first_triplet(t, "v", lambda i, j, v: f"{i} {j} {v}\n# note"),
+    lambda t: _first_triplet(t, "u", lambda i, j, v: f"{i} {j} {v}\n"),
+    lambda t: _first_triplet(t, "v", lambda i, j, v: f"+{i} 00{j} {v}"),
+    lambda t: _first_triplet(t, "v", lambda i, j, v: f"{i} {j} {int(v) - 5}"),
+    lambda t: _first_triplet(t, "u", lambda i, j, v: f"{i} {j} {int(v) + 5}"),
+    lambda t: _first_triplet(t, "u", lambda i, j, v: f"{i} {j} {int(v) + _BIG}"),
+    lambda t: _first_triplet(t, "v", lambda i, j, v: f"{i}\t{j} {v}"),
+    lambda t: _first_triplet(t, "v", lambda i, j, v: f" {i} {j}  {v} "),
+    lambda t: t.replace("\n", "\r\n"),
+])
+@pytest.mark.parametrize("header", ["Fp 5", "Fp 2147483659", "Q"])
+def test_cert_parse_matches_line_loop(header, mangle, monkeypatch):
+    cert = _cert(header)
+    text = render_cert(cert)
+    mangled = mangle(text)
+    back = parse_cert(mangled)
+    ref = _per_line(monkeypatch, parse_cert, mangled)
+    assert back.same_witness(ref)
+    assert render_cert(back) == render_cert(ref)
+    if header == "Fp 5":  # the value rewrites above keep the residue mod 5
+        assert render_cert(back) == text
+
+
+@pytest.mark.parametrize("header", ["Fp 5", "Fp 2147483659", "Q"])
+def test_sparse_matrix_parse_matches_line_loop(header, monkeypatch):
+    m = random_dense(field_from_header(header), 6, 9, np.random.default_rng(3))
+    text = render_matrix(m, "sparse")
+    for mangled in (text, text.replace("\n", "\r\n"),
+                    text.replace("\n0 1 ", "\n# note\n0 1 "),
+                    text.replace("\n1 ", "\n001 ")):
+        back = parse_matrix(mangled)
+        assert back == _per_line(monkeypatch, parse_matrix, mangled) == m
+
+
+def test_canonical_blocks_skip_line_loop(monkeypatch):
+    """The renderer's output over F_p is decoded without the line loop."""
+    text = render_cert(_cert("Fp 5"))
+
+    def no_line_loop(*args):
+        raise AssertionError("line loop used")
+
+    monkeypatch.setattr(fileio, "_parse_value", no_line_loop)
+    assert render_cert(parse_cert(text)) == text
+
+
+@pytest.mark.parametrize("line,expected", [
+    ("1 2 3", (1, 2, 3)),
+    ("0 0 -0", (0, 0, 0)),
+    ("007 1 -999999999999999999", (7, 1, -999999999999999999)),
+    ("0 0 1000000000000000000", None),  # 19 digits
+    ("-1 0 1", None),  # index out of range
+    ("0 9 1", None),
+    ("+1 0 1", None),
+    ("0  0 1", None),
+    ("0 0 1 ", None),
+    ("0\t0 1", None),
+    ("0 0", None),
+    ("0 0 -", None),
+    ("0 0 1-", None),
+    ("0 0 --1", None),
+    ("0 0 \u0661", None),  # a non-ASCII digit
+])
+def test_bulk_triplets(line, expected):
+    """Canonical lines decode as int() reads them; anything else is left
+    to the line loop."""
+    got = fileio._bulk_triplets(["2 3 4", line, "0 1 5"], 8, 8)
+    if expected is None:
+        assert got is None
+    else:
+        assert [a.tolist() for a in got] == [
+            [2, expected[0], 0], [3, expected[1], 1], [4, expected[2], 5]]
+
+
+def test_bulk_triplets_checks_each_line():
+    assert fileio._bulk_triplets(["0 0", "1 1 1 1"], 8, 8) is None
+    assert fileio._bulk_triplets(["0 0 1 1", "1 1"], 8, 8) is None
+    assert fileio._bulk_triplets(["0 0 1", "1 1 "], 8, 8) is None
+    assert fileio._bulk_triplets(["0  1", "1 1 1"], 8, 8) is None
 
 
 def test_report_rendering():

@@ -114,6 +114,25 @@ def test_matmul_storage_agreement():
                 assert got == ref
 
 
+def test_sparse_matmul_canonical_triplets():
+    """A sparse product over F_p comes back as canonical triplets: row-major,
+    and without the entries whose integer sum is a nonzero multiple of p."""
+    rng = np.random.default_rng(5)
+    a = np.where(rng.random((60, 40)) < 0.04, rng.integers(1, 5, (60, 40)), 0)
+    b = np.where(rng.random((40, 70)) < 0.04, rng.integers(1, 5, (40, 70)), 0)
+    raw = a @ b
+    want = raw % 5
+    assert ((raw != 0) & (want == 0)).any()
+    _, sa = _storage_variants(ExactMatrix.from_dense(F5, a))
+    _, sb = _storage_variants(ExactMatrix.from_dense(F5, b))
+    prod = sa @ sb
+    assert not prod.is_dense
+    ri, ci = np.nonzero(want)
+    pr, pc, pv = prod.triplets()
+    assert pr.tolist() == ri.tolist() and pc.tolist() == ci.tolist()
+    assert pv.tolist() == want[ri, ci].tolist()
+
+
 def test_matmul_frozen_example():
     # unit upper-triangular square: [[1,1],[0,1]]^2 == [[1,2],[0,1]]
     for f in [F5, QQ]:
