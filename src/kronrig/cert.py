@@ -164,8 +164,9 @@ def conjugate_cert(cert, perm):
 def compose_product(cert_a, cert_b, b_matrix):
     """Certificate for A @ B from certificates of A and B.
 
-    Needs B itself (to push A's low-rank rows through); the sparse
-    parts multiply, so line budgets multiply as well.
+    Needs B itself (to push A's low-rank rows through), as a matrix or a
+    KroneckerSpec; a spec is materialized only if A has a low-rank part.
+    The sparse parts multiply, so line budgets multiply as well.
     """
     if cert_a.n != cert_b.n or cert_a.field != cert_b.field:
         raise ValueError("certificate mismatch")
@@ -174,7 +175,12 @@ def compose_product(cert_a, cert_b, b_matrix):
     za, zb = cert_a.z, cert_b.z
     _guard_nnz(za.nnz * max(zb.row_col_nnz()[0], 1), "sparse product")
     u = hstack([cert_a.u, za @ cert_b.u])
-    v = vstack([cert_a.v @ b_matrix, cert_b.v])
+    av = cert_a.v
+    if cert_a.inner_dim:
+        if isinstance(b_matrix, KroneckerSpec):
+            b_matrix = b_matrix.materialize()
+        av = av @ b_matrix
+    v = vstack([av, cert_b.v])
     z = za @ zb
     return Certificate(cert_a.field, cert_a.n, u, v, z,
                        cert_a.claimed_rank + cert_b.claimed_rank,

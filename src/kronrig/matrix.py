@@ -352,7 +352,7 @@ class ExactMatrix:
         if (self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP):
             a, b = self._dense, other._dense
             prod = np.kron(a, b)
-            if isinstance(f, PrimeField) and prod.dtype != object:
+            if isinstance(f, PrimeField):
                 prod %= f.p
             return ExactMatrix._raw_dense(f, prod)
         ar, ac, av = self.triplets()
@@ -758,26 +758,42 @@ def rank_of_product(u, v, uv=None):
 # stacking
 
 
-def hstack(mats):
-    f = mats[0].field
-    rows = mats[0].rows
+def _stack(mats, axis):
+    """Concatenated triplets of canonical blocks, shifted along `axis`
+    (0 stacks rows, 1 columns), and the shape of the result."""
+    other = mats[0].shape[1 - axis]
     ri_all, ci_all, val_all = [], [], []
     shift = 0
     for m in mats:
-        if m.rows != rows:
-            raise ValueError("hstack row mismatch")
+        if m.shape[1 - axis] != other:
+            raise ValueError("stacked blocks must match in their other dimension")
         ri, ci, vals = m.triplets()
-        ri_all.append(ri)
-        ci_all.append(ci + shift)
+        ri_all.append(ri + shift if axis == 0 else ri)
+        ci_all.append(ci + shift if axis == 1 else ci)
         val_all.append(vals)
-        shift += m.cols
-    coo = _canon_coo(f, (rows, shift), np.concatenate(ri_all), np.concatenate(ci_all),
-                     np.concatenate(val_all), assume_clean=True)
-    return ExactMatrix._raw_coo(f, rows, shift, *coo)
+        shift += m.shape[axis]
+    shape = (shift, other) if axis == 0 else (other, shift)
+    return (np.concatenate(ri_all), np.concatenate(ci_all),
+            np.concatenate(val_all)), shape
+
+
+def hstack(mats):
+    """Blocks side by side.  A stable sort by row keeps each row's entries
+    in column order, as the blocks' column ranges ascend."""
+    (ri, ci, vals), shape = _stack(mats, 1)
+    if len(ri) == 0:
+        return ExactMatrix.zeros(mats[0].field, *shape)
+    order = np.argsort(ri, kind="stable")
+    return ExactMatrix._raw_coo(mats[0].field, *shape, ri[order], ci[order],
+                                vals[order])
 
 
 def vstack(mats):
-    return hstack([m.T for m in mats]).T
+    """Blocks one above another; with shifted rows they stay canonical."""
+    (ri, ci, vals), shape = _stack(mats, 0)
+    if len(ri) == 0:
+        return ExactMatrix.zeros(mats[0].field, *shape)
+    return ExactMatrix._raw_coo(mats[0].field, *shape, ri, ci, vals)
 
 
 # ----------------------------------------------------------------------
@@ -926,6 +942,10 @@ class KroneckerSpec:
     @property
     def k(self):
         return len(self.factors)
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
 
     def materialize(self):
         if self.n > KRON_ORDER_CAP:

@@ -193,7 +193,7 @@ def _layered_certificate(factors, eps, weights, delta, check_layers):
 
     cert = layer_certs[length - 1]
     for j in range(length - 2, -1, -1):
-        target = KroneckerSpec([suffixes[i][j + 1] for i in range(k)]).materialize()
+        target = KroneckerSpec([suffixes[i][j + 1] for i in range(k)])
         cert = compose_product(layer_certs[j], cert, target)
     assert cert.claimed_rank == n_v * r_l
     assert cert.claimed_sparsity == t_l**n_v

@@ -7,8 +7,10 @@ score is the weighted count of coordinates sitting at their maximum:
 
 High-score column tuples and low-score row tuples get peeled off into
 the low-rank part of a split; everything here computes the relevant
-cardinalities exactly (Fractions end to end), without enumerating the
-product space unless a mask over concrete indices is requested.
+cardinalities exactly, without enumerating the product space unless a
+mask over concrete indices is requested.  The counts run on integer
+scores: the weights are scaled by the lcm of their denominators, and a
+rational threshold becomes the integer bound it implies.
 """
 
 import itertools
@@ -81,18 +83,54 @@ def variance_bound(dims, weights=None):
     return sum((weights.weight(d) ** 2 * (d - 1) / d**2 for d in dims), Fraction(0))
 
 
-def score_distribution(dims, weights=None):
-    """Exact map score -> number of tuples attaining it."""
-    weights = weights or WeightScheme.uniform()
-    dist = {Fraction(0): 1}
-    for d in dims:
-        w = weights.weight(d)
+def _int_classes(dims, weights):
+    """Coordinates grouped by (weight, order), sorted for determinism, as
+    (scaled weight, order, count), and the scale: the lcm of the weights'
+    denominators, which makes every scaled weight an integer."""
+    classes = sorted((weights.weight(d), d, j)
+                     for d, j in Counter(int(d) for d in dims).items())
+    scale = math.lcm(*(w.denominator for w, _, _ in classes))
+    return [(w.numerator * (scale // w.denominator), d, j)
+            for w, d, j in classes], scale
+
+
+def _scaled_bounds(classes, scale, offset):
+    """floor((mean - offset) * scale) and ceil((mean + offset) * scale).
+
+    An integer score S is <= x iff S <= floor(x), and >= x iff S >= ceil(x).
+    """
+    den = math.lcm(*(d for _, d, _ in classes))
+    mean = sum(j * w * (den // d) for w, d, j in classes)  # mean*scale*den
+    b = offset.denominator
+    shift = offset.numerator * scale * den
+    lo = (mean * b - shift) // (den * b)
+    hi = -((-mean * b - shift) // (den * b))
+    return lo, hi
+
+
+def _int_distribution(classes):
+    """Map scaled score -> number of tuples attaining it.
+
+    A class of j coordinates of order d and scaled weight w puts u of
+    them at the top in C(j, u) * (d - 1)**(j - u) ways, adding u * w.
+    """
+    dist = {0: 1}
+    for w, d, j in classes:
+        terms = [(u * w, math.comb(j, u) * (d - 1) ** (j - u))
+                 for u in range(j + 1)]
         new = defaultdict(int)
         for s, c in dist.items():
-            new[s] += c * (d - 1)
-            new[s + w] += c
-        dist = dict(new)
+            for t, m in terms:
+                new[s + t] += c * m
+        dist = new
     return dist
+
+
+def score_distribution(dims, weights=None):
+    """Exact map score -> number of tuples attaining it, by ascending score."""
+    classes, scale = _int_classes(dims, weights or WeightScheme.uniform())
+    return {Fraction(s, scale): c
+            for s, c in sorted(_int_distribution(classes).items())}
 
 
 def threshold_counts(dims, weights, offset):
@@ -104,42 +142,37 @@ def threshold_counts(dims, weights, offset):
     offset = Fraction(offset)
     if offset < 0:
         raise ValueError("offset must be nonnegative")
-    m = mean_score(dims, weights)
-    dist = score_distribution(dims, weights)
-    hi = sum(c for s, c in dist.items() if s >= m + offset)
-    lo = sum(c for s, c in dist.items() if s <= m - offset)
-    return hi, lo
-
-
-def _weight_classes(dims, weights):
-    """Coordinates grouped by (weight, order); sorted for determinism."""
-    cnt = Counter((weights.weight(d), int(d)) for d in dims)
-    return [(w, d, j) for (w, d), j in sorted(cnt.items())]
+    classes, scale = _int_classes(dims, weights or WeightScheme.uniform())
+    lo, hi = _scaled_bounds(classes, scale, offset)
+    dist = _int_distribution(classes)
+    return (sum(c for s, c in dist.items() if s >= hi),
+            sum(c for s, c in dist.items() if s <= lo))
 
 
 def _count_weighted_subsets(classes, avail, bound, dim_mult):
-    """Subsets U of the available coordinates with total weight < bound.
+    """Subsets U of the available coordinates with total scaled weight < bound.
 
     Picking u from class v contributes C(avail_v, u) choices, times
     (d_v - 1)**u when each chosen coordinate additionally ranges over
     the d_v - 1 non-top values.
     """
-    acc = {Fraction(0): 1}
+    acc = {0: 1}
     for (w, d, _), a in zip(classes, avail):
         if a == 0:
             continue
+        # every weight in acc is >= 0, so no more than top coordinates fit
+        top = min(a, (bound - 1) // w)
         mult = [math.comb(a, u) * ((d - 1) ** u if dim_mult else 1)
-                for u in range(a + 1)]
+                for u in range(top + 1)]
         new = defaultdict(int)
         for s, c in acc.items():
-            for u in range(a + 1):
-                ns = s + u * w
-                if ns < bound:
-                    new[ns] += c * mult[u]
-        acc = dict(new)
+            for u in range(min(top, (bound - 1 - s) // w) + 1):
+                new[s + u * w] += c * mult[u]
+        acc = new
         if not acc:
             break
-    return sum(c for s, c in acc.items() if s < bound)
+    # every weight left in acc is below the bound, unless no class was used
+    return sum(acc.values()) if bound > 0 else 0
 
 
 def neighborhood_counts(dims, weights, offset):
@@ -154,7 +187,7 @@ def neighborhood_counts(dims, weights, offset):
     offset = Fraction(offset)
     if offset < 0:
         raise ValueError("offset must be nonnegative")
-    classes = _weight_classes(dims, weights)
+    classes, scale = _int_classes(dims, weights)
     combos = 1
     for _, _, j in classes:
         combos *= j + 1
@@ -162,17 +195,17 @@ def neighborhood_counts(dims, weights, offset):
         raise CountBudgetError(
             f"{combos} top-set patterns across {len(classes)} weight classes "
             f"exceeds the budget of {COMBO_BUDGET}")
-    m = mean_score(dims, weights)
-    lo = m - offset          # rows survive iff score > lo
-    hi = m + offset          # columns survive iff score < hi
+    # rows survive iff score > lo, columns iff score < hi
+    lo, hi = _scaled_bounds(classes, scale, offset)
     max_row = 0
     max_col = 0
     for t_vec in itertools.product(*[range(j + 1) for _, _, j in classes]):
-        s_top = sum((t * w for t, (w, _, _) in zip(t_vec, classes)), Fraction(0))
+        s_top = sum(t * w for t, (w, _, _) in zip(t_vec, classes))
         if s_top > lo:
             # surviving row: entries sit at supersets of its top set
             avail = [j - t for t, (_, _, j) in zip(t_vec, classes)]
-            cnt = _count_weighted_subsets(classes, avail, hi - s_top, dim_mult=False)
+            cnt = _count_weighted_subsets(classes, avail, hi - s_top,
+                                          dim_mult=False)
             if cnt > max_row:
                 max_row = cnt
         if s_top < hi:
@@ -191,27 +224,16 @@ def threshold_masks(dims, weights, offset):
     enough to index explicitly.
     """
     offset = Fraction(offset)
-    weights = weights or WeightScheme.uniform()
-    w = [weights.weight(d) for d in dims]
-    scale = 1
-    for wi in w:
-        scale = scale * wi.denominator // math.gcd(scale, wi.denominator)
-    W = np.array([int(wi * scale) for wi in w], dtype=np.int64)
+    classes, scale = _int_classes(dims, weights or WeightScheme.uniform())
+    by_order = {d: w for w, d, _ in classes}
+    W = np.array([by_order[int(d)] for d in dims], dtype=np.int64)
     digits = all_digits(dims)
     top = digits == np.asarray(dims, dtype=np.int64)
     s_int = top @ W
-    m = mean_score(dims, weights)
-    hi = (m + offset) * scale
-    lo = (m - offset) * scale
+    lo, hi = _scaled_bounds(classes, scale, offset)
+    # clamped to just outside the scores, the bounds fit in int64
     max_s = int(W.sum())
-    if max_s * max(hi.denominator, lo.denominator) < 2**62:
-        high = s_int * hi.denominator >= hi.numerator
-        low = s_int * lo.denominator <= lo.numerator
-    else:
-        s_obj = s_int.astype(object)
-        high = np.array([v * hi.denominator >= hi.numerator for v in s_obj])
-        low = np.array([v * lo.denominator <= lo.numerator for v in s_obj])
-    return high, low
+    return s_int >= min(hi, max_s + 1), s_int <= max(lo, -1)
 
 
 def delta_grid(eps, d_max, points=64):

@@ -31,6 +31,7 @@ from kronrig.matrix import (
     random_dense,
 )
 from kronrig.scores import WeightScheme
+from kronrig.vfactor import v_matrix
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -252,6 +253,28 @@ def test_compose_product_validation():
         compose_product(a2, a3, ExactMatrix.identity(F5, 3))
     with pytest.raises(ValueError):
         compose_product(a2, a2, ExactMatrix.identity(F5, 3))
+
+
+def test_compose_product_takes_a_kronecker_spec(monkeypatch):
+    xa, xb = [(2, 3), (4, 1)], [(1, 1), (3, 2)]
+    spec = KroneckerSpec([v_matrix(F5, x) for x in xb])
+    ca, cb = split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)
+    mono = monomial_cert(MonomialMatrix(F5, [2, 0, 3, 1], [1, 4, 2, 3]))
+    assert ca.inner_dim > 0 and mono.inner_dim == 0
+    want = compose_product(ca, cb, spec.materialize())
+    want_mono = compose_product(mono, cb, spec.materialize())
+
+    built = []
+    materialize = KroneckerSpec.materialize
+    monkeypatch.setattr(KroneckerSpec, "materialize",
+                        lambda self: built.append(self) or materialize(self))
+    assert compose_product(ca, cb, spec).same_witness(want)
+    assert built == [spec]
+    # A has no low-rank part, so B is never built
+    assert compose_product(mono, cb, spec).same_witness(want_mono)
+    assert built == [spec]
+    with pytest.raises(ValueError):
+        compose_product(mono, cb, KroneckerSpec([v_matrix(F5, (1, 1))]))
 
 
 def test_compose_kron_claim_arithmetic():

@@ -24,6 +24,7 @@ from kronrig.matrix import (
     transposition,
     tuple_to_index,
     vstack,
+    _canon_coo,
     _rank_streaming,
 )
 
@@ -387,6 +388,72 @@ def test_stacking():
     b = ExactMatrix.from_dense(F5, [[0, 1], [1, 0]])
     assert hstack([a, b]).to_dense().tolist() == [[1, 2, 0, 1], [3, 4, 1, 0]]
     assert vstack([a, b]).to_dense().tolist() == [[1, 2], [3, 4], [0, 1], [1, 0]]
+
+
+FBIG = PrimeField(2147483659)  # residues held as Python ints
+
+
+def _old_hstack(mats):
+    """hstack by a full sort of the shifted triplets, the route it replaced."""
+    f, rows = mats[0].field, mats[0].rows
+    shifts = np.cumsum([0] + [m.cols for m in mats])
+    trips = [m.triplets() for m in mats]
+    coo = _canon_coo(f, (rows, shifts[-1]),
+                     np.concatenate([t[0] for t in trips]),
+                     np.concatenate([t[1] + s for t, s in zip(trips, shifts)]),
+                     np.concatenate([t[2] for t in trips]))
+    return ExactMatrix._raw_coo(f, rows, int(shifts[-1]), *coo)
+
+
+def _old_vstack(mats):
+    """vstack as the transpose of an hstack, the route it replaced."""
+    return _old_hstack([m.T for m in mats]).T
+
+
+def _is_canonical(m):
+    ri, ci, vals = m.triplets()
+    key = ri * m.cols + ci
+    return bool((np.diff(key) > 0).all() and (vals != 0).all())
+
+
+@pytest.mark.parametrize("f", [F5, FBIG, QQ], ids=["F5", "Fp2^31+11", "Q"])
+def test_stacking_matches_sorting_route(f):
+    rng = np.random.default_rng(61)
+    dense = random_dense(f, 3, 4, rng)
+    sparse = ExactMatrix.from_triplets(
+        f, 5, 4, [(0, 3, f.one), (2, 0, f.canon(3)), (4, 1, f.canon(-1))])
+    empty = ExactMatrix.zeros(f, 0, 4)
+    zero = ExactMatrix.zeros(f, 2, 4)
+    zero_dense = ExactMatrix.zeros(f, 2, 4, dense=True)
+    blocks = [dense, sparse, empty, zero, zero_dense]
+    for mats in ([dense, sparse], [sparse, dense], blocks, blocks[::-1],
+                 [empty], [empty, empty], [zero, zero_dense], [dense]):
+        got = vstack(mats)
+        assert got == _old_vstack(mats)
+        assert got.shape == (sum(m.rows for m in mats), 4)
+        assert not got.is_dense and _is_canonical(got)
+        want = [row for m in mats for row in m.to_dense().tolist()]
+        assert got.to_dense().tolist() == want
+        tmats = [m.T for m in mats]
+        got = hstack(tmats)
+        assert got == _old_hstack(tmats) == vstack(mats).T
+        assert not got.is_dense and _is_canonical(got)
+    with pytest.raises(ValueError):
+        vstack([dense, ExactMatrix.zeros(f, 2, 3)])
+    with pytest.raises(ValueError):
+        hstack([dense, ExactMatrix.zeros(f, 2, 4)])
+
+
+def test_kron_reduces_object_residues():
+    p = FBIG.p
+    a = ExactMatrix.from_dense(FBIG, [[1, p - 1], [2, 3]])
+    k = a.kron(a)
+    assert k == ExactMatrix.from_dense(FBIG, k.to_dense().tolist())
+    assert all(0 <= int(v) < p for v in k.to_dense().ravel())
+    assert k[0, 3] == 1  # (p - 1)**2 = 1 mod p
+    # the same product through the sparse branch
+    sa = ExactMatrix.from_triplets(FBIG, 2, 2, list(zip(*a.triplets())))
+    assert sa.kron(sa) == k
 
 
 def test_submatrix():
