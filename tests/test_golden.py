@@ -9,6 +9,11 @@ residues.  An n=1024 decompose, large enough to run the layer checks
 and both V-layer targets, is pinned by the sha256 of its stdout and
 certificate.  Any change to what kronrig computes or prints shows up
 here.
+
+Two Q cases cover rationals far beyond int64: factor files whose
+entries have 20-digit numerators and denominators (golden bytes at
+n=12, sha256 pins at n=48), and an n=256 equal-mode run with layer
+checks on, pinned by sha256.
 """
 
 import hashlib
@@ -97,3 +102,52 @@ def test_generate_kron_over_large_prime_is_reduced(capsys):
     assert len(vals) == 64
     assert all(0 < v < f.p for v in vals)
     assert render_matrix(parse_matrix(text), "sparse") == text
+
+
+# Q factors with 20-digit numerators and denominators
+BIGQ = ["--factors", ",".join(str(GOLDEN / f"bigq_{x}.mat") for x in "ab")]
+
+
+def test_golden_big_rational_decompose_and_verify(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", "--mode", "equal", *BIGQ, "--epsilon", "0.5",
+                     "--out", "bigq.cert"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "bigq_decompose.out").read_text()
+    assert (tmp_path / "bigq.cert").read_bytes() == (GOLDEN / "bigq.cert").read_bytes()
+    assert cli.main(["verify", "--cert", "bigq.cert", *BIGQ]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "bigq_verify.out").read_text()
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+SHA256_PINS = {
+    # n=48: the big-rational factors times a 4x4 Walsh block
+    "bigq48": ([*BIGQ, "--walsh", "2"], {
+        "stdout": "4129ad54b36fadeb0eaa22d46cf2de18c0168e67c7dc4e767608a63213272e42",
+        "cert": "3f1d0287e802d6ffe0fe6a1fdf2bcbc4dc4e049224f8605b77c0741f3bdb5841",
+        "verify": "a1a03b22b4da4e29e306f3d9abe027ed45f2d8d7d474aa7ed8f76ebacac22bde",
+    }),
+    # n=256 over Q: layer checks on
+    "q256": (["--walsh", "6", "--random", "2,2", "--field", "Q", "--seed", "3"], {
+        "stdout": "11639064169b79f8efc75bddd8aeb1ae105418484624fa00fb3cf73de6cfb5d9",
+        "cert": "5567206aa6e18061a6586104137314f23d56d2f9d7f4e985089a384e205a9889",
+        "verify": "b3a5ec9fde14e6faed5fdfc129d1cf144dc7665beae94adc7d547dda29daf7b2",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHA256_PINS))
+def test_q_equal_mode_sha256(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    factors, want = SHA256_PINS[name]
+    cert = f"{name}.cert"
+    assert cli.main(["decompose", "--mode", "equal", *factors, "--epsilon", "0.5",
+                     "--out", cert]) == 0
+    out = capsys.readouterr().out
+    assert "layer_checks: True" in out
+    assert _sha(out.encode()) == want["stdout"]
+    assert _sha((tmp_path / cert).read_bytes()) == want["cert"]
+    assert cli.main(["verify", "--cert", cert, *factors]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == want["verify"]
