@@ -29,7 +29,6 @@ from .matrix import (
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
-    _canon_coo,
     hstack,
     rank_of_product,
     vstack,
@@ -236,7 +235,7 @@ def split_g_kron(field, vectors, offset, weights=None):
     high, low = threshold_masks(dims, weights, offset)
     col_idx = np.flatnonzero(high)
     row_idx = np.flatnonzero(low)
-    ri, ci, vals = acc.triplets()
+    ri, ci, vals = acc.num_triplets()
     in_low_row = low[ri]
     in_high_col = high[ci]
 
@@ -244,27 +243,27 @@ def split_g_kron(field, vectors, offset, weights=None):
     # the three destinations partition the nonzeros
     assert int(in_low_row.sum()) + int((in_high_col & ~in_low_row).sum()) \
         + int(keep.sum()) == len(ri)
-    z = ExactMatrix._raw_coo(field, n, n, ri[keep].copy(), ci[keep].copy(),
-                             vals[keep].copy())
+    z = ExactMatrix(field, n, n, den=acc.den,
+                    coo=(ri[keep].copy(), ci[keep].copy(), vals[keep].copy()))
 
     # u: a unit column per low-score row, then the entries of high-score
     # columns outside those rows; v: the entries of the low-score rows,
-    # then a unit row per high-score column
+    # then a unit row per high-score column.  Over Q a unit is den/den.
     r_cnt, c_cnt = len(row_idx), len(col_idx)
     inner = r_cnt + c_cnt
-    ones = np.full(inner, field.one, dtype=vals.dtype)
+    ones = np.full(inner, acc.den, dtype=np.int64 if acc.den < 1 << 63 else object)
     um = in_high_col & ~in_low_row
-    u = ExactMatrix._raw_coo(field, n, inner, *_canon_coo(
-        field, (n, inner),
+    u = ExactMatrix.from_num_coo(
+        field, n, inner,
         np.concatenate([row_idx, ri[um]]),
         np.concatenate([np.arange(r_cnt), r_cnt + np.searchsorted(col_idx, ci[um])]),
-        np.concatenate([ones[:r_cnt], vals[um]])))
-    v = ExactMatrix._raw_coo(field, inner, n, *_canon_coo(
-        field, (inner, n),
+        np.concatenate([ones[:r_cnt], vals[um]]), acc.den)
+    v = ExactMatrix.from_num_coo(
+        field, inner, n,
         np.concatenate([np.searchsorted(row_idx, ri[in_low_row]),
                         np.arange(r_cnt, inner)]),
         np.concatenate([ci[in_low_row], col_idx]),
-        np.concatenate([vals[in_low_row], ones[r_cnt:]])))
+        np.concatenate([vals[in_low_row], ones[r_cnt:]]), acc.den)
 
     fill_col, fill_row = neighborhood_counts(dims, weights, offset)
     return Certificate(field, n, u, v, z, r_cnt + c_cnt, max(fill_col, fill_row),
@@ -384,7 +383,7 @@ def verify_cert(cert, target):
     uv = cert.e_matrix()
     # canonical order: the first nonzero of the difference is the row-major
     # first mismatch; the n x n difference itself is freed before the rank
-    ri, ci, _ = (uv + cert.z - target).triplets()
+    ri, ci, _ = (uv + cert.z - target).num_triplets()
     recon_ok = len(ri) == 0
     mismatch = None if recon_ok else (int(ri[0]), int(ci[0]))
     rank_actual = rank_of_product(cert.u, cert.v, uv)

@@ -63,7 +63,7 @@ class Field:
     """Common interface for the two scalar domains.
 
     A field object owns the arithmetic; element *values* are plain ints
-    (F_p) or Fractions (Q), so matrices can store them in flat arrays.
+    (F_p) or Fractions (Q).
     """
 
     def element(self, v):
@@ -151,7 +151,9 @@ class PrimeField(Field):
 class RationalField(Field):
     """Q with reduced-fraction canonical values."""
 
-    dtype = object
+    # matrices store integer numerators over a common denominator, as
+    # int64 while they fit (see matrix.py)
+    dtype = np.int64
 
     def canon(self, v):
         if isinstance(v, Fraction):

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .cert import Certificate
-from .field import PrimeField, field_from_header
-from .matrix import ExactMatrix
+from .field import RationalField, field_from_header
+from .matrix import ExactMatrix, over_common_den
 
 __all__ = [
     "FileFormatError",
@@ -92,10 +92,24 @@ class _LineReader:
 # triplet lines "i j value", shared by sparse matrices and certificates
 
 
+def _texts(den, nums):
+    """Each value nums[i]/den written as str(Fraction) writes it reduced,
+    as a Python int or an 'n/d' string; residues over F_p have den 1."""
+    if den == 1:
+        return nums.tolist()
+    if den >= 1 << 63:
+        nums = nums.astype(object)
+    g = np.gcd(nums, den)
+    return [f"{n}/{d}" if d != 1 else n
+            for n, d in zip((nums // g).tolist(), (den // g).tolist())]
+
+
 def _render_triplets(out, m):
     """Append m's canonical triplet lines to `out`, joined into one string."""
-    ri, ci, vals = m.triplets()
+    ri, ci, vals = m.num_triplets()
     if len(ri):
+        if m.den != 1:
+            vals = np.array(_texts(m.den, vals), dtype=object)
         cells = np.stack([ri, ci, vals], axis=1).ravel().tolist()
         out.append("\n".join(["%s %s %s"] * len(ri)) % tuple(cells))
 
@@ -111,50 +125,92 @@ def _parse_value(field, tok, no):
 _BULK_DIGITS = 18
 
 
-def _bulk_triplets(lines, rows, cols):
-    """int64 arrays (i, j, value) of `lines`, or None unless each line is
-    exactly three tokens -?[0-9]{1,18} joined by single spaces and every
-    index is in range.  On such lines int() and this parse agree; the
-    renderer writes only such lines."""
+def _bulk_values(lines, width, slash_cols=None):
+    """int64 arrays (nums, dens) of shape (len(lines), width), or None
+    unless each line is exactly `width` tokens joined by single spaces,
+    each -?[0-9]{1,18}, or in the columns marked in `slash_cols` also
+    -?[0-9]{1,18}/[0-9]{1,18} with a nonzero denominator.  dens is None
+    when no token has a '/'.  On such lines int() and Fraction() agree
+    with this parse; the renderer writes only such lines."""
     body = "\n".join(lines)
     if not body.isascii():
         return None
-    body = body.encode("ascii")
-    buf = np.frombuffer(body, dtype=np.uint8)
+    raw = body.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
     sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    ntok = 3 * len(lines)
+    ntok = width * len(lines)
     if len(sep) != ntok - 1 or not np.array_equal(
-            buf[sep] == ord("\n"), np.arange(1, ntok) % 3 == 0):
+            buf[sep] == ord("\n"), np.arange(1, ntok) % width == 0):
         return None
     starts = np.concatenate(([0], sep + 1))
-    width = np.concatenate((sep, [len(buf)])) - starts
-    if width.min() < 1:
+    ends = np.concatenate((sep, [len(buf)]))
+    if (ends - starts).min() < 1:
         return None
     neg = buf[starts] == ord("-")
-    digits = width - neg
+    digits = ends - starts - neg
+    slash = np.flatnonzero(buf == ord("/")) if b"/" in raw else sep[:0]
+    if len(slash):
+        tok = np.searchsorted(sep, slash)  # the token each '/' sits in
+        if slash_cols is None or not slash_cols[tok % width].all() \
+                or (np.diff(tok) == 0).any():
+            return None
+        den_digits = ends[tok] - slash - 1
+        if den_digits.min() < 1 or den_digits.max() > _BULK_DIGITS:
+            return None
+        digits[tok] -= den_digits + 1
+        raw = raw.replace(b"/", b" ")
     if digits.min() < 1 or digits.max() > _BULK_DIGITS:
         return None
-    # every byte is a separator, a digit or the '-' that starts a token
-    if (len(sep) + np.count_nonzero(neg)
+    # every byte is a separator, a '/', a digit or the '-' that starts a token
+    if (len(sep) + len(slash) + np.count_nonzero(neg)
             + np.count_nonzero(buf - ord("0") < 10)) != len(buf):
         return None
-    ri, ci, vals = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 3).T
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if not len(slash):
+        return vals.reshape(-1, width), None
+    at = np.arange(ntok) + np.searchsorted(tok, np.arange(ntok))
+    dens = np.ones(ntok, dtype=np.int64)
+    dens[tok] = vals[at[tok] + 1]
+    if dens.min() < 1:
+        return None
+    return vals[at].reshape(-1, width), dens.reshape(-1, width)
+
+
+def _bulk_triplets(lines, rows, cols):
+    """int64 arrays (i, j, value) of `lines`, or None unless each line is
+    `i j value` as _bulk_values reads it and every index is in range.  A
+    value may be written n/d; then the value array holds (n, d) rows."""
+    got = _bulk_values(lines, 3, np.array([False, False, True]))
+    if got is None:
+        return None
+    (ri, ci, vals), dens = got[0].T, got[1]
     if ri.min() < 0 or ri.max() >= rows or ci.min() < 0 or ci.max() >= cols:
         return None
-    return ri, ci, vals
+    return ri, ci, vals if dens is None else np.stack([vals, dens[:, 2]], axis=1)
+
+
+def _bulk_nums(field, vals, dens):
+    """(numerators, den) of bulk-decoded values and denominators (None
+    for all ones), or None where a value written n/d is not in the field."""
+    if dens is None:
+        return vals, 1
+    return over_common_den(vals, dens) if isinstance(field, RationalField) else None
 
 
 def _parse_triplets(rd, field, rows, cols, count=None, name=None):
     """The next `count` triplet lines of `rd`, or all the rest when count is
     None, as a rows x cols matrix; `name` is the certificate block named in
-    errors.  Over F_p a block of canonical lines is decoded in bulk; the
-    line loop parses everything else and names the first bad line."""
+    errors.  A block of canonical lines is decoded in bulk; the line loop
+    parses everything else and names the first bad line."""
     end = len(rd.lines) if count is None else rd.pos + count
-    if isinstance(field, PrimeField) and rd.pos <= end <= len(rd.lines):
+    if rd.pos < end <= len(rd.lines):
         bulk = _bulk_triplets(rd.lines[rd.pos:end], rows, cols)
         if bulk is not None:
-            rd.pos = end
-            return ExactMatrix.from_coo(field, rows, cols, *bulk)
+            ri, ci, vals = bulk
+            nums = _bulk_nums(field, *((vals, None) if vals.ndim == 1 else vals.T))
+            if nums is not None:
+                rd.pos = end
+                return ExactMatrix.from_num_coo(field, rows, cols, ri, ci, *nums)
     block = f"block '{name}' " if name else ""
     trips = []
     while (not rd.exhausted()) if count is None else len(trips) < count:
@@ -187,12 +243,36 @@ def render_matrix(m, fmt=None):
            f"format: {fmt}"]
     if fmt == "dense":
         if m.cols > 0:  # zero-width rows would render as blank lines
-            arr = m.to_dense()
-            for i in range(m.rows):
-                out.append(" ".join(f.fmt(v) for v in arr[i]))
+            texts = _texts(m.den, m.num_dense().ravel())
+            for i in range(0, len(texts), m.cols):
+                out.append(" ".join(map(str, texts[i:i + m.cols])))
     else:
         _render_triplets(out, m)
     return "\n".join(out) + "\n"
+
+
+def _parse_dense(rd, field, rows, cols):
+    """The next `rows` rows of `cols` entries.  Rows of canonical tokens
+    are decoded in bulk; the line loop parses everything else and names
+    the first bad line."""
+    if rows == 0 or cols == 0:
+        return ExactMatrix.zeros(field, rows, cols)
+    if rd.pos + rows <= len(rd.lines):
+        bulk = _bulk_values(rd.lines[rd.pos:rd.pos + rows], cols,
+                            np.ones(cols, dtype=bool))
+        nums = None if bulk is None else _bulk_nums(field, *bulk)
+        if nums is not None:
+            rd.pos += rows
+            return ExactMatrix.from_num_dense(field, *nums)
+    data = []
+    for _ in range(rows):
+        no, s = rd.next(f"a row of {cols} entries")
+        toks = s.split()
+        if len(toks) != cols:
+            raise FileFormatError(
+                f"line {no}: expected {cols} entries, got {len(toks)}")
+        data.append([_parse_value(field, t, no) for t in toks])
+    return ExactMatrix.from_dense(field, data)
 
 
 def parse_matrix(text):
@@ -206,18 +286,7 @@ def parse_matrix(text):
     cols = rd.int_key("cols")
     no, fmt = rd.key("format")
     if fmt == "dense":
-        if rows == 0 or cols == 0:
-            m = ExactMatrix.zeros(f, rows, cols)
-        else:
-            data = []
-            for _ in range(rows):
-                no, s = rd.next(f"a row of {cols} entries")
-                toks = s.split()
-                if len(toks) != cols:
-                    raise FileFormatError(
-                        f"line {no}: expected {cols} entries, got {len(toks)}")
-                data.append([_parse_value(f, t, no) for t in toks])
-            m = ExactMatrix.from_dense(f, data)
+        m = _parse_dense(rd, f, rows, cols)
     elif fmt == "sparse":
         m = _parse_triplets(rd, f, rows, cols)
     else:

@@ -1,14 +1,21 @@
 """Exact matrices over F_p / Q with dense and sparse-triplet storage.
 
-Dense storage is a numpy array (int64 residues for p < 2**31, Python
-objects otherwise); sparse storage is a canonical COO triple: row-major
-sorted, duplicate-free, no explicit zeros.  All arithmetic is exact.
-Fast paths (float64 BLAS, scipy sparse kernels) are engaged only when
-the result provably fits the intermediate type, and always reduce back
-to canonical residues.
+Over F_p the stored values are residues: int64 for p < 2**31, Python
+ints in object arrays otherwise.  Over Q a matrix is stored as integer
+numerators over one positive common denominator `den`, as FLINT's
+fmpq_mat does: the numerators are int64 when they all fit and Python
+ints otherwise, and the form is canonical (`den` is 1 for the zero
+matrix, else gcd(den, numerators) = 1).  Dense storage is a numpy
+array; sparse storage is a canonical COO triple: row-major sorted,
+duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
+paths (float64 BLAS, int64 numpy and scipy kernels) are engaged only
+when a bound on the result proves it fits the intermediate type; the
+Python-int route takes over beyond.  `triplets()`, `to_dense()` and
+indexing give Q values as `Fraction`s, built on demand.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,6 +27,10 @@ from .field import PrimeField, RationalField
 # product may be materialized at all.
 DENSE_CELL_CAP = 1 << 25
 KRON_ORDER_CAP = 65536
+
+_INT64_MAX = (1 << 63) - 1
+# below this many cells per operand, sparse products are formed dense
+_SMALL_CELLS = 1 << 12
 
 
 class SizeCapError(ValueError):
@@ -36,8 +47,42 @@ def _empty_vals(field):
     return np.empty(0, dtype=field.dtype)
 
 
+def _bound(a):
+    """Largest absolute value in an integer array, as a Python int."""
+    if a.size == 0:
+        return 0
+    return max(int(a.max()), -int(a.min()))
+
+
+def _fit(a):
+    """An integer array as int64 when every value fits, else as Python ints."""
+    if a.dtype == object:
+        return a.astype(np.int64) if _bound(a) <= _INT64_MAX else a
+    return a
+
+
+def _times(a, k):
+    """a * k for an integer k, in Python ints when int64 could overflow."""
+    if k == 1:
+        return a
+    if a.dtype != object and max(_bound(a), 1) * abs(k) <= _INT64_MAX:
+        return a * k
+    return a.astype(object) * k
+
+
+def _lift(field, a, sa, b, sb):
+    """a * sa and b * sb, in a dtype that also holds their sum (as the
+    sum of two residues does)."""
+    if isinstance(field, PrimeField):
+        return a, b
+    a, b = _times(a, sa), _times(b, sb)
+    if a.dtype != object and b.dtype != object and _bound(a) + _bound(b) > _INT64_MAX:
+        return a.astype(object), b.astype(object)
+    return a, b
+
+
 def _canon_vals(field, vals):
-    """Canonicalize a flat value array for `field`."""
+    """Canonicalize a flat array of field values."""
     if isinstance(field, PrimeField):
         if field.dtype is np.int64:
             return np.asarray(vals, dtype=np.int64) % field.p
@@ -47,6 +92,34 @@ def _canon_vals(field, vals):
     arr = np.empty(len(vals), dtype=object)
     arr[:] = [field.canon(v) for v in vals]
     return arr
+
+
+def _num_form(field, vals):
+    """(stored values, den) of a flat sequence of field values."""
+    if isinstance(field, PrimeField):
+        return _canon_vals(field, vals), 1
+    # ints and Fractions already carry numerator and denominator
+    fracs = [v if isinstance(v, (int, Fraction)) else field.canon(v) for v in vals]
+    nums = np.empty(len(fracs), dtype=object)
+    dens = np.empty(len(fracs), dtype=object)
+    nums[:] = [v.numerator for v in fracs]
+    dens[:] = [v.denominator for v in fracs]
+    nums, den = over_common_den(nums, dens)
+    return _fit(nums), den
+
+
+def over_common_den(nums, dens):
+    """(numerators, den) of the rationals nums[i]/dens[i], dens > 0: den
+    is the lcm of dens, and the numerators are int64 when the inputs and
+    their products fit it, Python ints otherwise."""
+    den = math.lcm(*np.unique(dens).tolist())
+    if den == 1:
+        return nums, 1
+    if den <= _INT64_MAX:
+        scale = den // dens
+        if _bound(nums) * _bound(scale) <= _INT64_MAX:
+            return nums * scale, den
+    return nums.astype(object) * (den // dens.astype(object)), den
 
 
 def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
@@ -75,18 +148,36 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
 
 
 class ExactMatrix:
-    """Immutable exact matrix; do not mutate the backing arrays."""
+    """Immutable exact matrix; do not mutate the backing arrays.
 
-    __slots__ = ("field", "rows", "cols", "_dense", "_coo")
+    `den` is the common denominator of the stored values: 1 over F_p.
+    """
 
-    def __init__(self, field, rows, cols, dense=None, coo=None):
+    __slots__ = ("field", "rows", "cols", "den", "_dense", "_coo")
+
+    def __init__(self, field, rows, cols, dense=None, coo=None, den=1):
+        """From canonical storage of values over `den`.  Over Q the
+        numerators and den are reduced to the canonical form here."""
         self.field = field
         self.rows = int(rows)
         self.cols = int(cols)
-        self._dense = dense
-        self._coo = coo
         if dense is None and coo is None:
             raise ValueError("matrix needs dense or sparse data")
+        if isinstance(field, RationalField):
+            nums = _fit(dense if dense is not None else coo[2])
+            if den != 1:
+                content = int(np.gcd.reduce(nums, axis=None)) if nums.size else 0
+                g = math.gcd(den, content) if content else den
+                if g != 1:
+                    nums = _fit(nums // g) if content else nums
+                    den //= g
+            if dense is not None:
+                dense = nums
+            else:
+                coo = (coo[0], coo[1], nums)
+        self.den = den
+        self._dense = dense
+        self._coo = coo
 
     # ------------------------------------------------------------------
     # constructors
@@ -96,14 +187,30 @@ class ExactMatrix:
         arr = np.array(data, dtype=object)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        flat = _canon_vals(field, arr.ravel())
-        return cls(field, arr.shape[0], arr.shape[1], dense=flat.reshape(arr.shape))
+        nums, den = _num_form(field, arr.ravel())
+        return cls.from_num_dense(field, nums.reshape(arr.shape), den)
+
+    @classmethod
+    def from_num_dense(cls, field, arr, den=1):
+        """From a 2-d array of integer values over `den` (residues over
+        F_p, where den is 1)."""
+        if isinstance(field, PrimeField):
+            arr = _canon_vals(field, arr.ravel()).reshape(arr.shape)
+        return cls(field, arr.shape[0], arr.shape[1], dense=arr, den=den)
 
     @classmethod
     def from_coo(cls, field, rows, cols, ri, ci, vals):
         """From index and value arrays in any order; duplicates are summed."""
-        coo = _canon_coo(field, (rows, cols), ri, ci, _canon_vals(field, vals))
-        return cls(field, rows, cols, coo=coo)
+        return cls.from_num_coo(field, rows, cols, ri, ci, *_num_form(field, vals))
+
+    @classmethod
+    def from_num_coo(cls, field, rows, cols, ri, ci, nums, den=1):
+        """From integer values over `den` (residues over F_p, where den is
+        1), with indices in any order; duplicates are summed."""
+        if isinstance(field, PrimeField):
+            nums = _canon_vals(field, nums)
+        coo = _canon_coo(field, (rows, cols), ri, ci, nums)
+        return cls(field, rows, cols, coo=coo, den=den)
 
     @classmethod
     def from_triplets(cls, field, rows, cols, triplets):
@@ -115,28 +222,23 @@ class ExactMatrix:
                             np.array(ci, dtype=np.int64), list(vals))
 
     @classmethod
-    def _raw_dense(cls, field, arr):
-        return cls(field, arr.shape[0], arr.shape[1], dense=arr)
-
-    @classmethod
     def _raw_coo(cls, field, rows, cols, ri, ci, vals):
-        return cls(field, rows, cols, coo=(ri, ci, vals))
+        """From canonical COO arrays of field values."""
+        nums, den = _num_form(field, vals)
+        return cls(field, rows, cols, coo=(ri, ci, nums), den=den)
 
     @classmethod
     def zeros(cls, field, rows, cols, dense=False):
         if dense:
-            if isinstance(field, PrimeField) and field.dtype is np.int64:
-                return cls._raw_dense(field, np.zeros((rows, cols), dtype=np.int64))
-            arr = np.full((rows, cols), field.zero, dtype=object)
-            return cls._raw_dense(field, arr)
+            return cls(field, rows, cols, dense=np.zeros((rows, cols), dtype=field.dtype))
         e = np.empty(0, dtype=np.int64)
-        return cls._raw_coo(field, rows, cols, e, e.copy(), _empty_vals(field))
+        return cls(field, rows, cols, coo=(e, e.copy(), _empty_vals(field)))
 
     @classmethod
     def identity(cls, field, n):
         idx = np.arange(n, dtype=np.int64)
-        vals = _canon_vals(field, [field.one] * n)
-        return cls._raw_coo(field, n, n, idx, idx.copy(), vals)
+        ones = np.ones(n, dtype=field.dtype)
+        return cls(field, n, n, coo=(idx, idx.copy(), ones))
 
     # ------------------------------------------------------------------
     # storage
@@ -153,37 +255,57 @@ class ExactMatrix:
     def is_square(self):
         return self.rows == self.cols
 
-    def to_dense(self):
-        """Dense backing array (cached); guarded by the cell cap."""
+    def num_dense(self):
+        """Dense array of the stored values over `den` (cached); guarded
+        by the cell cap."""
         if self._dense is None:
             if self.rows * self.cols > DENSE_CELL_CAP:
                 raise SizeCapError(
                     f"{self.rows}x{self.cols} exceeds the dense cell cap")
-            ri, ci, vals = self._coo
-            if vals.dtype == object:
-                arr = np.full((self.rows, self.cols), self.field.zero, dtype=object)
-            else:
-                arr = np.zeros((self.rows, self.cols), dtype=np.int64)
-            arr[ri, ci] = vals
-            self._dense = arr
+            self._dense = self._scatter()
         return self._dense
 
-    def triplets(self):
-        """Canonical COO arrays (row, col, value), cached."""
+    def _scatter(self):
+        """A new dense array of the stored values, from the triplets."""
+        ri, ci, vals = self._coo
+        arr = np.zeros((self.rows, self.cols),
+                       dtype=object if vals.dtype == object else np.int64)
+        arr[ri, ci] = vals
+        return arr
+
+    def num_triplets(self):
+        """Canonical COO arrays (row, col, stored value over `den`), cached."""
         if self._coo is None:
             arr = self._dense
-            ri, ci = np.nonzero(arr != 0)
+            ri, ci = np.nonzero(arr)
             self._coo = (ri.astype(np.int64), ci.astype(np.int64), arr[ri, ci])
         return self._coo
 
+    def _values(self, nums):
+        """Field values of stored values: Fractions over Q."""
+        if isinstance(self.field, PrimeField):
+            return nums
+        out = np.empty(nums.size, dtype=object)
+        out[:] = [Fraction(x, self.den) for x in nums.ravel().tolist()]
+        return out.reshape(nums.shape)
+
+    def to_dense(self):
+        """Dense array of field values; guarded by the cell cap."""
+        return self._values(self.num_dense())
+
+    def triplets(self):
+        """Canonical COO arrays (row, col, field value)."""
+        ri, ci, vals = self.num_triplets()
+        return ri, ci, self._values(vals)
+
     @property
     def nnz(self):
-        return len(self.triplets()[0])
+        return len(self.num_triplets()[0])
 
     def density_preferred(self):
         """Re-wrap with the storage that suits the fill-in."""
         if _prefers_dense(self.rows, self.cols, self.nnz):
-            self.to_dense()
+            self.num_dense()
         return self
 
     # ------------------------------------------------------------------
@@ -192,17 +314,21 @@ class ExactMatrix:
     def __getitem__(self, idx):
         i, j = idx
         if self._dense is not None:
-            return self._dense[i, j]
-        ri, ci, vals = self._coo
-        hit = np.flatnonzero((ri == i) & (ci == j))
-        return vals[hit[0]] if hit.size else self.field.zero
+            v = self._dense[i, j]
+        else:
+            ri, ci, vals = self._coo
+            hit = np.flatnonzero((ri == i) & (ci == j))
+            v = vals[hit[0]] if hit.size else 0
+        if isinstance(self.field, PrimeField):
+            return v
+        return Fraction(int(v), self.den)
 
     def is_zero(self):
         return self.nnz == 0
 
     def row_col_nnz(self):
         """(max nonzeros in any row, max nonzeros in any column)."""
-        ri, ci, _ = self.triplets()
+        ri, ci, _ = self.num_triplets()
         if len(ri) == 0:
             return (0, 0)
         rc = np.bincount(ri, minlength=self.rows)
@@ -210,23 +336,24 @@ class ExactMatrix:
         return (int(rc.max()), int(cc.max()))
 
     def per_row_nnz(self):
-        ri = self.triplets()[0]
+        ri = self.num_triplets()[0]
         return np.bincount(ri, minlength=self.rows)
 
     def per_col_nnz(self):
-        ci = self.triplets()[1]
+        ci = self.num_triplets()[1]
         return np.bincount(ci, minlength=self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
+        if self.field != other.field or self.shape != other.shape \
+                or self.den != other.den:
             return False
         if self.is_dense and other.is_dense:
             if self._dense.dtype == object or other._dense.dtype == object:
                 return bool((self._dense == other._dense).all())
             return bool(np.array_equal(self._dense, other._dense))
-        a, b = self.triplets(), other.triplets()
+        a, b = self.num_triplets(), other.num_triplets()
         return (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
                 and bool((a[2] == b[2]).all()) if len(a[0]) == len(b[0]) else False)
 
@@ -235,44 +362,48 @@ class ExactMatrix:
     # ------------------------------------------------------------------
     # structural ops
 
+    def _like(self, rows, cols, dense=None, coo=None, den=None):
+        return ExactMatrix(self.field, rows, cols, dense=dense, coo=coo,
+                           den=self.den if den is None else den)
+
     @property
     def T(self):
         if self._coo is not None:
             ri, ci, vals = self._coo
             coo = _canon_coo(self.field, (self.cols, self.rows), ci.copy(), ri.copy(),
                              vals.copy(), assume_clean=True)
-            return ExactMatrix._raw_coo(self.field, self.cols, self.rows, *coo)
-        return ExactMatrix._raw_dense(self.field, self._dense.T.copy())
+            return self._like(self.cols, self.rows, coo=coo)
+        return self._like(self.cols, self.rows, dense=self._dense.T.copy())
 
     def permute_rows(self, perm):
         """Rows of the result: result[i, :] = self[perm[i], :]."""
         perm = np.asarray(perm, dtype=np.int64)
         if self._dense is not None:
-            return ExactMatrix._raw_dense(self.field, self._dense[perm])
+            return self._like(self.rows, self.cols, dense=self._dense[perm])
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm), dtype=np.int64)
         ri, ci, vals = self._coo
         coo = _canon_coo(self.field, self.shape, inv[ri], ci.copy(), vals.copy(),
                          assume_clean=True)
-        return ExactMatrix._raw_coo(self.field, self.rows, self.cols, *coo)
+        return self._like(self.rows, self.cols, coo=coo)
 
     def permute_cols(self, perm):
         """Columns of the result: result[:, j] = self[:, perm[j]]."""
         perm = np.asarray(perm, dtype=np.int64)
         if self._dense is not None:
-            return ExactMatrix._raw_dense(self.field, self._dense[:, perm])
+            return self._like(self.rows, self.cols, dense=self._dense[:, perm])
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm), dtype=np.int64)
         ri, ci, vals = self._coo
         coo = _canon_coo(self.field, self.shape, ri.copy(), inv[ci], vals.copy(),
                          assume_clean=True)
-        return ExactMatrix._raw_coo(self.field, self.rows, self.cols, *coo)
+        return self._like(self.rows, self.cols, coo=coo)
 
     def submatrix(self, row_idx, col_idx):
-        arr = self.to_dense()
+        arr = self.num_dense()
         sub = arr[np.ix_(np.asarray(row_idx, dtype=np.int64),
                          np.asarray(col_idx, dtype=np.int64))]
-        return ExactMatrix._raw_dense(self.field, sub.copy())
+        return self._like(sub.shape[0], sub.shape[1], dense=sub.copy())
 
     # ------------------------------------------------------------------
     # ring ops
@@ -286,17 +417,22 @@ class ExactMatrix:
         self._check_field(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        f = self.field
+        den = math.lcm(self.den, other.den)
         if self.is_dense or other.is_dense:
-            a, b = self.to_dense(), other.to_dense()
-            if isinstance(self.field, PrimeField) and a.dtype != object:
-                return ExactMatrix._raw_dense(self.field, (a + b) % self.field.p)
-            return ExactMatrix._raw_dense(self.field, a + b)
-        ar, ac, av = self.triplets()
-        br, bc, bv = other.triplets()
-        coo = _canon_coo(self.field, self.shape, np.concatenate([ar, br]),
+            a, b = _lift(f, self.num_dense(), den // self.den,
+                         other.num_dense(), den // other.den)
+            total = a + b
+            if isinstance(f, PrimeField):
+                total %= f.p
+            return self._like(self.rows, self.cols, dense=total, den=den)
+        ar, ac, av = self.num_triplets()
+        br, bc, bv = other.num_triplets()
+        av, bv = _lift(f, av, den // self.den, bv, den // other.den)
+        coo = _canon_coo(f, self.shape, np.concatenate([ar, br]),
                          np.concatenate([ac, bc]), np.concatenate([av, bv]),
                          assume_clean=True)
-        return ExactMatrix._raw_coo(self.field, self.rows, self.cols, *coo)
+        return self._like(self.rows, self.cols, coo=coo, den=den)
 
     def __neg__(self):
         f = self.field
@@ -304,10 +440,9 @@ class ExactMatrix:
         def neg(x):
             return -x % f.p if isinstance(f, PrimeField) else -x
         if self._dense is not None:
-            return ExactMatrix._raw_dense(f, neg(self._dense))
+            return self._like(self.rows, self.cols, dense=neg(self._dense))
         ri, ci, vals = self._coo
-        return ExactMatrix._raw_coo(f, self.rows, self.cols, ri.copy(), ci.copy(),
-                                    neg(vals))
+        return self._like(self.rows, self.cols, coo=(ri.copy(), ci.copy(), neg(vals)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -315,12 +450,13 @@ class ExactMatrix:
     def scale(self, c):
         f = self.field
         c = f.canon(c)
-        ri, ci, vals = self.triplets()
-        nv = vals * c
+        ri, ci, vals = self.num_triplets()
         if isinstance(f, PrimeField):
-            nv = nv % f.p
+            nv, den = vals * c % f.p, 1
+        else:
+            nv, den = _times(vals, c.numerator), self.den * c.denominator
         coo = _canon_coo(f, self.shape, ri.copy(), ci.copy(), nv, assume_clean=True)
-        out = ExactMatrix._raw_coo(f, self.rows, self.cols, *coo)
+        out = self._like(self.rows, self.cols, coo=coo, den=den)
         return out.density_preferred() if self.is_dense else out
 
     # ------------------------------------------------------------------
@@ -330,17 +466,14 @@ class ExactMatrix:
         self._check_field(other)
         if self.cols != other.rows:
             raise ValueError(f"inner dimension mismatch {self.shape} @ {other.shape}")
-        if self.cols == 0:
-            return ExactMatrix.zeros(self.field, self.rows, other.cols)
         f = self.field
+        if self.cols == 0:
+            return ExactMatrix.zeros(f, self.rows, other.cols)
+        den = self.den * other.den
         if self.is_dense and other.is_dense:
-            return ExactMatrix._raw_dense(f, _dense_matmul(f, self._dense, other._dense))
-        if not self.is_dense and not other.is_dense:
-            return _sparse_matmul(self, other)
-        if self.is_dense:
-            # dense @ sparse via the transposed sparse kernel
-            return _sparse_dense_matmul(other.T, self.T, f).T
-        return _sparse_dense_matmul(self, other, f)
+            return self._like(self.rows, other.cols, den=den,
+                              dense=_dense_matmul(f, self._dense, other._dense))
+        return _sparse_matmul(self, other, den)
 
     def kron(self, other):
         self._check_field(other)
@@ -349,41 +482,44 @@ class ExactMatrix:
         if max(out_r, out_c) > KRON_ORDER_CAP:
             raise SizeCapError(
                 f"Kronecker output {out_r}x{out_c} beyond the order cap {KRON_ORDER_CAP}")
+        den = self.den * other.den
         if (self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP):
-            a, b = self._dense, other._dense
+            a, b = _lift_product(f, self._dense, other._dense, 1)
             prod = np.kron(a, b)
             if isinstance(f, PrimeField):
                 prod %= f.p
-            return ExactMatrix._raw_dense(f, prod)
-        ar, ac, av = self.triplets()
-        br, bc, bv = other.triplets()
+            return self._like(out_r, out_c, dense=prod, den=den)
+        ar, ac, av = self.num_triplets()
+        br, bc, bv = other.num_triplets()
         if len(av) * len(bv) > DENSE_CELL_CAP:
             raise SizeCapError(
                 f"Kronecker output would hold {len(av) * len(bv)} explicit "
                 f"entries, beyond the cap of {DENSE_CELL_CAP}")
         ri = (ar[:, None] * other.rows + br[None, :]).ravel()
         ci = (ac[:, None] * other.cols + bc[None, :]).ravel()
+        av, bv = _lift_product(f, av, bv, 1)
         vals = np.multiply.outer(av, bv).ravel()
         if isinstance(f, PrimeField):
             vals = vals % f.p
         coo = _canon_coo(f, (out_r, out_c), ri, ci, vals, assume_clean=True)
-        return ExactMatrix._raw_coo(f, out_r, out_c, *coo)
+        return self._like(out_r, out_c, coo=coo, den=den)
 
     # ------------------------------------------------------------------
     # rank
 
     def exact_rank(self):
-        """Exact rank: Gaussian elimination over F_p, Bareiss over Q."""
+        """Exact rank: one elimination kernel over F_p, and over Q the
+        multimodular rank of the numerators."""
         if min(self.rows, self.cols) == 0:
             return 0
         if not self.is_dense:
-            ri, ci, _ = self.triplets()
+            ri, ci, _ = self.num_triplets()
             if len(ri) == 0:
                 return 0
             rsel = np.unique(ri)
             csel = np.unique(ci)
             if len(rsel) * len(csel) <= DENSE_CELL_CAP:
-                sub = self.to_dense() if self.rows * self.cols <= DENSE_CELL_CAP \
+                sub = self.num_dense() if self.rows * self.cols <= DENSE_CELL_CAP \
                     else None
                 if sub is None:
                     m = self._gather(rsel, csel)
@@ -394,23 +530,20 @@ class ExactMatrix:
         return _dense_rank(self.field, self._dense)
 
     def _gather(self, rsel, csel):
-        ri, ci, vals = self.triplets()
+        ri, ci, vals = self.num_triplets()
         rmap = np.empty(self.rows, dtype=np.int64)
         rmap[rsel] = np.arange(len(rsel))
         cmap = np.empty(self.cols, dtype=np.int64)
         cmap[csel] = np.arange(len(csel))
-        if vals.dtype == object:
-            arr = np.full((len(rsel), len(csel)), self.field.zero, dtype=object)
-        else:
-            arr = np.zeros((len(rsel), len(csel)), dtype=np.int64)
+        arr = np.zeros((len(rsel), len(csel)),
+                       dtype=object if vals.dtype == object else np.int64)
         arr[rmap[ri], cmap[ci]] = vals
         return arr
 
     def row_basis(self):
         """Dense matrix whose rows span this matrix's row space."""
-        arr = self.to_dense()
-        _, rows = _echelon(self.field, arr)
-        return ExactMatrix._raw_dense(self.field, rows)
+        _, rows = _echelon(self.field, self.num_dense())
+        return self._like(*rows.shape, dense=rows, den=1)
 
     def __repr__(self):
         tag = "dense" if self.is_dense else f"sparse nnz={self.nnz}"
@@ -418,75 +551,91 @@ class ExactMatrix:
 
 
 # ----------------------------------------------------------------------
-# dense kernels
+# products
+#
+# Over Q the kernels multiply numerators and the denominators multiply.
+# Each integer product runs in float64 or int64 only when a bound on its
+# sums (max|a| * max|b| * inner) proves them exact in that type; Python
+# ints carry everything beyond.
+
+
+def _lift_product(field, a, b, inner):
+    """a and b in a dtype that holds every sum of `inner` products of
+    their entries: Python ints when int64 could overflow.  Residues are
+    bounded by p - 1 without a look at them."""
+    if isinstance(field, PrimeField):
+        bound = (field.p - 1) ** 2 * inner
+    else:
+        bound = _bound(a) * _bound(b) * inner
+    if a.dtype != object and b.dtype != object and bound <= _INT64_MAX:
+        return a, b
+    return a.astype(object), b.astype(object)
 
 
 def _dense_matmul(field, a, b):
     if isinstance(field, RationalField):
-        return np.dot(a, b)
+        inner = a.shape[1]
+        if a.dtype != object and b.dtype != object \
+                and _bound(a) * _bound(b) * inner <= _FLOAT_LIMIT:
+            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return np.dot(*_lift_product(field, a, b, inner))
     p = field.p
     if a.dtype == object or b.dtype == object or p >= _FLOAT_P:
         return _matmul_mod(a, b, p)
     return _matmul_mod(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
 
 
-def _sparse_matmul(a, b):
+def _sparse_matmul(a, b, den):
+    """a @ b with at least one sparse operand; scipy runs int64 products,
+    a vectorized expansion over the triplets runs Python-int ones."""
     f = a.field
-    ar, ac, av = a.triplets()
-    if len(ar) == 0 or b.nnz == 0:
+    if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
+        # scipy's set-up costs more than a small dense product
+        out = a._like(a.rows, b.cols, den=den, dense=_dense_matmul(
+            f, a._dense if a.is_dense else a._scatter(),
+            b._dense if b.is_dense else b._scatter()))
+        if a.is_dense or b.is_dense or _prefers_dense(a.rows, b.cols, out.nnz):
+            return out
+        return a._like(a.rows, b.cols, coo=out.num_triplets(), den=out.den)
+    x = a._dense if a.is_dense else a._coo[2]
+    y = b._dense if b.is_dense else b._coo[2]
+    if len(x) == 0 or len(y) == 0:
         return ExactMatrix.zeros(f, a.rows, b.cols)
-    if av.dtype != object and b.triplets()[2].dtype != object:
-        p = f.p
-        if (p - 1) * (p - 1) * a.cols < 2**63:
-            am = sp.csr_matrix((av, (ar, ac)), shape=a.shape, dtype=np.int64)
-            br, bc, bv = b.triplets()
-            bm = sp.csr_matrix((bv, (br, bc)), shape=b.shape, dtype=np.int64)
-            # scipy's product holds no duplicate entries
-            cm = am @ bm
-            cm.data %= p
-            cm.eliminate_zeros()
-            if _prefers_dense(a.rows, b.cols, cm.nnz):
-                return ExactMatrix._raw_dense(f, cm.toarray())
-            cm.sort_indices()
-            cm = cm.tocoo()
-            return ExactMatrix._raw_coo(f, a.rows, b.cols, cm.row.astype(np.int64),
-                                        cm.col.astype(np.int64), cm.data)
-    # exact object fallback
-    br, bc, bv = b.triplets()
-    rows_of_b = {}
-    for i, j, v in zip(br, bc, bv):
-        rows_of_b.setdefault(int(i), []).append((int(j), v))
-    out = {}
-    for i, j, v in zip(ar, ac, av):
-        for jj, w in rows_of_b.get(int(j), ()):
-            key = (int(i), jj)
-            prod = f.mul(v, w)
-            if key in out:
-                out[key] = f.add(out[key], prod)
-            else:
-                out[key] = prod
-    trips = [(i, j, v) for (i, j), v in out.items() if v != 0]
-    return ExactMatrix.from_triplets(f, a.rows, b.cols, trips)
-
-
-def _sparse_dense_matmul(a, b, f):
-    """a sparse, b dense -> dense."""
-    bd = b.to_dense()
-    ar, ac, av = a.triplets()
-    if av.dtype != object and bd.dtype != object:
-        p = f.p
-        if (p - 1) * (p - 1) * a.cols < 2**63:
-            am = sp.csr_matrix((av, (ar, ac)), shape=a.shape, dtype=np.int64)
-            return ExactMatrix._raw_dense(f, np.asarray(am @ bd) % p)
+    x, y = _lift_product(f, x, y, a.cols)
+    if x.dtype != object:
+        am = x if a.is_dense else sp.csr_matrix(
+            (x, a._coo[:2]), shape=a.shape, dtype=np.int64)
+        bm = y if b.is_dense else sp.csr_matrix(
+            (y, b._coo[:2]), shape=b.shape, dtype=np.int64)
+        cm = am @ bm
+        if a.is_dense or b.is_dense:
+            cm = np.asarray(cm)
+            if isinstance(f, PrimeField):
+                cm %= f.p
+            return a._like(a.rows, b.cols, dense=cm, den=den)
+        if isinstance(f, PrimeField):
+            cm.data %= f.p
+        # scipy's product holds no duplicate entries
+        cm.eliminate_zeros()
+        if _prefers_dense(a.rows, b.cols, cm.nnz):
+            return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
+        cm.sort_indices()
+        cm = cm.tocoo()
+        return a._like(a.rows, b.cols, den=den, coo=(
+            cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+    # Python ints: every product a[i, k] * b[k, j], summed by _canon_coo
+    ar, ac, av = a.num_triplets()
+    br, bc, bv = b.num_triplets()
+    starts = np.searchsorted(br, np.arange(b.rows + 1))
+    lo, counts = starts[ac], starts[ac + 1] - starts[ac]
+    src = np.repeat(np.arange(len(ar)), counts)
+    pos = lo[src] + np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    vals = av[src].astype(object) * bv[pos].astype(object)
     if isinstance(f, PrimeField):
-        out = np.zeros((a.rows, b.cols), dtype=object)
-    else:
-        out = np.full((a.rows, b.cols), f.zero, dtype=object)
-    for i, j, v in zip(ar, ac, av):
-        out[i] = out[i] + v * bd[j]
-    if isinstance(f, PrimeField):
-        out = out % f.p
-    return ExactMatrix._raw_dense(f, out)
+        vals = (vals % f.p).astype(f.dtype)
+    coo = _canon_coo(f, (a.rows, b.cols), ar[src], bc[pos], vals, assume_clean=True)
+    out = a._like(a.rows, b.cols, coo=coo, den=den)
+    return out.density_preferred() if a.is_dense or b.is_dense else out
 
 
 # ----------------------------------------------------------------------
@@ -614,31 +763,28 @@ def _rank_primes():
             yield q
 
 
-def _rank_rational(arr):
-    """Rank over Q by multimodular reduction.
+def _rank_rational(a):
+    """Rank over Q of an integer array (the numerators of a matrix).
 
-    Each row is scaled to integers.  Rank modulo p never exceeds the rank
-    r over Q, and falls below it only if p divides every r-minor.  So
-    once the product of the primes tried exceeds the Hadamard bound on
+    Each row is divided by its content.  Rank modulo p never exceeds the
+    rank r over Q, and falls below it only if p divides every r-minor.
+    So once the product of the primes tried exceeds the Hadamard bound on
     (s+1)-minors, s the largest rank seen, no larger rank is possible.
     """
-    m, n = arr.shape
-    rows = []
-    norms = []
-    for row in arr:
-        den = math.lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (den // v.denominator) for v in row]
-        rows.append(ints)
-        sq = sum(x * x for x in ints)
-        norms.append(math.isqrt(sq - 1) + 1 if sq else 1)
-    ints = np.array(rows, dtype=object).reshape(m, n)
-    if max(norms, default=0) < 1 << 62:  # no entry exceeds its row's norm
-        ints = ints.astype(np.int64)
-    norms.sort(reverse=True)
+    m, n = a.shape
+    g = np.gcd.reduce(a, axis=1)
+    g[g == 0] = 1
+    a = _fit(a // g[:, None])
+    if a.dtype == object or _bound(a) ** 2 * n > _INT64_MAX:
+        sq = (a.astype(object) ** 2).sum(axis=1)
+    else:
+        sq = (a * a).sum(axis=1)
+    norms = sorted((math.isqrt(s - 1) + 1 if s else 1 for s in sq.tolist()),
+                   reverse=True)
     rank = 0
     modulus = 1
     for q in _rank_primes():
-        rank = max(rank, _rank_mod_p(ints, q))
+        rank = max(rank, _rank_mod_p(a, q))
         modulus *= q
         if rank == min(m, n) or modulus > math.prod(norms[:rank + 1]):
             return rank
@@ -646,49 +792,38 @@ def _rank_rational(arr):
 
 
 def _dense_rank(field, arr):
-    """Exact rank of a dense array over `field`."""
+    """Exact rank of a dense array of stored values over `field`."""
     if isinstance(field, PrimeField):
         return _rank_mod_p(arr, field.p)
     return _rank_rational(arr)
 
 
 def _echelon(field, arr):
-    """Row echelon (pivots normalized to 1); returns (rank, pivot rows)."""
-    a = arr.copy()
+    """Row echelon of stored values; returns (rank, pivot rows).  Over F_p
+    the pivots are 1; over Q the rows are integer, each divided by its
+    content (fraction-free elimination)."""
+    prime = isinstance(field, PrimeField)
+    a = arr.copy() if prime else arr.astype(object)
     m, n = a.shape
     r = 0
-    if isinstance(field, PrimeField):
-        p = field.p
-        for c in range(n):
-            nz = np.flatnonzero(a[r:, c] != 0)
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r, c:] = a[r, c:] * inv % p
+    for c in range(n):
+        nz = np.flatnonzero(a[r:, c] != 0)
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        if prime:
+            p = field.p
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
             if r + 1 < m:
                 fac = a[r + 1:, c]
                 a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(fac, a[r, c:])) % p
-            r += 1
-            if r == m:
-                break
-        return r, a[:r]
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] / a[r, c]
-        for i in range(r + 1, m):
-            if a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+        elif r + 1 < m:
+            rest = a[r + 1:, c:] * a[r, c] - np.outer(a[r + 1:, c], a[r, c:])
+            g = np.gcd.reduce(rest, axis=1)
+            g[g == 0] = 1
+            a[r + 1:, c:] = rest // g[:, None]
         r += 1
         if r == m:
             break
@@ -696,47 +831,29 @@ def _echelon(field, arr):
 
 
 def _rank_streaming(mat):
-    """Row-at-a-time rank for sparse matrices too large to densify."""
+    """Row-at-a-time rank for sparse matrices too large to densify.  Over Q
+    each row is eliminated fraction-free on the numerators."""
     f = mat.field
-    ri, ci, vals = mat.triplets()
-    order = np.argsort(ri, kind="stable")
-    ri, ci, vals = ri[order], ci[order], vals[order]
-    basis = []
+    prime = isinstance(f, PrimeField)
+    ri, ci, vals = mat.num_triplets()
     bounds = np.searchsorted(ri, np.arange(mat.rows + 1))
-    if isinstance(f, PrimeField):
-        p = f.p
-        for i in range(mat.rows):
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo == hi:
-                continue
-            row = np.zeros(mat.cols, dtype=np.int64 if f.dtype is np.int64 else object)
-            row[ci[lo:hi]] = vals[lo:hi]
-            for pivcol, bvec in basis:
-                if row[pivcol] != 0:
-                    row = (row - row[pivcol] * bvec) % p
-            nz = np.flatnonzero(row != 0)
-            if nz.size:
-                c = int(nz[0])
-                row = row * pow(int(row[c]), p - 2, p) % p
-                basis.append((c, row))
-        return len(basis)
-    for i in range(mat.rows):
-        lo, hi = bounds[i], bounds[i + 1]
+    basis = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
-        row = np.full(mat.cols, f.zero, dtype=object)
+        row = np.zeros(mat.cols, dtype=f.dtype if prime else object)
         row[ci[lo:hi]] = vals[lo:hi]
         for pivcol, bvec in basis:
             if row[pivcol] != 0:
-                row = row - row[pivcol] * bvec
-        nzc = None
-        for c in range(mat.cols):
-            if row[c] != 0:
-                nzc = c
-                break
-        if nzc is not None:
-            row = row / row[nzc]
-            basis.append((nzc, row))
+                row = row * bvec[pivcol] - row[pivcol] * bvec
+                if prime:
+                    row %= f.p
+        nz = np.flatnonzero(row != 0)
+        if nz.size:
+            c = int(nz[0])
+            if prime:
+                row = row * pow(int(row[c]), f.p - 2, f.p) % f.p
+            basis.append((c, row))
     return len(basis)
 
 
@@ -760,40 +877,42 @@ def rank_of_product(u, v, uv=None):
 
 def _stack(mats, axis):
     """Concatenated triplets of canonical blocks, shifted along `axis`
-    (0 stacks rows, 1 columns), and the shape of the result."""
+    (0 stacks rows, 1 columns) and brought over one common denominator,
+    the shape of the result and that denominator."""
     other = mats[0].shape[1 - axis]
+    den = math.lcm(*[m.den for m in mats])
     ri_all, ci_all, val_all = [], [], []
     shift = 0
     for m in mats:
         if m.shape[1 - axis] != other:
             raise ValueError("stacked blocks must match in their other dimension")
-        ri, ci, vals = m.triplets()
+        ri, ci, vals = m.num_triplets()
         ri_all.append(ri + shift if axis == 0 else ri)
         ci_all.append(ci + shift if axis == 1 else ci)
-        val_all.append(vals)
+        val_all.append(_times(vals, den // m.den))
         shift += m.shape[axis]
     shape = (shift, other) if axis == 0 else (other, shift)
     return (np.concatenate(ri_all), np.concatenate(ci_all),
-            np.concatenate(val_all)), shape
+            np.concatenate(val_all)), shape, den
 
 
 def hstack(mats):
     """Blocks side by side.  A stable sort by row keeps each row's entries
     in column order, as the blocks' column ranges ascend."""
-    (ri, ci, vals), shape = _stack(mats, 1)
+    (ri, ci, vals), shape, den = _stack(mats, 1)
     if len(ri) == 0:
         return ExactMatrix.zeros(mats[0].field, *shape)
     order = np.argsort(ri, kind="stable")
-    return ExactMatrix._raw_coo(mats[0].field, *shape, ri[order], ci[order],
-                                vals[order])
+    return ExactMatrix(mats[0].field, *shape, den=den,
+                       coo=(ri[order], ci[order], vals[order]))
 
 
 def vstack(mats):
     """Blocks one above another; with shifted rows they stay canonical."""
-    (ri, ci, vals), shape = _stack(mats, 0)
+    (ri, ci, vals), shape, den = _stack(mats, 0)
     if len(ri) == 0:
         return ExactMatrix.zeros(mats[0].field, *shape)
-    return ExactMatrix._raw_coo(mats[0].field, *shape, ri, ci, vals)
+    return ExactMatrix(mats[0].field, *shape, coo=(ri, ci, vals), den=den)
 
 
 # ----------------------------------------------------------------------
@@ -953,7 +1072,7 @@ class KroneckerSpec:
                 f"order {self.n} exceeds the materialization cap {KRON_ORDER_CAP}")
         acc = self.factors[0]
         if self.n * self.n <= DENSE_CELL_CAP:
-            acc = ExactMatrix._raw_dense(acc.field, acc.to_dense())
+            acc = acc._like(acc.rows, acc.cols, dense=acc.num_dense())
         for m in self.factors[1:]:
             acc = acc.kron(m)
         return acc

@@ -149,21 +149,37 @@ def threshold_counts(dims, weights, offset):
             sum(c for s, c in dist.items() if s <= lo))
 
 
-def _count_weighted_subsets(classes, avail, bound, dim_mult):
+def _subset_ways(classes, dim_mult):
+    """ways(v, a, top): the list C(a, u) * (d_v - 1)**u for u = 0..top (the
+    power only when dim_mult) -- the ways to pick u of a available
+    coordinates of class v when each chosen one additionally ranges over
+    the d_v - 1 non-top values.  Each list is kept, and extended when a
+    larger top asks for it, for as long as ways lives."""
+    mults = [d - 1 if dim_mult else 1 for _, d, _ in classes]
+    rows = {}
+
+    def ways(v, a, top):
+        row = rows.setdefault((v, a), [1])
+        while len(row) <= top:
+            u = len(row) - 1
+            row.append(row[-1] * (a - u) * mults[v] // (u + 1))
+        return row
+    return ways
+
+
+def _count_weighted_subsets(classes, avail, bound, ways):
     """Subsets U of the available coordinates with total scaled weight < bound.
 
-    Picking u from class v contributes C(avail_v, u) choices, times
-    (d_v - 1)**u when each chosen coordinate additionally ranges over
-    the d_v - 1 non-top values.
+    Picking u from class v contributes ways(v, avail_v, .)[u] choices
+    (see _subset_ways).
     """
     acc = {0: 1}
-    for (w, d, _), a in zip(classes, avail):
+    for v, ((w, _, _), a) in enumerate(zip(classes, avail)):
         if a == 0:
             continue
         # every weight in acc is >= 0, so no more than top coordinates fit
         top = min(a, (bound - 1) // w)
-        mult = [math.comb(a, u) * ((d - 1) ** u if dim_mult else 1)
-                for u in range(top + 1)]
+        mult = ways(v, a, top)
         new = defaultdict(int)
         for s, c in acc.items():
             for u in range(min(top, (bound - 1 - s) // w) + 1):
@@ -197,6 +213,7 @@ def neighborhood_counts(dims, weights, offset):
             f"exceeds the budget of {COMBO_BUDGET}")
     # rows survive iff score > lo, columns iff score < hi
     lo, hi = _scaled_bounds(classes, scale, offset)
+    row_ways, col_ways = _subset_ways(classes, False), _subset_ways(classes, True)
     max_row = 0
     max_col = 0
     for t_vec in itertools.product(*[range(j + 1) for _, _, j in classes]):
@@ -204,14 +221,12 @@ def neighborhood_counts(dims, weights, offset):
         if s_top > lo:
             # surviving row: entries sit at supersets of its top set
             avail = [j - t for t, (_, _, j) in zip(t_vec, classes)]
-            cnt = _count_weighted_subsets(classes, avail, hi - s_top,
-                                          dim_mult=False)
+            cnt = _count_weighted_subsets(classes, avail, hi - s_top, row_ways)
             if cnt > max_row:
                 max_row = cnt
         if s_top < hi:
             # surviving column: entries drop subsets of its top set
-            cnt = _count_weighted_subsets(classes, list(t_vec), s_top - lo,
-                                          dim_mult=True)
+            cnt = _count_weighted_subsets(classes, t_vec, s_top - lo, col_ways)
             if cnt > max_col:
                 max_col = cnt
     return max_col, max_row

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +290,128 @@ def test_bulk_triplets_checks_each_line():
     assert fileio._bulk_triplets(["0 0 1 1", "1 1"], 8, 8) is None
     assert fileio._bulk_triplets(["0 0 1", "1 1 "], 8, 8) is None
     assert fileio._bulk_triplets(["0  1", "1 1 1"], 8, 8) is None
+
+
+@pytest.mark.parametrize("line,expected", [
+    ("1 2 3/4", (3, 4)),
+    ("1 2 -3/4", (-3, 4)),
+    ("1 2 6/8", (6, 8)),  # reduced when the matrix is built
+    ("1 2 -0/7", (0, 7)),
+    ("1 2 999999999999999999/999999999999999998",
+     (999999999999999999, 999999999999999998)),
+    ("1 2 3/0", None),
+    ("1 2 3/-4", None),
+    ("1 2 -3/-4", None),
+    ("1 2/3 4", None),
+    ("1/2 2 4", None),
+    ("1 2 3//4", None),
+    ("1 2 3/4/5", None),
+    ("1 2 /4", None),
+    ("1 2 -/4", None),
+    ("1 2 3/", None),
+    ("1 2 3/1000000000000000000", None),  # 19-digit denominator
+    ("1 2 3 /4", None),
+])
+def test_bulk_triplets_rational(line, expected):
+    """A value written n/d comes back as an (n, d) row; anything that
+    Fraction() or the index check would not take is left to the line loop."""
+    got = fileio._bulk_triplets(["2 3 4", line], 8, 8)
+    if expected is None:
+        assert got is None
+    else:
+        ri, ci, vals = got
+        assert ri.tolist() == [2, 1] and ci.tolist() == [3, 2]
+        assert vals.tolist() == [[4, 1], list(expected)]
+
+
+def _line_loop_only(monkeypatch, text):
+    """parse_matrix(text) with the bulk decoder switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(fileio, "_bulk_values", lambda *args: None)
+        return parse_matrix(text)
+
+
+def _same_values(text, header):
+    """The last row of a dense matrix file rewritten with equal values:
+    n/d as 2n/2d and an integer as n/1 over Q, v as v + p over F_p."""
+    lines = text.splitlines(keepends=True)
+    toks = lines[-1].split()
+    if header == "Q":
+        toks = [f"{2 * int(t.split('/')[0])}/{2 * int(t.split('/')[1])}"
+                if "/" in t else f"{t}/1" for t in toks]
+    else:
+        p = int(header.split()[1])
+        toks = [str(int(t) + p) for t in toks]
+    lines[-1] = " ".join(toks) + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("header", ["Fp 5", "Fp 2147483659", "Q"])
+def test_dense_matrix_parse_matches_line_loop(header, monkeypatch):
+    m = random_dense(field_from_header(header), 6, 9, np.random.default_rng(3))
+    text = render_matrix(m, "dense")
+    for mangled in (text, text.replace("\n", "\r\n"),
+                    text.replace("dense\n", "dense\n# note\n"),
+                    text.replace("dense\n", "dense\n00"),
+                    text[:-1] + " \n",
+                    _same_values(text, header)):
+        back = parse_matrix(mangled)
+        assert back == _line_loop_only(monkeypatch, mangled) == m
+
+
+def test_canonical_dense_and_q_skip_line_loop(monkeypatch):
+    """Dense rows over F_p and Q, and Q certificate blocks, as the
+    renderer writes them are decoded without the line loop, also when
+    the common denominator takes the numerators beyond int64."""
+    rng = np.random.default_rng(1)
+    big = [[Fraction(int(rng.integers(1, 10**18)), int(rng.integers(1, 10**18)))
+            for _ in range(3)] for _ in range(2)]
+    texts = [render_matrix(random_dense(F5, 5, 7, rng), "dense"),
+             render_matrix(random_dense(QQ, 5, 7, rng), "dense"),
+             render_matrix(ExactMatrix.from_dense(QQ, big), "dense")]
+    cert_text = render_cert(_cert("Q"))
+    want = [_line_loop_only(monkeypatch, t) for t in texts]
+
+    def no_line_loop(*args):
+        raise AssertionError("line loop used")
+
+    monkeypatch.setattr(fileio, "_parse_value", no_line_loop)
+    for text, ref in zip(texts, want):
+        back = parse_matrix(text)
+        assert back == ref and render_matrix(back, "dense") == text
+    assert render_cert(parse_cert(cert_text)) == cert_text
+    assert parse_matrix(texts[2]).num_dense().dtype == object
+
+
+def test_big_rational_files_parse_as_line_loop(monkeypatch):
+    """Tokens beyond 18 digits are read by the line loop."""
+    for name in ("bigq_a.mat", "bigq_b.mat"):
+        text = (Path(__file__).parent / "data" / "golden" / name).read_text()
+        m = parse_matrix(text)
+        assert m == _line_loop_only(monkeypatch, text)
+        assert render_matrix(m, "dense") == text
+
+
+@pytest.mark.parametrize("text,message", [
+    # canonical rows first, so the bulk decoder sees each case before the
+    # line loop; the messages are the line loop's own
+    ("field: Q\nrows: 2\ncols: 2\nformat: dense\n1 2\n3/0 4\n",
+     "line 6: bad rational literal '3/0'"),
+    ("field: Q\nrows: 2\ncols: 2\nformat: dense\n1 2\n3\n",
+     "line 6: expected 2 entries, got 1"),
+    ("field: Fp 5\nrows: 2\ncols: 2\nformat: dense\n1 2\n3/2 4\n",
+     "line 6: bad F_5 literal '3/2'"),
+    ("field: Q\nrows: 2\ncols: 2\nformat: dense\n1/2 2\n3 4 5\n",
+     "line 6: expected 2 entries, got 3"),
+    ("field: Q\nrows: 2\ncols: 2\nformat: dense\n1/2 2\n3 x\n",
+     "line 6: bad rational literal 'x'"),
+    ("field: Q\nrows: 2\ncols: 2\nformat: sparse\n0 0 1/2\n1 1 1/-2\n",
+     "line 6: bad rational literal '1/-2'"),
+])
+def test_bulk_rejections_keep_line_loop_messages(text, message):
+    with pytest.raises(FileFormatError) as e:
+        parse_matrix(text)
+    assert str(e.value) == message
 
 
 def test_report_rendering():

@@ -1,5 +1,6 @@
 """Exact matrix storage, arithmetic, rank, and Kronecker indexing."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -456,6 +457,15 @@ def test_kron_reduces_object_residues():
     assert sa.kron(sa) == k
 
 
+def test_dense_add_reduces_object_residues():
+    p = FBIG.p
+    a = ExactMatrix.from_dense(FBIG, [[p - 1, 1], [2, p - 2]])
+    total = a + a
+    assert total.is_dense
+    assert total == ExactMatrix.from_dense(FBIG, [[p - 2, 2], [4, p - 4]])
+    assert all(0 <= int(v) < p for v in total.to_dense().ravel())
+
+
 def test_submatrix():
     m = ExactMatrix.from_dense(F7, [[0, 1, 2], [3, 4, 5], [6, 0, 1]])
     sub = m.submatrix([0, 2], [1, 2])
@@ -585,3 +595,191 @@ def test_random_invertible():
     for f in [F2, F5]:
         m = random_invertible(f, 3, rng)
         assert m.exact_rank() == 3
+
+
+# ----------------------------------------------------------------------
+# Q as integer numerators over one common denominator, checked against
+# a plain Fraction reference.  The numerators span values that fit
+# float64 exactly, values next to 2**63 and values beyond it, so the
+# float64, int64 and Python-int routes of every kernel all run.
+
+_EDGE = [(1 << 63) - 1, (1 << 63) - 2, 1 << 62, 3 << 61]
+_BIG = [1 << 63, (1 << 63) + 1, 1 << 70, 12345678901234567890123]
+
+
+def _random_q(rng, rows, cols, kind):
+    """Fraction rows; about a third of the cells are zero.  'small':
+    +-a/b; 'mid' and 'wide': integers of 24-28 and 30-34 bits over small
+    denominators, whose products pass 2**50 (float64) and 2**63 (int64);
+    'edge': integers just below 2**63; 'big': numerators and
+    denominators beyond 2**63."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            if rng.random() < 0.3:
+                row.append(Fraction(0))
+                continue
+            sign = int(rng.choice([-1, 1]))
+            if kind == "small":
+                v = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            elif kind in ("mid", "wide"):
+                lo = 24 if kind == "mid" else 30
+                v = Fraction(int(rng.integers(1 << lo, 1 << (lo + 4))),
+                             int(rng.integers(1, 4)))
+            elif kind == "edge":
+                v = Fraction(_EDGE[int(rng.integers(0, len(_EDGE)))]
+                             - int(rng.integers(0, 3)))
+            else:
+                v = Fraction(_BIG[int(rng.integers(0, len(_BIG)))] + int(rng.integers(0, 9)),
+                             _BIG[int(rng.integers(0, len(_BIG)))] - int(rng.integers(1, 9)))
+            row.append(sign * v)
+        out.append(row)
+    return out
+
+
+def _ref_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _ref_rank(a):
+    a = [row[:] for row in a]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c] / a[rank][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def _num_canonical(m):
+    """den > 0 and coprime to the numerators (1 for zero); int64 exactly
+    when every numerator fits."""
+    _, _, nums = m.num_triplets()
+    dense = m.num_dense()
+    ints = [int(v) for v in nums.tolist()]
+    fits = all(abs(v) < 1 << 63 for v in ints)
+    assert dense.dtype == (np.int64 if fits else object)
+    return m.den > 0 and math.gcd(m.den, *ints) == 1 and (ints or m.den == 1)
+
+
+def _q_storage(rows):
+    """The dense and the sparse form of a Fraction matrix."""
+    d = ExactMatrix.from_dense(QQ, rows)
+    trips = [(i, j, v) for i, r in enumerate(rows) for j, v in enumerate(r) if v]
+    return [d, ExactMatrix.from_triplets(QQ, len(rows), len(rows[0]), trips)]
+
+
+def _as_rows(m):
+    return m.to_dense().tolist()
+
+
+Q_KINDS = ["small", "mid", "wide", "edge", "big"]
+
+
+@pytest.mark.parametrize("kind", Q_KINDS)
+def test_q_numerator_add_neg_scale(kind):
+    rng = np.random.default_rng(101 + Q_KINDS.index(kind))
+    for _ in range(4):
+        a, b = _random_q(rng, 4, 5, kind), _random_q(rng, 4, 5, kind)
+        c = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+        for av in _q_storage(a):
+            for bv in _q_storage(b):
+                for got, want in [
+                        (av + bv, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                        (av - bv, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                        (-av, [[-x for x in r] for r in a]),
+                        (av.scale(c), [[x * c for x in r] for r in a]),
+                        (av.scale(1 << 64), [[x * (1 << 64) for x in r] for r in a])]:
+                    assert _as_rows(got) == want
+                    assert _num_canonical(got)
+            assert (av - av).is_zero() and (av - av).den == 1
+
+
+@pytest.mark.parametrize("kind", Q_KINDS)
+def test_q_numerator_matmul_all_storage_orders(kind):
+    rng = np.random.default_rng(111 + Q_KINDS.index(kind))
+    for shape in [(3, 4, 2), (5, 5, 5), (1, 6, 3)]:
+        a = _random_q(rng, shape[0], shape[1], kind)
+        b = _random_q(rng, shape[1], shape[2], kind)
+        want = _ref_matmul(a, b)
+        for av in _q_storage(a):        # dense, sparse
+            for bv in _q_storage(b):
+                got = av @ bv
+                assert _as_rows(got) == want, (av.is_dense, bv.is_dense)
+                assert _num_canonical(got)
+
+
+def test_q_numerator_matmul_past_float64_exactness():
+    """3 * (2**26 + 1)**2 needs 54 bits: float64 would drop its last one."""
+    x = (1 << 26) + 1
+    want = Fraction(3 * x * x, 4)
+    for av in _q_storage([[Fraction(x, 2)] * 3]):
+        for bv in _q_storage([[Fraction(x, 2)]] * 3):
+            assert (av @ bv)[0, 0] == want
+
+
+def test_q_numerator_matmul_large_sparse_int64_and_object():
+    """Products above the small-operand size go through scipy (int64) or
+    the triplet expansion (Python ints); both agree with the dense route."""
+    rng = np.random.default_rng(117)
+    for top in [3, (1 << 40), (1 << 62)]:
+        a = np.where(rng.random((70, 80)) < 0.05, rng.integers(-top, top, (70, 80)), 0)
+        b = np.where(rng.random((80, 90)) < 0.05, rng.integers(-top, top, (80, 90)), 0)
+        fa = [[Fraction(int(x), 6) for x in r] for r in a.tolist()]
+        fb = [[Fraction(int(x), 35) for x in r] for r in b.tolist()]
+        sa, sb = _q_storage(fa)[1], _q_storage(fb)[1]
+        want = ExactMatrix.from_dense(QQ, fa) @ ExactMatrix.from_dense(QQ, fb)
+        for got in (sa @ sb, sa @ _q_storage(fb)[0], _q_storage(fa)[0] @ sb):
+            assert got == want
+            assert _num_canonical(got)
+        assert want.to_dense()[5, 7] == sum(fa[5][t] * fb[t][7] for t in range(80))
+
+
+@pytest.mark.parametrize("kind", Q_KINDS)
+def test_q_numerator_kron_transpose_permute(kind):
+    rng = np.random.default_rng(121 + Q_KINDS.index(kind))
+    a, b = _random_q(rng, 3, 2, kind), _random_q(rng, 2, 3, kind)
+    pr, pc = rng.permutation(3), rng.permutation(2)
+    for av in _q_storage(a):
+        for bv in _q_storage(b):
+            got = av.kron(bv)
+            assert _as_rows(got) == _ref_kron(a, b)
+            assert _num_canonical(got)
+        assert _as_rows(av.T) == [list(c) for c in zip(*a)]
+        assert _as_rows(av.permute_rows(pr)) == [a[i] for i in pr]
+        assert _as_rows(av.permute_cols(pc)) == [[r[j] for j in pc] for r in a]
+        for m in (av.T, av.permute_rows(pr), av.permute_cols(pc)):
+            assert _num_canonical(m)
+
+
+@pytest.mark.parametrize("kind", Q_KINDS)
+def test_q_numerator_equality_and_rank(kind):
+    rng = np.random.default_rng(131 + Q_KINDS.index(kind))
+    for rows, cols, r in [(4, 4, 2), (5, 3, 3), (6, 6, 6), (3, 7, 1)]:
+        x, y = _random_q(rng, rows, r, kind), _random_q(rng, r, cols, kind)
+        a = _ref_matmul(x, y)
+        want = _ref_rank(a)
+        d, s = _q_storage(a)
+        assert d == s and s == d
+        assert d.exact_rank() == s.exact_rank() == want
+        # the same values stored over a multiple of the denominator
+        scaled = ExactMatrix(QQ, rows, cols, dense=d.num_dense().astype(object) * 6,
+                             den=d.den * 6)
+        assert scaled == d and scaled.den == d.den
+        if want:
+            i, j = next((i, j) for i in range(rows) for j in range(cols) if a[i][j])
+            other = [row[:] for row in a]
+            other[i][j] += Fraction(1, 3)
+            assert ExactMatrix.from_dense(QQ, other) != d
+            assert d[i, j] == a[i][j]
