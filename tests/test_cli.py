@@ -40,6 +40,18 @@ def test_decompose_verifies_and_writes(tmp_path, capsys):
     assert rep_path.read_text().splitlines()[-1] == out.strip().splitlines()[-1]
 
 
+def test_big_prime_certificate_verifies(tmp_path, capsys):
+    """Over a prime above 2**31 (residues held as Python ints) a correct
+    certificate reconstructs: U·V + Z - A is reduced mod p."""
+    flags = ["--random", "2,3", "--field", "Fp 2147483659", "--seed", "2"]
+    cert_path = tmp_path / "cert.txt"
+    code, out, _ = run(capsys, "decompose", "--mode", "equal", *flags,
+                       "--epsilon", "0.5", "--out", str(cert_path))
+    assert code == 0 and json_block(out)["reconstruction_ok"]
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_path), *flags)
+    assert code == 0 and json_block(out)["ok"]
+
+
 def test_verify_against_file_and_flags(tmp_path, capsys):
     cert_path = tmp_path / "cert.txt"
     target_path = tmp_path / "target.txt"
