@@ -29,8 +29,10 @@ DENSE_CELL_CAP = 1 << 25
 KRON_ORDER_CAP = 65536
 
 _INT64_MAX = (1 << 63) - 1
-# below this many cells per operand, sparse products are formed dense
-_SMALL_CELLS = 1 << 12
+# a product with a sparse operand runs dense in numpy when max(rows, cols)
+# times its inner dimension is at most this: scipy's set-up (0.1-0.2 ms a
+# product) costs more than the dense product up to about 2**13 cells
+_SMALL_CELLS = 1 << 13
 
 
 class SizeCapError(ValueError):
@@ -61,24 +63,17 @@ def _fit(a):
     return a
 
 
+def _lift(bound, *arrays):
+    """The integer arrays, as Python ints unless `bound`, a bound on every
+    value to be formed from them, fits int64."""
+    if bound <= _INT64_MAX and all(x.dtype != object for x in arrays):
+        return arrays
+    return tuple(x.astype(object) for x in arrays)
+
+
 def _times(a, k):
     """a * k for an integer k, in Python ints when int64 could overflow."""
-    if k == 1:
-        return a
-    if a.dtype != object and max(_bound(a), 1) * abs(k) <= _INT64_MAX:
-        return a * k
-    return a.astype(object) * k
-
-
-def _lift(field, a, sa, b, sb):
-    """a * sa and b * sb, in a dtype that also holds their sum (as the
-    sum of two residues does)."""
-    if isinstance(field, PrimeField):
-        return a, b
-    a, b = _times(a, sa), _times(b, sb)
-    if a.dtype != object and b.dtype != object and _bound(a) + _bound(b) > _INT64_MAX:
-        return a.astype(object), b.astype(object)
-    return a, b
+    return a if k == 1 else _lift(max(_bound(a), 1) * abs(k), a)[0] * k
 
 
 def _canon_vals(field, vals):
@@ -137,9 +132,12 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
     dup[1:] = (ri[1:] == ri[:-1]) & (ci[1:] == ci[:-1])
     if dup.any():
         starts = np.flatnonzero(~dup)
+        if vals.dtype != object:  # the sums must fit as well
+            run = int(np.diff(starts, append=len(ri)).max())
+            (vals,) = _lift(_bound(vals) * run, vals)
         vals = np.add.reduceat(vals, starts)
         if isinstance(field, PrimeField):
-            vals = vals % field.p
+            vals = (vals % field.p).astype(field.dtype, copy=False)
         ri, ci = ri[starts], ci[starts]
     keep = vals != 0
     if not keep.all():
@@ -220,12 +218,6 @@ class ExactMatrix:
             ri, ci, vals = (), (), ()
         return cls.from_coo(field, rows, cols, np.array(ri, dtype=np.int64),
                             np.array(ci, dtype=np.int64), list(vals))
-
-    @classmethod
-    def _raw_coo(cls, field, rows, cols, ri, ci, vals):
-        """From canonical COO arrays of field values."""
-        nums, den = _num_form(field, vals)
-        return cls(field, rows, cols, coo=(ri, ci, nums), den=den)
 
     @classmethod
     def zeros(cls, field, rows, cols, dense=False):
@@ -419,18 +411,22 @@ class ExactMatrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         f = self.field
         den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         if self.is_dense or other.is_dense:
-            a, b = _lift(f, self.num_dense(), den // self.den,
-                         other.num_dense(), den // other.den)
-            total = a + b
+            a, b = self.num_dense(), other.num_dense()
             if isinstance(f, PrimeField):
+                total = a + b
                 total %= f.p
+            else:
+                a, b = _lift(max(_bound(a), 1) * sa + max(_bound(b), 1) * sb, a, b)
+                total = a * sa + b * sb
             return self._like(self.rows, self.cols, dense=total, den=den)
         ar, ac, av = self.num_triplets()
         br, bc, bv = other.num_triplets()
-        av, bv = _lift(f, av, den // self.den, bv, den // other.den)
+        # _canon_coo sums the pairs that meet in a dtype that holds them
         coo = _canon_coo(f, self.shape, np.concatenate([ar, br]),
-                         np.concatenate([ac, bc]), np.concatenate([av, bv]),
+                         np.concatenate([ac, bc]),
+                         np.concatenate([_times(av, sa), _times(bv, sb)]),
                          assume_clean=True)
         return self._like(self.rows, self.cols, coo=coo, den=den)
 
@@ -484,7 +480,8 @@ class ExactMatrix:
                 f"Kronecker output {out_r}x{out_c} beyond the order cap {KRON_ORDER_CAP}")
         den = self.den * other.den
         if (self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP):
-            a, b = _lift_product(f, self._dense, other._dense, 1)
+            a, b = _lift(_product_bound(f, self._dense, other._dense, 1),
+                         self._dense, other._dense)
             prod = np.kron(a, b)
             if isinstance(f, PrimeField):
                 prod %= f.p
@@ -497,7 +494,7 @@ class ExactMatrix:
                 f"entries, beyond the cap of {DENSE_CELL_CAP}")
         ri = (ar[:, None] * other.rows + br[None, :]).ravel()
         ci = (ac[:, None] * other.cols + bc[None, :]).ravel()
-        av, bv = _lift_product(f, av, bv, 1)
+        av, bv = _lift(_product_bound(f, av, bv, 1), av, bv)
         vals = np.multiply.outer(av, bv).ravel()
         if isinstance(f, PrimeField):
             vals = vals % f.p
@@ -559,26 +556,20 @@ class ExactMatrix:
 # ints carry everything beyond.
 
 
-def _lift_product(field, a, b, inner):
-    """a and b in a dtype that holds every sum of `inner` products of
-    their entries: Python ints when int64 could overflow.  Residues are
-    bounded by p - 1 without a look at them."""
+def _product_bound(field, a, b, inner):
+    """A bound on every sum of `inner` products of entries of a and b.
+    Residues are bounded by p - 1 without a look at them."""
     if isinstance(field, PrimeField):
-        bound = (field.p - 1) ** 2 * inner
-    else:
-        bound = _bound(a) * _bound(b) * inner
-    if a.dtype != object and b.dtype != object and bound <= _INT64_MAX:
-        return a, b
-    return a.astype(object), b.astype(object)
+        return (field.p - 1) ** 2 * inner
+    return _bound(a) * _bound(b) * inner
 
 
 def _dense_matmul(field, a, b):
     if isinstance(field, RationalField):
-        inner = a.shape[1]
-        if a.dtype != object and b.dtype != object \
-                and _bound(a) * _bound(b) * inner <= _FLOAT_LIMIT:
+        bound = _product_bound(field, a, b, a.shape[1])
+        if a.dtype != object and b.dtype != object and bound <= _FLOAT_LIMIT:
             return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return np.dot(*_lift_product(field, a, b, inner))
+        return np.dot(*_lift(bound, a, b))
     p = field.p
     if a.dtype == object or b.dtype == object or p >= _FLOAT_P:
         return _matmul_mod(a, b, p)
@@ -586,11 +577,10 @@ def _dense_matmul(field, a, b):
 
 
 def _sparse_matmul(a, b, den):
-    """a @ b with at least one sparse operand; scipy runs int64 products,
-    a vectorized expansion over the triplets runs Python-int ones."""
+    """a @ b with at least one sparse operand: small products run dense,
+    scipy runs int64 products, _expand_matmul Python-int ones."""
     f = a.field
     if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
-        # scipy's set-up costs more than a small dense product
         out = a._like(a.rows, b.cols, den=den, dense=_dense_matmul(
             f, a._dense if a.is_dense else a._scatter(),
             b._dense if b.is_dense else b._scatter()))
@@ -601,41 +591,66 @@ def _sparse_matmul(a, b, den):
     y = b._dense if b.is_dense else b._coo[2]
     if len(x) == 0 or len(y) == 0:
         return ExactMatrix.zeros(f, a.rows, b.cols)
-    x, y = _lift_product(f, x, y, a.cols)
-    if x.dtype != object:
-        am = x if a.is_dense else sp.csr_matrix(
-            (x, a._coo[:2]), shape=a.shape, dtype=np.int64)
-        bm = y if b.is_dense else sp.csr_matrix(
-            (y, b._coo[:2]), shape=b.shape, dtype=np.int64)
-        cm = am @ bm
-        if a.is_dense or b.is_dense:
-            cm = np.asarray(cm)
-            if isinstance(f, PrimeField):
-                cm %= f.p
-            return a._like(a.rows, b.cols, dense=cm, den=den)
+    x, y = _lift(_product_bound(f, x, y, a.cols), x, y)
+    if x.dtype == object:
+        out = _expand_matmul(a, b, den)
+        return out.density_preferred() if a.is_dense or b.is_dense else out
+    am = x if a.is_dense else sp.csr_matrix(
+        (x, a._coo[:2]), shape=a.shape, dtype=np.int64)
+    bm = y if b.is_dense else sp.csr_matrix(
+        (y, b._coo[:2]), shape=b.shape, dtype=np.int64)
+    cm = am @ bm
+    if a.is_dense or b.is_dense:
+        cm = np.asarray(cm)
         if isinstance(f, PrimeField):
-            cm.data %= f.p
-        # scipy's product holds no duplicate entries
-        cm.eliminate_zeros()
-        if _prefers_dense(a.rows, b.cols, cm.nnz):
-            return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
-        cm.sort_indices()
-        cm = cm.tocoo()
-        return a._like(a.rows, b.cols, den=den, coo=(
-            cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
-    # Python ints: every product a[i, k] * b[k, j], summed by _canon_coo
+            cm %= f.p
+        return a._like(a.rows, b.cols, dense=cm, den=den)
+    if isinstance(f, PrimeField):
+        cm.data %= f.p
+    # scipy's product holds no duplicate entries
+    cm.eliminate_zeros()
+    if _prefers_dense(a.rows, b.cols, cm.nnz):
+        return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
+    cm.sort_indices()
+    cm = cm.tocoo()
+    return a._like(a.rows, b.cols, den=den, coo=(
+        cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+
+
+_EXPAND_BLOCK = 1 << 20  # products that _expand_matmul holds at once
+
+
+def _expand_matmul(a, b, den):
+    """a @ b in Python ints: every product a[i, k] * b[k, j] is formed and
+    _canon_coo sums them.  The rows of a go in blocks of about
+    _EXPAND_BLOCK products, so memory follows the size of the result."""
+    f = a.field
     ar, ac, av = a.num_triplets()
     br, bc, bv = b.num_triplets()
+    if len(ar) == 0 or len(br) == 0:
+        return ExactMatrix.zeros(f, a.rows, b.cols)
     starts = np.searchsorted(br, np.arange(b.rows + 1))
-    lo, counts = starts[ac], starts[ac + 1] - starts[ac]
-    src = np.repeat(np.arange(len(ar)), counts)
-    pos = lo[src] + np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-    vals = av[src].astype(object) * bv[pos].astype(object)
+    counts = starts[ac + 1] - starts[ac]  # products of each entry of a
+    done = np.concatenate([[0], np.cumsum(counts)])  # products before each entry
+    row_end = np.searchsorted(ar, np.arange(1, a.rows + 1))
+    pieces = []
+    lo = 0
+    while lo < len(ar):
+        hi = max(int(np.searchsorted(done, done[lo] + _EXPAND_BLOCK, side="right")) - 1,
+                 lo + 1)
+        hi = int(row_end[ar[hi - 1]])  # whole rows, so the blocks stay apart
+        src = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        pos = starts[ac[src]] + np.arange(len(src)) - (done[src] - done[lo])
+        vals = av[src].astype(object) * bv[pos].astype(object)
+        if isinstance(f, PrimeField):
+            vals %= f.p
+        pieces.append(_canon_coo(f, (a.rows, b.cols), ar[src], bc[pos], vals,
+                                 assume_clean=True))
+        lo = hi
+    ri, ci, vals = (np.concatenate(part) for part in zip(*pieces))
     if isinstance(f, PrimeField):
-        vals = (vals % f.p).astype(f.dtype)
-    coo = _canon_coo(f, (a.rows, b.cols), ar[src], bc[pos], vals, assume_clean=True)
-    out = a._like(a.rows, b.cols, coo=coo, den=den)
-    return out.density_preferred() if a.is_dense or b.is_dense else out
+        vals = vals.astype(f.dtype, copy=False)
+    return a._like(a.rows, b.cols, coo=(ri, ci, vals), den=den)
 
 
 # ----------------------------------------------------------------------
@@ -957,10 +972,9 @@ class MonomialMatrix:
         return bool((self.sigma == np.arange(self.n)).all())
 
     def to_matrix(self):
-        rows = np.arange(self.n, dtype=np.int64)
-        coo = _canon_coo(self.field, (self.n, self.n), rows, self.sigma.copy(),
-                         self.scales.copy(), assume_clean=True)
-        return ExactMatrix._raw_coo(self.field, self.n, self.n, *coo)
+        return ExactMatrix.from_coo(self.field, self.n, self.n,
+                                    np.arange(self.n, dtype=np.int64),
+                                    self.sigma.copy(), self.scales.copy())
 
     def compose(self, other):
         """Monomial product self @ other."""

@@ -392,6 +392,31 @@ def test_big_rational_files_parse_as_line_loop(monkeypatch):
         assert render_matrix(m, "dense") == text
 
 
+def test_duplicate_q_triplets_sum_past_int64(monkeypatch):
+    """Ten entries of 999999999999999999 at one position sum past 2**63,
+    in a sparse matrix file and in a certificate's z block, read by the
+    bulk decoder and by the line loop alike."""
+    big = 999999999999999999
+    dups = f"0 0 {big}\n" * 10
+    text = "field: Q\nrows: 2\ncols: 2\nformat: sparse\n" + dups + "1 1 -1/3\n"
+    cert = _cert("Q")
+    nz = cert.z.nnz
+    cert_text = render_cert(cert).replace(f"z: {nz}\n", f"z: {nz + 10}\n" + dups)
+    want_z = cert.z + ExactMatrix.from_triplets(QQ, cert.n, cert.n, [(0, 0, 10 * big)])
+    lines = (_per_line(monkeypatch, parse_matrix, text),
+             _per_line(monkeypatch, parse_cert, cert_text))
+
+    def no_line_loop(*args):
+        raise AssertionError("line loop used")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fileio, "_parse_value", no_line_loop)
+        bulk = (parse_matrix(text), parse_cert(cert_text))
+    for m, c in (bulk, lines):
+        assert m[0, 0] == 10 * big and m[1, 1] == Fraction(-1, 3)
+        assert c.z == want_z and c.z[0, 0] == cert.z[0, 0] + 10 * big
+
+
 @pytest.mark.parametrize("text,message", [
     # canonical rows first, so the bulk decoder sees each case before the
     # line loop; the messages are the line loop's own

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from kronrig import matrix
 from kronrig.field import PrimeField, QQ
 from kronrig.matrix import (
     ExactMatrix,
@@ -403,7 +404,7 @@ def _old_hstack(mats):
                      np.concatenate([t[0] for t in trips]),
                      np.concatenate([t[1] + s for t, s in zip(trips, shifts)]),
                      np.concatenate([t[2] for t in trips]))
-    return ExactMatrix._raw_coo(f, rows, int(shifts[-1]), *coo)
+    return ExactMatrix.from_coo(f, rows, int(shifts[-1]), *coo)
 
 
 def _old_vstack(mats):
@@ -730,12 +731,12 @@ def test_q_numerator_matmul_past_float64_exactness():
 
 
 def test_q_numerator_matmul_large_sparse_int64_and_object():
-    """Products above the small-operand size go through scipy (int64) or
-    the triplet expansion (Python ints); both agree with the dense route."""
+    """Products with a sparse operand go through scipy (int64) or the
+    triplet expansion (Python ints); both agree with the dense route."""
     rng = np.random.default_rng(117)
     for top in [3, (1 << 40), (1 << 62)]:
-        a = np.where(rng.random((70, 80)) < 0.05, rng.integers(-top, top, (70, 80)), 0)
-        b = np.where(rng.random((80, 90)) < 0.05, rng.integers(-top, top, (80, 90)), 0)
+        a = np.where(rng.random((70, 120)) < 0.05, rng.integers(-top, top, (70, 120)), 0)
+        b = np.where(rng.random((120, 90)) < 0.05, rng.integers(-top, top, (120, 90)), 0)
         fa = [[Fraction(int(x), 6) for x in r] for r in a.tolist()]
         fb = [[Fraction(int(x), 35) for x in r] for r in b.tolist()]
         sa, sb = _q_storage(fa)[1], _q_storage(fb)[1]
@@ -743,7 +744,7 @@ def test_q_numerator_matmul_large_sparse_int64_and_object():
         for got in (sa @ sb, sa @ _q_storage(fb)[0], _q_storage(fa)[0] @ sb):
             assert got == want
             assert _num_canonical(got)
-        assert want.to_dense()[5, 7] == sum(fa[5][t] * fb[t][7] for t in range(80))
+        assert want.to_dense()[5, 7] == sum(fa[5][t] * fb[t][7] for t in range(120))
 
 
 @pytest.mark.parametrize("kind", Q_KINDS)
@@ -783,3 +784,58 @@ def test_q_numerator_equality_and_rank(kind):
             other[i][j] += Fraction(1, 3)
             assert ExactMatrix.from_dense(QQ, other) != d
             assert d[i, j] == a[i][j]
+
+
+def test_duplicate_triplets_sum_past_int64():
+    """Entries at one position are summed exactly, also where the sum, but
+    no single entry, passes 2**63; a sum that fits is stored as int64."""
+    big = 999999999999999999
+    for trips, want in [([(0, 0, 1 << 62)] * 2, 1 << 63),
+                        ([(0, 0, -(1 << 62))] * 2 + [(0, 0, -1)], -(1 << 63) - 1),
+                        ([(0, 1, big)] * 10, 10 * big),
+                        ([(0, 1, Fraction(big, 2))] * 10 + [(0, 0, 1)], 5 * big)]:
+        m = ExactMatrix.from_triplets(QQ, 1, 2, trips)
+        assert m[trips[0][0], trips[0][1]] == want
+        assert _num_canonical(m)
+    ri = np.zeros(2, dtype=np.int64)
+    m = ExactMatrix.from_num_coo(QQ, 1, 1, ri, ri, np.array([1 << 62] * 2), 3)
+    assert m[0, 0] == Fraction(1 << 63, 3) and m.den == 3
+    m = ExactMatrix.from_triplets(QQ, 1, 1, [(0, 0, 1 << 62)] * 3 + [(0, 0, -(1 << 63))])
+    assert m[0, 0] == 1 << 62 and m.num_triplets()[2].dtype == np.int64
+    for f in (F5, FBIG):
+        m = ExactMatrix.from_triplets(f, 1, 1, [(0, 0, f.p - 1)] * 7)
+        assert m[0, 0] == 7 * (f.p - 1) % f.p
+        assert m.num_triplets()[2].dtype == f.dtype
+
+
+@pytest.mark.parametrize("f", [QQ, FBIG], ids=["Q", "Fp2^31+11"])
+def test_expand_matmul_in_row_blocks(f, monkeypatch):
+    """Python-int products formed a few rows at a time, down to one row,
+    equal the reference, with either operand dense or sparse."""
+    rng = np.random.default_rng(19)
+    top, den = (1 << 62, 6) if f is QQ else (f.p, 1)
+
+    def rand(rows, cols):
+        return np.where(rng.random((rows, cols)) < 0.1,
+                        rng.integers(0, top, (rows, cols)), 0).astype(object)
+    a, b = rand(60, 150), rand(150, 70)
+    a[3] = 0  # an empty row of a
+    prod = a.dot(b)
+    want = ExactMatrix.from_dense(
+        f, [[Fraction(v, den * den) for v in r] for r in prod] if f is QQ else prod % f.p)
+    ad = ExactMatrix.from_dense(f, [[Fraction(v, den) for v in r] for r in a])
+    bd = ExactMatrix.from_dense(f, [[Fraction(v, den) for v in r] for r in b])
+    asp = ExactMatrix.from_coo(f, 60, 150, *ad.triplets())
+    bsp = ExactMatrix.from_coo(f, 150, 70, *bd.triplets())
+    calls = []
+    expand = matrix._expand_matmul
+    monkeypatch.setattr(matrix, "_expand_matmul", lambda *args: calls.append(1) or expand(*args))
+    for block in (1, 7, 1 << 20):
+        monkeypatch.setattr(matrix, "_EXPAND_BLOCK", block)
+        for x, y in [(ad, bsp), (asp, bd), (asp, bsp)]:
+            got = x @ y
+            assert got == want
+            if f is QQ:
+                assert _num_canonical(got)
+        assert (ExactMatrix.zeros(f, 60, 150, dense=f is FBIG) @ bsp).is_zero()
+    assert len(calls) >= 9  # the nine products above all ran the expansion
