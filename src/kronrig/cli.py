@@ -113,13 +113,18 @@ def _build_entries(args):
         else:  # random
             parts = value.split(",")
             try:
-                d = int(parts[0])
-                count = int(parts[1]) if len(parts) > 1 else 1
+                d, count = map(int, parts if len(parts) > 1 else parts + ["1"])
             except ValueError:
                 raise FileFormatError(
                     f"--random wants D or D,COUNT, got {value!r}") from None
+            if d < 2 or count < 1:
+                raise FileFormatError(
+                    f"--random wants D >= 2 and COUNT >= 1, got {value!r}")
             if rng is None:
-                rng = np.random.default_rng(args.seed)
+                try:
+                    rng = np.random.default_rng(args.seed)
+                except ValueError as e:
+                    raise FileFormatError(f"--seed: {e}") from None
             entries.append([random_invertible(gen_field, d, rng)
                             for _ in range(count)])
     if not entries:

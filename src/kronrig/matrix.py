@@ -10,15 +10,17 @@ array; sparse storage is a canonical COO triple: row-major sorted,
 duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
 paths (float64 BLAS, int64 numpy and scipy kernels) are engaged only
 when a bound on the result proves it fits the intermediate type; the
-Python-int route takes over beyond.  `triplets()`, `to_dense()` and
-indexing give Q values as `Fraction`s, built on demand.
+Python-int route takes over beyond.  scipy.sparse serves only int64
+products with a sparse operand above _SMALL_CELLS and is imported on the
+first of them, so a short run on a small instance never pays its import.
+`triplets()`, `to_dense()` and indexing give Q values as `Fraction`s,
+built on demand.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .field import PrimeField, RationalField
 
@@ -595,6 +597,7 @@ def _sparse_matmul(a, b, den):
     if x.dtype == object:
         out = _expand_matmul(a, b, den)
         return out.density_preferred() if a.is_dense or b.is_dense else out
+    import scipy.sparse as sp  # on first use: see the module docstring
     am = x if a.is_dense else sp.csr_matrix(
         (x, a._coo[:2]), shape=a.shape, dtype=np.int64)
     bm = y if b.is_dense else sp.csr_matrix(
@@ -1108,6 +1111,8 @@ def random_dense(field, rows, cols, rng):
 
 
 def random_invertible(field, n, rng, tries=200):
+    if n < 1:
+        raise ValueError(f"an invertible matrix needs order >= 1, got {n}")
     for _ in range(tries):
         m = random_dense(field, n, n, rng)
         if m.exact_rank() == n:

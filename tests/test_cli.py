@@ -202,3 +202,36 @@ def test_byte_identical_runs(tmp_path):
         outs.append((p.stdout, (d / "c.txt").read_bytes(),
                      (d / "r.txt").read_bytes()))
     assert outs[0] == outs[1]
+
+
+RANDOM_COUNT_ERROR = ("kronrig: error: --random wants D >= 2 and COUNT >= 1, "
+                      "got {!r}\n")
+
+
+@pytest.mark.parametrize("command,flags,err", [
+    ("decompose", ["--random", "2,0"], RANDOM_COUNT_ERROR.format("2,0")),
+    ("verify", ["--random", "2,0"], RANDOM_COUNT_ERROR.format("2,0")),
+    ("generate", ["--random", "2,0"], RANDOM_COUNT_ERROR.format("2,0")),
+    ("generate", ["--random", "-2"], RANDOM_COUNT_ERROR.format("-2")),
+    ("decompose", ["--random", "0"], RANDOM_COUNT_ERROR.format("0")),
+    ("generate", ["--random", "1"], RANDOM_COUNT_ERROR.format("1")),
+    ("generate", ["--random", "2,2,2"],
+     "kronrig: error: --random wants D or D,COUNT, got '2,2,2'\n"),
+    ("generate", ["--random", "2", "--seed", "-1"],
+     "kronrig: error: --seed: expected non-negative integer\n"),
+])
+def test_bad_random_flags_are_usage_errors(tmp_path, command, flags, err):
+    """Out-of-range --random and --seed values exit 1 with one line that
+    names the flag, not with a traceback."""
+    argv = [sys.executable, "-m", "kronrig.cli", command, *flags]
+    if command == "decompose":
+        argv += ["--epsilon", "0.5"]
+    elif command == "verify":
+        cert = tmp_path / "c.txt"
+        assert main(["decompose", "--walsh", "2", "--epsilon", "0.5",
+                     "--out", str(cert)]) == 0
+        argv += ["--cert", str(cert)]
+    p = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True,
+                       timeout=120)
+    assert (p.returncode, p.stdout, p.stderr) == (1, "", err)
+    assert "Traceback" not in p.stderr

@@ -596,6 +596,9 @@ def test_random_invertible():
     for f in [F2, F5]:
         m = random_invertible(f, 3, rng)
         assert m.exact_rank() == 3
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="order >= 1"):
+            random_invertible(F5, n, rng)
 
 
 # ----------------------------------------------------------------------
