@@ -13,7 +13,6 @@ from .cert import (
     verify_cert,
 )
 from .field import (
-    FieldMismatchError,
     FieldZeroDivisionError,
     PrimeField,
     QQ,
@@ -63,7 +62,6 @@ __all__ = [
     "Certificate",
     "DENSE_CELL_CAP",
     "ExactMatrix",
-    "FieldMismatchError",
     "FieldZeroDivisionError",
     "FileFormatError",
     "KRON_ORDER_CAP",

@@ -16,10 +16,6 @@ MAX_PRIME_BITS = 61
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class FieldMismatchError(TypeError):
-    """Raised when elements of different fields are combined."""
-
-
 class FieldZeroDivisionError(ZeroDivisionError):
     """Raised on division or inversion of a zero field element."""
 
@@ -65,9 +61,6 @@ class Field:
     A field object owns the arithmetic; element *values* are plain ints
     (F_p) or Fractions (Q).
     """
-
-    def element(self, v):
-        return FieldElement(self, self.canon(v))
 
     @property
     def zero(self):
@@ -226,89 +219,3 @@ def field_from_header(text):
         return PrimeField(int(parts[1]))
     raise ValueError(f"unrecognized field header {text!r}")
 
-
-class FieldElement:
-    """A field value bundled with its field, with operator sugar.
-
-    Mixing elements of different fields raises ``FieldMismatchError``
-    rather than silently coercing.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = field.canon(value)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine {self.field.header} and {other.field.header} elements"
-                )
-            return other.value
-        if isinstance(other, (int, np.integer, Fraction)):
-            return self.field.canon(other)
-        return NotImplemented
-
-    def _wrap(self, value):
-        return FieldElement(self.field, value)
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self._wrap(self.field.div(v, self.value))
-
-    def __neg__(self):
-        return self._wrap(self.field.neg(self.value))
-
-    def inverse(self):
-        return self._wrap(self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, np.integer, Fraction)):
-            return self.value == self.field.canon(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"<{self.field.fmt(self.value)} in {self.field.header}>"

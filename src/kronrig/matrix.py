@@ -329,14 +329,6 @@ class ExactMatrix:
         cc = np.bincount(ci, minlength=self.cols)
         return (int(rc.max()), int(cc.max()))
 
-    def per_row_nnz(self):
-        ri = self.num_triplets()[0]
-        return np.bincount(ri, minlength=self.rows)
-
-    def per_col_nnz(self):
-        ci = self.num_triplets()[1]
-        return np.bincount(ci, minlength=self.cols)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -517,16 +509,15 @@ class ExactMatrix:
                 return 0
             rsel = np.unique(ri)
             csel = np.unique(ci)
-            if len(rsel) * len(csel) <= DENSE_CELL_CAP:
-                sub = self.num_dense() if self.rows * self.cols <= DENSE_CELL_CAP \
-                    else None
-                if sub is None:
-                    m = self._gather(rsel, csel)
-                else:
-                    m = sub[np.ix_(rsel, csel)]
-                return _dense_rank(self.field, m)
-            return _rank_streaming(self)
-        return _dense_rank(self.field, self._dense)
+            if len(rsel) * len(csel) > DENSE_CELL_CAP:
+                raise SizeCapError(f"occupied {len(rsel)}x{len(csel)} block "
+                                   "exceeds the dense cell cap")
+            if self.rows * self.cols <= DENSE_CELL_CAP:
+                m = self.num_dense()[np.ix_(rsel, csel)]
+            else:
+                m = self._gather(rsel, csel)
+            return len(_basis_rows(self.field, m))
+        return len(_basis_rows(self.field, self._dense))
 
     def _gather(self, rsel, csel):
         ri, ci, vals = self.num_triplets()
@@ -538,11 +529,6 @@ class ExactMatrix:
                        dtype=object if vals.dtype == object else np.int64)
         arr[rmap[ri], cmap[ci]] = vals
         return arr
-
-    def row_basis(self):
-        """Dense matrix whose rows span this matrix's row space."""
-        _, rows = _echelon(self.field, self.num_dense())
-        return self._like(*rows.shape, dense=rows, den=1)
 
     def __repr__(self):
         tag = "dense" if self.is_dense else f"sparse nnz={self.nnz}"
@@ -763,13 +749,26 @@ def _eliminate(w, p, r0, c0, c1):
     return pivots
 
 
-def _rank_mod_p(a, p):
-    """Rank modulo the prime p of an integer array."""
+def _basis_rows_mod_p(a, p):
+    """Indices, ascending, of rows of the integer array a that form a basis
+    of its row space modulo the prime p; their number is the rank.
+
+    The leaves loop over columns, so a wide a is eliminated as its
+    transpose, whose pivot columns are those rows.  A tall a carries its
+    row indices in one more column, which only the row swaps move: with
+    P a = L E and L unit lower triangular, the first rank rows of P a span
+    the row space.
+    """
+    m, n = a.shape
     dtype = np.float64 if p < _FLOAT_P else np.int64 if p < 1 << 31 else object
-    w = np.remainder(a, p, out=np.empty(a.shape, dtype=dtype), casting="unsafe")
-    if w.shape[1] > w.shape[0]:
-        w = np.ascontiguousarray(w.T)  # the leaves loop over columns
-    return len(_eliminate(w, p, 0, 0, w.shape[1]))
+    if n > m:
+        w = np.remainder(a.T, p, out=np.empty((n, m), dtype=dtype), casting="unsafe")
+        return _eliminate(w, p, 0, 0, m)
+    w = np.empty((m, n + 1), dtype=dtype)
+    np.remainder(a, p, out=w[:, :n], casting="unsafe")
+    w[:, n] = np.arange(m)
+    rank = len(_eliminate(w, p, 0, 0, n))
+    return sorted(w[:rank, n].astype(np.int64).tolist())
 
 
 def _rank_primes():
@@ -781,13 +780,16 @@ def _rank_primes():
             yield q
 
 
-def _rank_rational(a):
-    """Rank over Q of an integer array (the numerators of a matrix).
+def _basis_rows_rational(a):
+    """Indices of rows of an integer array (the numerators of a matrix)
+    that form a basis of its row space over Q.
 
     Each row is divided by its content.  Rank modulo p never exceeds the
     rank r over Q, and falls below it only if p divides every r-minor.
     So once the product of the primes tried exceeds the Hadamard bound on
     (s+1)-minors, s the largest rank seen, no larger rank is possible.
+    Rows independent modulo p are independent over Q, so the basis rows
+    of a prime that reaches the largest rank are a basis over Q.
     """
     m, n = a.shape
     g = np.gcd.reduce(a, axis=1)
@@ -799,94 +801,37 @@ def _rank_rational(a):
         sq = (a * a).sum(axis=1)
     norms = sorted((math.isqrt(s - 1) + 1 if s else 1 for s in sq.tolist()),
                    reverse=True)
-    rank = 0
+    rows = []
     modulus = 1
     for q in _rank_primes():
-        rank = max(rank, _rank_mod_p(a, q))
+        rows = max(rows, _basis_rows_mod_p(a, q), key=len)
         modulus *= q
-        if rank == min(m, n) or modulus > math.prod(norms[:rank + 1]):
-            return rank
+        if len(rows) == min(m, n) or modulus > math.prod(norms[:len(rows) + 1]):
+            return rows
     raise ArithmeticError("rank bound beyond the product of the kernel's primes")
 
 
-def _dense_rank(field, arr):
-    """Exact rank of a dense array of stored values over `field`."""
+def _basis_rows(field, arr):
+    """Indices of rows of a dense array of stored values over `field` that
+    form a basis of its row space; their number is the exact rank."""
     if isinstance(field, PrimeField):
-        return _rank_mod_p(arr, field.p)
-    return _rank_rational(arr)
-
-
-def _echelon(field, arr):
-    """Row echelon of stored values; returns (rank, pivot rows).  Over F_p
-    the pivots are 1; over Q the rows are integer, each divided by its
-    content (fraction-free elimination)."""
-    prime = isinstance(field, PrimeField)
-    a = arr.copy() if prime else arr.astype(object)
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        nz = np.flatnonzero(a[r:, c] != 0)
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        if prime:
-            p = field.p
-            a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
-            if r + 1 < m:
-                fac = a[r + 1:, c]
-                a[r + 1:, c:] = (a[r + 1:, c:] - np.outer(fac, a[r, c:])) % p
-        elif r + 1 < m:
-            rest = a[r + 1:, c:] * a[r, c] - np.outer(a[r + 1:, c], a[r, c:])
-            g = np.gcd.reduce(rest, axis=1)
-            g[g == 0] = 1
-            a[r + 1:, c:] = rest // g[:, None]
-        r += 1
-        if r == m:
-            break
-    return r, a[:r]
-
-
-def _rank_streaming(mat):
-    """Row-at-a-time rank for sparse matrices too large to densify.  Over Q
-    each row is eliminated fraction-free on the numerators."""
-    f = mat.field
-    prime = isinstance(f, PrimeField)
-    ri, ci, vals = mat.num_triplets()
-    bounds = np.searchsorted(ri, np.arange(mat.rows + 1))
-    basis = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            continue
-        row = np.zeros(mat.cols, dtype=f.dtype if prime else object)
-        row[ci[lo:hi]] = vals[lo:hi]
-        for pivcol, bvec in basis:
-            if row[pivcol] != 0:
-                row = row * bvec[pivcol] - row[pivcol] * bvec
-                if prime:
-                    row %= f.p
-        nz = np.flatnonzero(row != 0)
-        if nz.size:
-            c = int(nz[0])
-            if prime:
-                row = row * pow(int(row[c]), f.p - 2, f.p) % f.p
-            basis.append((c, row))
-    return len(basis)
+        return _basis_rows_mod_p(arr, field.p)
+    return _basis_rows_rational(arr)
 
 
 def rank_of_product(u, v, uv=None):
-    """Exact rank of u @ v, picking the cheaper of two exact routes.
+    """Exact rank of u @ v.  Beyond the cell cap it is the rank of
+    u[S] @ v, S the rows of u that the kernel picks as a row basis, which
+    has at most u.cols rows and the same row space.
 
     `uv`, if given, is u @ v already formed.
     """
     if u.cols == 0 or min(u.rows, v.cols) == 0:
         return 0
     if u.rows * v.cols <= DENSE_CELL_CAP:
-        # wide inner dimensions make the echelon route the expensive one
         return (u @ v if uv is None else uv).exact_rank()
-    rb = u.row_basis()
-    return (rb @ v).exact_rank()
+    rows = _basis_rows(u.field, u.num_dense())
+    return (u.submatrix(rows, np.arange(u.cols)) @ v).exact_rank()
 
 
 # ----------------------------------------------------------------------

@@ -78,11 +78,6 @@ def mean_score(dims, weights=None):
     return sum((weights.weight(d) / d for d in dims), Fraction(0))
 
 
-def variance_bound(dims, weights=None):
-    weights = weights or WeightScheme.uniform()
-    return sum((weights.weight(d) ** 2 * (d - 1) / d**2 for d in dims), Fraction(0))
-
-
 def _int_classes(dims, weights):
     """Coordinates grouped by (weight, order), sorted for determinism, as
     (scaled weight, order, count), and the scale: the lcm of the weights'
@@ -260,18 +255,3 @@ def delta_grid(eps, d_max, points=64):
     ratio = hi / lo
     return [lo * ratio ** (i / points) for i in range(points)]
 
-
-def bernstein_tail(d, k, delta):
-    """One-sided tail bound exp(-delta^2 * d * k / 3), valid for delta < 1/d."""
-    if not 0 < delta < 1 / d:
-        raise ValueError(f"delta must lie in (0, 1/{d})")
-    return math.exp(-(delta * delta) * d * k / 3.0)
-
-
-def binom_sum_bound(n, k):
-    """Upper bound (e*n/k)**k on the number of subsets of size at most k."""
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
-    if k == 0:
-        return 1.0
-    return (math.e * n / k) ** k

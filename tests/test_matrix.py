@@ -27,7 +27,6 @@ from kronrig.matrix import (
     tuple_to_index,
     vstack,
     _canon_coo,
-    _rank_streaming,
 )
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
@@ -297,8 +296,9 @@ def test_rank_kernel_brute_force_recursing_sizes():
 def test_rank_q_multimodular_against_sympy(monkeypatch):
     import kronrig.matrix as km
     calls = []
-    real = km._rank_mod_p
-    monkeypatch.setattr(km, "_rank_mod_p", lambda a, p: calls.append(p) or real(a, p))
+    real = km._basis_rows_mod_p
+    monkeypatch.setattr(km, "_basis_rows_mod_p",
+                        lambda a, p: calls.append(p) or real(a, p))
     rng = np.random.default_rng(59)
     for shape, rank in [((12, 10), 6), ((30, 40), 17), ((40, 30), 30)]:
         x = [[Fraction(int(rng.integers(-2**40, 2**40)), int(rng.integers(1, 4)))
@@ -320,33 +320,163 @@ def test_rank_q_multimodular_against_sympy(monkeypatch):
     assert m.exact_rank() == 1
 
 
-def test_rank_streaming_matches_dense():
+def test_sparse_rank_matches_dense_within_cap(monkeypatch):
     rng = np.random.default_rng(31)
     for f in [F5, QQ]:
         trips = [(int(i), int((i * 13 + j) % 40), f.canon(int(rng.integers(1, 4))))
                  for i in range(40) for j in range(3)]
         m = ExactMatrix.from_triplets(f, 40, 40, trips)
-        assert _rank_streaming(m) == ExactMatrix.from_dense(f, m.to_dense()).exact_rank()
+        want = ExactMatrix.from_dense(f, m.to_dense()).exact_rank()
+        assert ExactMatrix.from_triplets(f, 40, 40, trips).exact_rank() == want
+        # the occupied 40x40 block passes the cap: refused
+        with monkeypatch.context() as mp:
+            mp.setattr(matrix, "DENSE_CELL_CAP", 40 * 40 - 1)
+            with pytest.raises(SizeCapError):
+                ExactMatrix.from_triplets(f, 40, 40, trips).exact_rank()
 
 
-def test_rank_of_product_avoids_materializing():
+def _dependent_top(m):
+    """m with row 0 zeroed and row 1 a copy of row 2, so its first rows
+    are no basis."""
+    vals = m.to_dense()
+    vals[0] = 0
+    vals[1] = vals[2]
+    return ExactMatrix.from_dense(m.field, vals)
+
+
+def test_basis_rows_span_both_orientations():
+    rng = np.random.default_rng(43)
+    for f in [F5, FBIG, QQ]:
+        for rows, cols in [(9, 4), (4, 9)]:
+            m = _dependent_top(random_dense(f, rows, 2, rng) @ random_dense(f, 2, cols, rng))
+            basis = matrix._basis_rows(f, m.num_dense())
+            sub = m.submatrix(basis, range(cols))
+            assert len(basis) == m.exact_rank() == sub.exact_rank()
+            assert vstack([sub, m]).exact_rank() == len(basis)
+
+
+def test_rank_of_product_avoids_materializing(monkeypatch):
     rng = np.random.default_rng(41)
-    for f in [F5, QQ]:
-        u = random_dense(f, 8, 3, rng)
-        v = random_dense(f, 3, 8, rng)
-        assert rank_of_product(u, v) == (u @ v).exact_rank()
+    cases = []
+    for f in [F5, FBIG, QQ]:
+        cases.append((_dependent_top(random_dense(f, 8, 3, rng)),
+                      random_dense(f, 3, 8, rng)))
+        # a wide u of rank 2: its basis rows come from the transposed elimination
+        cases.append((_dependent_top(random_dense(f, 4, 2, rng) @ random_dense(f, 2, 6, rng)),
+                      random_dense(f, 6, 8, rng)))
     # engineered rank drop: u's columns collide
-    u = ExactMatrix.from_dense(F5, [[1, 1], [2, 2], [0, 0]])
-    v = ExactMatrix.from_dense(F5, [[1, 0, 4], [3, 1, 0]])
-    assert rank_of_product(u, v) == 1
+    cases.append((ExactMatrix.from_dense(F5, [[1, 1], [2, 2], [0, 0]]),
+                  ExactMatrix.from_dense(F5, [[1, 0, 4], [3, 1, 0]])))
+    # 131071, the first prime tried, divides the minor of u's first two rows
+    u = ExactMatrix.from_dense(QQ, [[1, 1], [1, 131072], [2, 2]])
+    assert len(matrix._basis_rows_mod_p(u.num_dense(), 131071)) == 1
+    cases.append((u, ExactMatrix.from_dense(QQ, [[1, 2, 3], [Fraction(1, 2), 0, 7]])))
+    wants = [(u @ v).exact_rank() for u, v in cases]
+    assert wants[-2:] == [1, 2]
+    formed = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: formed.append((a.rows, b.cols)) or matmul(a, b))
+    for (u, v), want in zip(cases, wants):
+        monkeypatch.setattr(matrix, "DENSE_CELL_CAP", u.rows * v.cols - 1)
+        formed.clear()
+        assert rank_of_product(u, v) == want
+        assert formed and (u.rows, v.cols) not in formed
 
 
-def test_row_basis_spans():
-    m = ExactMatrix.from_dense(F7, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    rb = m.row_basis()
-    assert rb.rows == 2
-    stacked = vstack([rb, m])
-    assert stacked.exact_rank() == rb.exact_rank() == m.exact_rank()
+def test_basis_rows_of_zero_and_full_rank():
+    rng = np.random.default_rng(53)
+    for f in [F5, FBIG, QQ]:
+        for rows, cols in [(6, 3), (3, 6), (5, 5)]:
+            zero = np.zeros((rows, cols), dtype=f.dtype)
+            assert list(matrix._basis_rows(f, zero)) == []
+            if rows <= cols:
+                # full row rank: every row is needed
+                full = hstack([random_invertible(f, rows, rng),
+                               random_dense(f, rows, cols - rows, rng)])
+                assert list(matrix._basis_rows(f, full.num_dense())) == list(range(rows))
+            else:
+                full = vstack([random_invertible(f, cols, rng),
+                               random_dense(f, rows - cols, cols, rng)])
+                basis = list(matrix._basis_rows(f, full.num_dense()))
+                assert basis == sorted(set(basis)) and len(basis) == cols
+
+
+def test_sparse_rank_gathers_occupied_block_of_a_large_shape():
+    # 2**14 x 2**13 cells pass the real cap; the occupied 30x20 block does not
+    rng = np.random.default_rng(61)
+    rows, cols = 1 << 14, 1 << 13
+    assert rows * cols > matrix.DENSE_CELL_CAP
+    rsel = np.sort(rng.choice(rows, 30, replace=False))
+    csel = np.sort(rng.choice(cols, 20, replace=False))
+    for f in [F5, FBIG, QQ]:
+        block = random_dense(f, 30, 3, rng) @ random_dense(f, 3, 20, rng)
+        vals = block.to_dense()
+        trips = [(int(rsel[i]), int(csel[j]), vals[i][j])
+                 for i in range(30) for j in range(20) if vals[i][j] != 0]
+        m = ExactMatrix.from_triplets(f, rows, cols, trips)
+        assert not m.is_dense
+        assert m.exact_rank() == block.exact_rank() == 3
+        with pytest.raises(SizeCapError):
+            m.num_dense()
+
+
+def test_rank_of_product_above_cap_of_a_zero_factor(monkeypatch):
+    rng = np.random.default_rng(67)
+    formed = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: formed.append((a.rows, b.cols)) or matmul(a, b))
+    for f in [F5, FBIG, QQ]:
+        for u, v in [(ExactMatrix.zeros(f, 9, 3), random_dense(f, 3, 7, rng)),
+                     (ExactMatrix.zeros(f, 9, 3, dense=True), random_dense(f, 3, 7, rng)),
+                     (random_dense(f, 9, 3, rng), ExactMatrix.zeros(f, 3, 7))]:
+            monkeypatch.setattr(matrix, "DENSE_CELL_CAP", u.rows * v.cols - 1)
+            formed.clear()
+            assert rank_of_product(u, v) == 0
+            assert (u.rows, v.cols) not in formed
+
+
+def test_rank_of_product_above_cap_of_sparse_factors(monkeypatch):
+    rng = np.random.default_rng(71)
+    cases = []
+    for f in [F5, FBIG, QQ]:
+        # sparse u of rank 3 (rows repeat), sparse v with an empty column
+        base = random_dense(f, 4, 4, rng).to_dense()
+        u_trips = [(i, j, base[i % 3][j]) for i in range(12) for j in range(4)
+                   if base[i % 3][j] != 0]
+        v_trips = [(i, j, f.canon((i + 2 * j) % 4 + 1)) for i in range(4)
+                   for j in range(10) if j != 5 and (i + j) % 3]
+        cases.append((ExactMatrix.from_triplets(f, 12, 4, u_trips),
+                      ExactMatrix.from_triplets(f, 4, 10, v_trips)))
+    wants = [ExactMatrix.from_dense(u.field, (u @ v).to_dense()).exact_rank()
+             for u, v in cases]
+    formed = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: formed.append((a.rows, b.cols)) or matmul(a, b))
+    for (u, v), want in zip(cases, wants):
+        assert not u.is_dense and not v.is_dense
+        monkeypatch.setattr(matrix, "DENSE_CELL_CAP", u.rows * v.cols - 1)
+        formed.clear()
+        assert rank_of_product(u, v) == want
+        assert formed and (u.rows, v.cols) not in formed
+
+
+def test_rank_of_product_takes_the_given_product_within_cap(monkeypatch):
+    rng = np.random.default_rng(73)
+    u, v = random_dense(QQ, 6, 2, rng), random_dense(QQ, 2, 6, rng)
+    uv = u @ v
+    formed = []
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        lambda a, b: formed.append((a.rows, b.cols)) or matmul(a, b))
+    assert rank_of_product(u, v, uv) == uv.exact_rank()
+    assert formed == []
+    # above the cap the given product is not consulted
+    monkeypatch.setattr(matrix, "DENSE_CELL_CAP", u.rows * v.cols - 1)
+    assert rank_of_product(u, v, ExactMatrix.zeros(QQ, 6, 6)) == uv.exact_rank()
+    assert formed and (u.rows, v.cols) not in formed
 
 
 # ----------------------------------------------------------------------
@@ -366,8 +496,6 @@ def test_row_col_nnz_frozen():
     # unit triangular with a dense final column: rows hold <=2, last col holds 3
     g = ExactMatrix.from_dense(F5, [[1, 0, 1], [0, 1, 1], [0, 0, 1]])
     assert g.row_col_nnz() == (2, 3)
-    assert g.per_row_nnz().tolist() == [2, 2, 1]
-    assert g.per_col_nnz().tolist() == [1, 1, 3]
     assert ExactMatrix.zeros(F5, 2, 2).row_col_nnz() == (0, 0)
 
 

@@ -11,8 +11,6 @@ from kronrig.matrix import all_digits, tuple_to_index
 from kronrig.scores import (
     CountBudgetError,
     WeightScheme,
-    bernstein_tail,
-    binom_sum_bound,
     delta_grid,
     mean_score,
     neighborhood_counts,
@@ -20,7 +18,6 @@ from kronrig.scores import (
     score_of_tuple,
     threshold_counts,
     threshold_masks,
-    variance_bound,
 )
 
 UNIFORM = WeightScheme.uniform()
@@ -55,13 +52,11 @@ def brute_counts(dims, weights, offset):
     return len(high), len(low), col_fill, row_fill
 
 
-def test_mean_and_variance_frozen():
+def test_mean_score_frozen():
     assert mean_score((2, 2), UNIFORM) == 1
     assert mean_score((2, 3, 4), UNIFORM) == Fraction(13, 12)
     w = WeightScheme({2: Fraction(3), 3: Fraction(1, 2)})
     assert mean_score((2, 3), w) == Fraction(3, 2) + Fraction(1, 6)
-    assert variance_bound((2, 2), UNIFORM) == Fraction(1, 2)
-    assert variance_bound((3,), UNIFORM) == Fraction(2, 9)
 
 
 def test_score_distribution_sums_to_product_size():
@@ -166,37 +161,3 @@ def test_delta_grid_shape():
     assert all(a < b for a, b in zip(g, g[1:]))
     with pytest.raises(ValueError):
         delta_grid(0.0, 4)
-
-
-def test_bernstein_tail_values():
-    assert bernstein_tail(4, 10, 0.1) == pytest.approx(math.exp(-0.01 * 4 * 10 / 3))
-    with pytest.raises(ValueError):
-        bernstein_tail(4, 10, 0.25)
-    with pytest.raises(ValueError):
-        bernstein_tail(4, 10, 0.0)
-
-
-def test_bernstein_tail_dominates_exact_binomial_tail():
-    # exact high-count over the product of k order-d factors vs the
-    # displayed exponential bound, across a small grid
-    for d in (2, 3, 4, 5):
-        for k in (4, 8, 12):
-            dims = (d,) * k
-            m = mean_score(dims, UNIFORM)
-            for delta in delta_grid(0.9, d, points=8):
-                off = Fraction(delta).limit_denominator(10**6) * k
-                hi, lo = threshold_counts(dims, UNIFORM, off)
-                bound = d**k * bernstein_tail(d, k, float(off) / k)
-                assert hi <= bound + 1e-9, (d, k, delta)
-                assert lo <= bound + 1e-9, (d, k, delta)
-
-
-def test_binom_sum_bound():
-    assert binom_sum_bound(10, 0) == 1.0
-    for n in (5, 12, 30):
-        for k in range(n + 1):
-            total = sum(math.comb(n, i) for i in range(k + 1))
-            if k > 0:
-                assert total <= binom_sum_bound(n, k) + 1e-9
-    with pytest.raises(ValueError):
-        binom_sum_bound(5, 6)
