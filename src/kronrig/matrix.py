@@ -757,12 +757,15 @@ def _basis_rows_mod_p(a, p):
     transpose, whose pivot columns are those rows.  A tall a carries its
     row indices in one more column, which only the row swaps move: with
     P a = L E and L unit lower triangular, the first rank rows of P a span
-    the row space.
+    the row space.  The wide array gets a spare column too, so that a
+    power-of-two order does not give the kernel a power-of-two row stride,
+    which slows it.
     """
     m, n = a.shape
     dtype = np.float64 if p < _FLOAT_P else np.int64 if p < 1 << 31 else object
     if n > m:
-        w = np.remainder(a.T, p, out=np.empty((n, m), dtype=dtype), casting="unsafe")
+        w = np.empty((n, m + 1), dtype=dtype)
+        np.remainder(a.T, p, out=w[:, :m], casting="unsafe")
         return _eliminate(w, p, 0, 0, m)
     w = np.empty((m, n + 1), dtype=dtype)
     np.remainder(a, p, out=w[:, :n], casting="unsafe")

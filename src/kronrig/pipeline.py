@@ -156,6 +156,7 @@ def _layered_certificate(factors, eps, weights, delta, check_layers):
         check_layers = n <= 1024
 
     chains = [pad_factorization(v_factorization(a), d_max) for a in factors]
+    mats = [[fac.matrix() for fac in chain] for chain in chains]
     kinds = slot_kinds(d_max)
     layer_certs = []
     for j, kind in enumerate(kinds):
@@ -174,7 +175,7 @@ def _layered_certificate(factors, eps, weights, delta, check_layers):
         if kind in (VCOL, VROW):
             assert (cert.claimed_rank, cert.claimed_sparsity) == (r_l, t_l)
         if check_layers:
-            layer = KroneckerSpec([s.matrix() for s in slots]).materialize()
+            layer = KroneckerSpec([mats[i][j] for i in range(k)]).materialize()
             if cert.reconstruct() != layer:
                 raise AssertionError(f"layer {j} certificate does not rebuild it")
         layer_certs.append(cert)
@@ -183,11 +184,10 @@ def _layered_certificate(factors, eps, weights, delta, check_layers):
     length = len(kinds)
     suffixes = []
     for i in range(k):
-        mats = [fac.matrix() for fac in chains[i]]
         acc = [None] * (length + 1)
         acc[length] = ExactMatrix.identity(f, dims[i])
         for j in range(length - 1, -1, -1):
-            acc[j] = mats[j] @ acc[j + 1]
+            acc[j] = mats[i][j] @ acc[j + 1]
         assert acc[0] == factors[i]
         suffixes.append(acc)
 

@@ -16,10 +16,12 @@ through coordinate transpositions, which keeps the middle factor a
 genuine diagonal.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .field import PrimeField
 from .matrix import ExactMatrix, MonomialMatrix, transposition
 
 PERM, DIAG, VCOL, VROW = "perm", "diag", "v", "vt"
@@ -111,52 +113,49 @@ def chain_product(factors):
 # small exact linear solves
 
 
-def _as_object(mat):
-    arr = mat.to_dense()
-    if arr.dtype == object:
-        return arr.copy()
-    out = np.empty(arr.shape, dtype=object)
-    out[:] = arr.tolist()
-    return out
-
-
 def solve_linear(field, a, b):
-    """One exact solution of a @ x = b, or None; free variables pinned to zero."""
-    a = np.array(a, dtype=object)
+    """(x, rank) for a @ x = b, a and b integer: x is one exact solution
+    with its free variables zero, or None if there is none, and rank is
+    the rank of a.
+
+    Over F_p the integers are taken mod p; over Q they are the system
+    itself (scaling a row of it by the row's denominators clears them).
+    Gauss-Jordan on integer rows: an update cross-multiplies two rows,
+    then reduces the result mod p, or over Q divides it by its content,
+    so only the entries of x become fractions.  The pivot columns are
+    fixed by a, so x does not depend on the pivot rows chosen.
+    """
+    a = np.asarray(a)
     m, n = a.shape
-    aug = np.empty((m, n + 1), dtype=object)
-    aug[:, :n] = a
-    aug[:, n] = [field.canon(v) for v in b]
-    piv_cols = []
-    r = 0
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def tidy(row):
+        if p is not None:
+            return [v % p for v in row]
+        g = math.gcd(*row)
+        return [v // g for v in row] if g > 1 else row
+
+    rows = [tidy(row + [int(v)]) for row, v in zip(a.tolist(), b)]
+    pivots = []
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
+        r = len(pivots)
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
             continue
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        inv = field.inv(aug[r, c])
-        aug[r, c:] = [field.mul(inv, v) for v in aug[r, c:]]
-        for i in range(m):
-            if i != r and aug[i, c] != 0:
-                f = aug[i, c]
-                aug[i, c:] = [field.sub(u, field.mul(f, v))
-                              for u, v in zip(aug[i, c:], aug[r, c:])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i, n] != 0:
-            return None
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = tidy([top[c] * u - f * v for u, v in zip(row, top)])
+        pivots.append(c)
+    rank = len(pivots)
+    if any(row[n] for row in rows[rank:]):
+        return None, rank
     x = [field.zero] * n
-    for row, c in enumerate(piv_cols):
-        x[c] = aug[row, n]
-    return x
+    for row, c in zip(rows, pivots):
+        x[c] = field.div(row[n], row[c])
+    return x, rank
 
 
 # ----------------------------------------------------------------------
@@ -174,21 +173,18 @@ def factor_step(a):
     d = a.rows
     if d != a.cols:
         raise ValueError("factor_step needs a square matrix")
-    rank = a.exact_rank()
-    obj = _as_object(a)
     last = d - 1
+    nums = a.num_dense()
+    mu, rank = solve_linear(field, nums, [0] * last + [a.den])
     if rank == d:
-        e_last = [field.zero] * last + [field.one]
-        mu = solve_linear(field, obj, e_last)
         j = max(i for i in range(d) if mu[i] != 0)
         p2 = transposition(field, d, j, last)
         mu[j], mu[last] = mu[last], mu[j]
         inv_tail = field.inv(mu[last])
         x = [field.mul(field.neg(mu[i]), inv_tail) for i in range(last)] + [inv_tail]
-        m = a.permute_cols(p2.sigma)
-        mobj = _as_object(m)
-        core = ExactMatrix.from_dense(field, mobj[:last, :last])
-        y_head = solve_linear(field, mobj[:last, :last].T, mobj[last, :last])
+        t = nums[:, p2.sigma]
+        core = ExactMatrix.from_num_dense(field, t[:last, :last], a.den)
+        y_head, _ = solve_linear(field, t[:last, :last].T, t[last, :last])
         y = list(y_head) + [field.one]
         return (MonomialMatrix.identity(field, d), tuple(y), core, field.one,
                 tuple(x), p2)
@@ -209,12 +205,10 @@ def factor_step(a):
             row_pick = r
             break
     p1 = transposition(field, d, row_pick, last)
-    t = m.permute_rows(p1.sigma)
-    tobj = _as_object(t)
-    core = ExactMatrix.from_dense(field, tobj[:last, :last]) if last else \
-        ExactMatrix.zeros(field, 0, 0)
-    x_head = solve_linear(field, tobj[:, :last], tobj[:, last])
-    y_head = solve_linear(field, tobj[:last, :].T, tobj[last, :])
+    t = nums[np.ix_(p1.sigma, p2.sigma)]  # m.permute_rows(p1.sigma), over a.den
+    core = ExactMatrix.from_num_dense(field, t[:last, :last], a.den)
+    x_head, _ = solve_linear(field, t[:, :last], t[:, last])
+    y_head, _ = solve_linear(field, t[:last, :].T, t[last, :])
     x = list(x_head) + [field.zero]
     y = list(y_head) + [field.zero]
     return (p1, tuple(y), core, field.zero, tuple(x), p2)

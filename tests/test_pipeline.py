@@ -111,6 +111,29 @@ def test_equal_mode_singular_factor():
     assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
 
 
+def test_layered_certificate_builds_each_slot_matrix_once(monkeypatch):
+    from kronrig.vfactor import Factor
+
+    real = Factor.matrix
+    calls = []
+
+    def counting(self):
+        calls.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(Factor, "matrix", counting)
+    rng = np.random.default_rng(61)
+    for field in (F5, QQ):
+        for check_layers in (True, False):
+            facs = [random_invertible(field, d, rng) for d in (2, 3)]
+            calls.clear()
+            cert, _ = decompose_kron_product(facs, "0.5", check_layers=check_layers)
+            # two chains padded to the 4*3 - 3 slots of the larger factor
+            assert len(calls) == 2 * 9
+            assert len(set(calls)) == len(calls)
+            assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
+
+
 def test_single_factor_claims():
     rng = np.random.default_rng(47)
     a = random_invertible(F5, 4, rng)

@@ -1,10 +1,21 @@
 """Peeling factorization: reconstruction identities and slot structure."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from kronrig import vfactor
 from kronrig.field import PrimeField, QQ
-from kronrig.matrix import ExactMatrix, MonomialMatrix, kron_list, random_dense, transposition
+from kronrig.matrix import (
+    ExactMatrix,
+    MonomialMatrix,
+    kron_list,
+    random_dense,
+    random_invertible,
+    transposition,
+)
 from kronrig.vfactor import (
     DIAG,
     Factor,
@@ -24,6 +35,8 @@ from kronrig.vfactor import (
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 FIELDS = [F2, F3, F5, QQ]
+F_BIG = PrimeField(2147483659)  # residues past int64 products
+F_61 = PrimeField(2**61 - 1)    # the largest supported modulus size
 
 
 def assemble_step(field, d, p1, y, core, lam, x, p2):
@@ -55,16 +68,164 @@ def test_v_matrix_shape():
 
 def test_solve_linear():
     a = [[1, 2], [3, 4]]
-    x = solve_linear(F5, a, [1, 0])
-    assert x is not None
+    x, rank = solve_linear(F5, a, [1, 0])
+    assert x is not None and rank == 2
     m = ExactMatrix.from_dense(F5, a)
     got = m @ ExactMatrix.from_dense(F5, [[x[0]], [x[1]]])
     assert got.to_dense().ravel().tolist() == [1, 0]
     # inconsistent system
-    assert solve_linear(F5, [[1, 1], [2, 2]], [0, 1]) is None
+    assert solve_linear(F5, [[1, 1], [2, 2]], [0, 1]) == (None, 1)
     # underdetermined: free variables pinned to zero
-    x = solve_linear(QQ, [[1, 1, 1]], [3])
-    assert x == [3, 0, 0]
+    x, rank = solve_linear(QQ, [[1, 1, 1]], [3])
+    assert x == [3, 0, 0] and rank == 1
+
+
+def reference_solve(field, a, b):
+    """Gauss-Jordan on field values (Fractions over Q), one row at a time
+    through the field's operations: (x, rank), free variables zero."""
+    a = np.array(a, dtype=object)
+    m, n = a.shape
+    aug = np.empty((m, n + 1), dtype=object)
+    aug[:, :n] = a
+    aug[:, n] = [field.canon(v) for v in b]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if aug[i, c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            aug[[r, piv]] = aug[[piv, r]]
+        inv = field.inv(aug[r, c])
+        aug[r, c:] = [field.mul(inv, v) for v in aug[r, c:]]
+        for i in range(m):
+            if i != r and aug[i, c] != 0:
+                f = aug[i, c]
+                aug[i, c:] = [field.sub(u, field.mul(f, v))
+                              for u, v in zip(aug[i, c:], aug[r, c:])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i, n] != 0:
+            return None, r
+    x = [field.zero] * n
+    for row, c in enumerate(piv_cols):
+        x[c] = aug[row, n]
+    return x, r
+
+
+def random_values(field, shape, rng):
+    """Field values in an object array; over Q with denominators up to 2**40."""
+    size = math.prod(np.atleast_1d(shape))
+    out = np.empty(size, dtype=object)
+    if field is QQ:
+        out[:] = [Fraction(int(u), int(v)) for u, v in zip(
+            rng.integers(-9, 10, size), rng.integers(1, 1 << 40, size))]
+    else:
+        out[:] = [int(v) for v in rng.integers(0, field.p, size)]
+    return out.reshape(shape)
+
+
+def random_system(field, m, n, rng, consistent):
+    """A random m x n a of random rank and a b, with b = a @ x0 if consistent."""
+    r = int(rng.integers(0, min(m, n) + 1))
+    a = np.dot(random_values(field, (m, r), rng), random_values(field, (r, n), rng))
+    if consistent:
+        b = np.dot(a, random_values(field, n, rng)) if n else np.zeros(m, dtype=int)
+    else:
+        b = random_values(field, m, rng)
+    canon = np.vectorize(field.canon, otypes=[object])
+    return canon(a), [field.canon(v) for v in b]
+
+
+def integer_rows(field, a, b):
+    """The system with each row scaled to integers: its numerators over the
+    row's lcm denominator over Q, its residues over F_p.  int64 if they fit."""
+    m, n = a.shape
+    ia = np.empty((m, n), dtype=object)
+    ib = []
+    for i in range(m):
+        row = list(a[i]) + [b[i]]
+        scale = math.lcm(*[Fraction(v).denominator for v in row])
+        ints = [int(v * scale) for v in row]
+        ia[i, :] = ints[:n]
+        ib.append(ints[n])
+    if all(abs(int(v)) < 1 << 62 for v in list(ia.ravel()) + ib):
+        ia = ia.astype(np.int64)
+    return ia, ib
+
+
+@pytest.mark.parametrize("field", [F2, F5, F_BIG, F_61, QQ], ids=lambda f: f.header)
+def test_solve_linear_matches_fraction_reference(field):
+    rng = np.random.default_rng(field.p if field is not QQ else 0)
+    shapes = [(0, 0), (1, 0), (4, 0), (0, 3), (1, 1), (3, 3), (5, 5),
+              (2, 6), (3, 7), (6, 2), (7, 4)]
+    seen = set()
+    widest = 0
+    for m, n in shapes:
+        for trial in range(8):
+            a, b = random_system(field, m, n, rng, consistent=trial % 2 == 0)
+            ia, ib = integer_rows(field, a, b)
+            x, rank = solve_linear(field, ia, ib)
+            assert (x, rank) == reference_solve(field, a, b), (m, n, trial)
+            if m and n:
+                assert rank == ExactMatrix.from_dense(field, a).exact_rank()
+            seen.add((x is not None, rank == min(m, n)))
+            widest = max([widest] + [abs(int(v)) for v in list(ia.ravel()) + ib])
+    # consistent of full and of deficient rank, and inconsistent, all met
+    assert {(True, True), (True, False), (False, False)} <= seen
+    if field is QQ:
+        assert widest > 1 << 63
+
+
+def test_solve_linear_empty_shapes():
+    # the shapes factor_step passes at d = 1, and their kin
+    for field in (F5, F_BIG, QQ):
+        for m, n, b, want in [(0, 0, [], ([], 0)),
+                              (1, 0, [0], ([], 0)),
+                              (1, 0, [3], (None, 0)),
+                              (4, 0, [0] * 4, ([], 0)),
+                              (4, 0, [0, 0, 2, 0], (None, 0)),
+                              (0, 2, [], ([0, 0], 0))]:
+            assert solve_linear(field, np.zeros((m, n), dtype=np.int64), b) == want
+
+
+def test_factor_step_takes_rank_from_its_solve(monkeypatch):
+    real_solve, real_rank = vfactor.solve_linear, ExactMatrix.exact_rank
+    solved, ranked = [], []
+
+    def spy_solve(field, a, b):
+        out = real_solve(field, a, b)
+        solved.append(out[1])
+        return out
+
+    def spy_rank(self):
+        ranked.append(self.shape)
+        return real_rank(self)
+
+    monkeypatch.setattr(vfactor, "solve_linear", spy_solve)
+    monkeypatch.setattr(ExactMatrix, "exact_rank", spy_rank)
+    rng = np.random.default_rng(211)
+    for field in FIELDS:
+        for d in (1, 2, 3, 4, 5):
+            for singular in (False, True, True):
+                a = random_singular(field, d, rng) if singular else \
+                    random_invertible(field, d, rng)
+                want = real_rank(a)
+                solved.clear()
+                ranked.clear()
+                p1, y, core, lam, x, p2 = factor_step(a)
+                assert solved[0] == want, (field.header, d)
+                assert lam == (field.one if want == d else field.zero)
+                if want == d:
+                    assert ranked == []  # no rank kernel run on a full-rank step
+                assert assemble_step(field, d, p1, y, core, lam, x, p2) == a
 
 
 def test_factor_step_identity_frozen():
