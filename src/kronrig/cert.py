@@ -8,7 +8,10 @@ with U of shape (n, r), V of shape (r, n) and Z square, together with
 two claimed budgets: a rank bound (columns of U) and a per-line
 sparsity bound (nonzeros in every row and every column of Z).  All
 certificate constructors here produce exact witnesses; verification
-re-multiplies and recounts from scratch and reports, never trusts.
+re-multiplies and recounts from scratch and reports, never trusts: it
+checks U @ V + Z against the target entry by entry, counts the lines of
+Z, and takes the exact rank of U @ V (for a Kronecker target whose
+identity holds, from Z's nonzero columns and the factors' inverses).
 
 Combiners mirror how the target matrices combine: matrix products,
 Kronecker products, transposes, and permutation conjugation each map
@@ -373,9 +376,17 @@ def subset_expand_combine(certs, matrices, eps):
 
 
 def verify_cert(cert, target):
-    """Recompute everything and report; claim failures are reported, not raised."""
-    if isinstance(target, KroneckerSpec):
-        target = target.materialize()
+    """Recompute everything and report; claim failures are reported, not raised.
+
+    `target` is a matrix or a KroneckerSpec, materialized here once.  The
+    reconstruction U @ V + Z = target is checked entry by entry.  The rank
+    of U @ V is exact: once that check holds and the target is a
+    KroneckerSpec, `rank_of_product` may take it from the nonzero rows and
+    columns of Z and the factors' inverses; otherwise from U @ V itself.
+    """
+    spec = target if isinstance(target, KroneckerSpec) else None
+    if spec is not None:
+        target = spec.materialize()
     if target.shape != (cert.n, cert.n):
         raise ValueError(f"target shape {target.shape} vs certificate order {cert.n}")
     if target.field != cert.field:
@@ -386,7 +397,9 @@ def verify_cert(cert, target):
     ri, ci, _ = (uv + cert.z - target).num_triplets()
     recon_ok = len(ri) == 0
     mismatch = None if recon_ok else (int(ri[0]), int(ci[0]))
-    rank_actual = rank_of_product(cert.u, cert.v, uv)
+    rank_actual = rank_of_product(
+        cert.u, cert.v, uv,
+        difference=(spec, cert.z) if recon_ok and spec is not None else None)
     row_max, col_max = cert.z.row_col_nnz()
     rank_ok = rank_actual <= cert.claimed_rank
     sparsity_ok = max(row_max, col_max) <= cert.claimed_sparsity

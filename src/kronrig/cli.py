@@ -192,8 +192,7 @@ def cmd_decompose(args):
         cert, rep = decompose_kron_product(flat, args.epsilon,
                                            mode=args.mode, weights=weights,
                                            delta=args.delta)
-    target = KroneckerSpec(flat).materialize()
-    ver = verify_cert(cert, target)
+    ver = verify_cert(cert, KroneckerSpec(flat))
     report = {"command": "decompose", "seed": args.seed,
               "rng": "numpy-pcg64", **rep, **ver}
     if args.out:
@@ -208,7 +207,7 @@ def cmd_verify(args):
         target = read_matrix(args.target)
     else:
         _, flat = _build_entries(args)
-        target = KroneckerSpec(flat).materialize()
+        target = KroneckerSpec(flat)
     try:
         ver = verify_cert(cert, target)
     except ValueError as e:

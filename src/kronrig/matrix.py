@@ -17,6 +17,7 @@ first of them, so a short run on a small instance never pays its import.
 built on demand.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -657,6 +658,12 @@ _FLOAT_P = 1 << 25
 _LEAF = 4  # columns (and triangular-solve rows) eliminated one at a time
 
 
+@functools.lru_cache(maxsize=64)
+def _inverse_up(p):
+    """1/p rounded up to the next float64."""
+    return math.nextafter(1.0 / p, 1.0)
+
+
 def _reduce(x, p):
     """x mod p for a nonnegative kernel array; overwrites a float x.
 
@@ -666,7 +673,7 @@ def _reduce(x, p):
     """
     if x.dtype != np.float64:
         return x % p
-    q = x * np.nextafter(1.0 / p, 1.0)
+    q = x * _inverse_up(p)
     np.floor(q, out=q)
     q *= p
     x -= q
@@ -822,19 +829,131 @@ def _basis_rows(field, arr):
     return _basis_rows_rational(arr)
 
 
-def rank_of_product(u, v, uv=None):
+def rank_of_product(u, v, uv=None, difference=None):
     """Exact rank of u @ v.  Beyond the cell cap it is the rank of
     u[S] @ v, S the rows of u that the kernel picks as a row basis, which
     has at most u.cols rows and the same row space.
 
-    `uv`, if given, is u @ v already formed.
+    `uv`, if given, is u @ v already formed.  `difference`, if given, is
+    (spec, z) for a KroneckerSpec and a matrix z with u @ v = A - z, A the
+    spec's product, an identity the caller has checked; where
+    `_rank_of_difference` applies, the rank is taken from z's nonzero
+    columns and the factors' inverses instead of from u @ v.
     """
     if u.cols == 0 or min(u.rows, v.cols) == 0:
         return 0
+    if difference is not None:
+        rank = _rank_of_difference(*difference)
+        if rank is not None:
+            return rank
     if u.rows * v.cols <= DENSE_CELL_CAP:
         return (u @ v if uv is None else uv).exact_rank()
     rows = _basis_rows(u.field, u.num_dense())
     return (u.submatrix(rows, np.arange(u.cols)) @ v).exact_rank()
+
+
+def _rank_of_difference(spec, z):
+    """rank(A - z) for A the product of `spec`, from z's nonzero rows R and
+    columns C, or None where that route does not apply.
+
+    With A invertible, A^-1 (A - z) = I - A^-1 z.  Its columns outside C
+    are unit vectors, so with the indices ordered (outside C, C) it is
+    block upper triangular with an identity block first, and
+
+        rank(A - z) = n - |C| + rank(I_C - A^-1[C, R] z[R, C]).
+
+    A^-1 is the Kronecker product of the factors' inverses, so each entry
+    of A^-1[C, R] is the product of factor-inverse entries at the
+    mixed-radix digits of its row and column.  The route needs every
+    factor of full rank, |C| * |R| within the cell cap, and the factors'
+    solves (about sum d^3 integer operations) within the n^2 cells of A.
+    """
+    n, dims = spec.n, spec.dims
+    if sum(d ** 3 for d in dims) > n * n:
+        return None
+    ri, ci, vals = z.num_triplets()
+    # not np.unique: its first call imports numpy.ma (about 0.03 s)
+    rsel = np.flatnonzero(np.bincount(ri, minlength=n))
+    csel = np.flatnonzero(np.bincount(ci, minlength=n))
+    if len(rsel) * len(csel) > DENSE_CELL_CAP:
+        return None
+    if any(m.exact_rank() < m.rows for m in spec.factors):
+        return None
+    if len(csel) == 0:
+        return n
+    f = spec.field
+    strides = mixed_radix_strides(dims)
+    sizes = np.asarray(dims, dtype=np.int64)
+    row_digits = csel[:, None] // strides % sizes
+    col_digits = rsel[:, None] // strides % sizes
+    acc, den = np.ones((len(csel), len(rsel)), dtype=np.int64), 1
+    for i, m in enumerate(spec.factors):
+        x, _ = solve_linear(f, m.num_dense(), np.diag([m.den] * m.rows))
+        inv = ExactMatrix.from_dense(f, x)
+        part = inv.num_dense()[np.ix_(row_digits[:, i], col_digits[:, i])]
+        acc, part = _lift(_product_bound(f, acc, part, 1), acc, part)
+        acc = acc * part
+        if isinstance(f, PrimeField):
+            acc %= f.p
+        den *= inv.den
+    inv_cr = ExactMatrix(f, len(csel), len(rsel), dense=acc, den=den)
+    z_rc = ExactMatrix(f, len(rsel), len(csel), den=z.den, coo=(
+        np.searchsorted(rsel, ri), np.searchsorted(csel, ci), vals))
+    core = ExactMatrix.identity(f, len(csel)) - inv_cr @ z_rc
+    return n - len(csel) + core.exact_rank()
+
+
+# ----------------------------------------------------------------------
+# small exact linear solves
+
+
+def solve_linear(field, a, b):
+    """(x, rank) for a @ x = b, a integer and b an integer vector or
+    matrix: x is one exact solution with its free variables zero (a list,
+    or a list of rows if b is a matrix), or None if there is none, and
+    rank is the rank of a.
+
+    Over F_p the integers are taken mod p; over Q they are the system
+    itself (scaling a row of it by the row's denominators clears them).
+    Gauss-Jordan on integer rows: an update cross-multiplies two rows,
+    then reduces the result mod p, or over Q divides it by its content,
+    so only the entries of x become fractions.  The pivot columns are
+    fixed by a, so x does not depend on the pivot rows chosen.
+    """
+    a = np.asarray(a)
+    m, n = a.shape
+    b = np.asarray(b, dtype=object)
+    k = b.shape[1] if b.ndim == 2 else 1
+    p = field.p if isinstance(field, PrimeField) else None
+
+    def tidy(row):
+        if p is not None:
+            return [v % p for v in row]
+        g = math.gcd(*row)
+        return [v // g for v in row] if g > 1 else row
+
+    rows = [tidy(row + [int(v) for v in rhs])
+            for row, rhs in zip(a.tolist(), b.reshape(m, k).tolist())]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = tidy([top[c] * u - f * v for u, v in zip(row, top)])
+        pivots.append(c)
+    rank = len(pivots)
+    if any(any(row[n:]) for row in rows[rank:]):
+        return None, rank
+    x = [[field.zero] * k for _ in range(n)]
+    for row, c in zip(rows, pivots):
+        x[c] = [field.div(v, row[c]) for v in row[n:]]
+    return (x if b.ndim == 2 else [xc[0] for xc in x]), rank
 
 
 # ----------------------------------------------------------------------

@@ -16,13 +16,11 @@ through coordinate transpositions, which keeps the middle factor a
 genuine diagonal.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PrimeField
-from .matrix import ExactMatrix, MonomialMatrix, transposition
+from .matrix import ExactMatrix, MonomialMatrix, solve_linear, transposition
 
 PERM, DIAG, VCOL, VROW = "perm", "diag", "v", "vt"
 
@@ -107,55 +105,6 @@ def chain_product(factors):
     for f in factors[1:]:
         acc = acc @ f.matrix()
     return acc
-
-
-# ----------------------------------------------------------------------
-# small exact linear solves
-
-
-def solve_linear(field, a, b):
-    """(x, rank) for a @ x = b, a and b integer: x is one exact solution
-    with its free variables zero, or None if there is none, and rank is
-    the rank of a.
-
-    Over F_p the integers are taken mod p; over Q they are the system
-    itself (scaling a row of it by the row's denominators clears them).
-    Gauss-Jordan on integer rows: an update cross-multiplies two rows,
-    then reduces the result mod p, or over Q divides it by its content,
-    so only the entries of x become fractions.  The pivot columns are
-    fixed by a, so x does not depend on the pivot rows chosen.
-    """
-    a = np.asarray(a)
-    m, n = a.shape
-    p = field.p if isinstance(field, PrimeField) else None
-
-    def tidy(row):
-        if p is not None:
-            return [v % p for v in row]
-        g = math.gcd(*row)
-        return [v // g for v in row] if g > 1 else row
-
-    rows = [tidy(row + [int(v)]) for row, v in zip(a.tolist(), b)]
-    pivots = []
-    for c in range(n):
-        r = len(pivots)
-        i = next((i for i in range(r, m) if rows[i][c]), None)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = tidy([top[c] * u - f * v for u, v in zip(row, top)])
-        pivots.append(c)
-    rank = len(pivots)
-    if any(row[n] for row in rows[rank:]):
-        return None, rank
-    x = [field.zero] * n
-    for row, c in zip(rows, pivots):
-        x[c] = field.div(row[n], row[c])
-    return x, rank
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,196 @@
+"""The rank of U·V taken from the sparse part of a Kronecker certificate.
+
+When U·V = A − Z holds for A = M₁ ⊗ ⋯ ⊗ M_k with every Mᵢ invertible,
+`rank_of_product` takes rank(U·V) = n − |C| + rank(I − A⁻¹[C,R]·Z[R,C]),
+C and R the nonzero columns and rows of Z.  These tests check that rank
+against the dense rank of U·V, and that every case the route does not
+cover keeps the dense route and its output bytes.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kronrig import cli, matrix
+from kronrig.field import QQ, PrimeField
+from kronrig.fileio import read_cert, read_matrix
+from kronrig.matrix import (
+    ExactMatrix,
+    KroneckerSpec,
+    random_invertible,
+    rank_of_product,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+# 2**31 - 1 keeps int64 residues whose products need the reduction
+FIELDS = [PrimeField(2), PrimeField(5), PrimeField(2**31 - 1), PrimeField(2147483659), QQ]
+
+
+def _sparse_parts(spec, rng):
+    """(kind, z) for Z with no nonzero column, a few, or all of them."""
+    f, n = spec.field, spec.n
+    a = spec.materialize().to_dense()
+    cols = rng.choice(n, 3, replace=False)
+    # two columns of A itself (each drops the rank by one) and one entry
+    few = [(i, int(j), a[i, j]) for j in cols[:2] for i in range(n)]
+    few.append((int(rng.integers(n)), int(cols[2]), f.one))
+    every = [(int(rng.integers(n)), j, f.one) for j in range(n)]
+    x = ExactMatrix.from_dense(f, [[f.rand(rng)] for _ in range(n)])
+    y = ExactMatrix.from_dense(f, [[f.rand(rng) for _ in range(n)]])
+    return [
+        ("none", ExactMatrix.zeros(f, n, n)),
+        ("few", ExactMatrix.from_triplets(f, n, n, few)),
+        ("all", ExactMatrix.from_triplets(f, n, n, every)),
+        ("all, rank 1 left", spec.materialize() - x @ y),
+        ("all, nothing left", spec.materialize()),
+    ]
+
+
+def _check_routed(spec, rng):
+    f, n = spec.field, spec.n
+    for kind, z in _sparse_parts(spec, rng):
+        cols = len(np.unique(z.num_triplets()[1]))
+        assert cols == {"none": 0, "all": n}.get(kind, cols)
+        assert kind != "few" or 0 < cols < n
+        uv = spec.materialize() - z
+        ident = ExactMatrix.identity(f, n)
+        for u, v in ((uv, ident), (ident, uv)):
+            want = rank_of_product(u, v)
+            assert matrix._rank_of_difference(spec, z) == want, kind
+            assert rank_of_product(u, v, difference=(spec, z)) == want, kind
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.header)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2), (2, 3, 2)])
+def test_routed_rank_equals_dense_rank(field, dims):
+    rng = np.random.default_rng(sum(dims) * 7 + len(dims))
+    spec = KroneckerSpec([random_invertible(field, d, rng) for d in dims])
+    _check_routed(spec, rng)
+
+
+def test_routed_rank_of_twenty_digit_factors():
+    spec = KroneckerSpec([read_matrix(str(GOLDEN / f"bigq_{x}.mat")) for x in "ab"])
+    assert spec.dims == (3, 4)
+    _check_routed(spec, np.random.default_rng(12))
+
+
+def test_route_declines_singular_factor_and_large_factors(monkeypatch):
+    f = PrimeField(5)
+    rng = np.random.default_rng(3)
+    good = random_invertible(f, 2, rng)
+    singular = ExactMatrix.from_dense(f, [[1, 2], [2, 4]])
+    z = ExactMatrix.from_triplets(f, 4, 4, [(0, 1, 3)])
+    assert matrix._rank_of_difference(KroneckerSpec([good, singular]), z) is None
+    # one factor: its solve would cost d^3 > n^2
+    assert matrix._rank_of_difference(KroneckerSpec([good.kron(good)]), z) is None
+    # |C| * |R| over the cell cap
+    monkeypatch.setattr(matrix, "DENSE_CELL_CAP", 0)
+    assert matrix._rank_of_difference(KroneckerSpec([good, good]), z) is None
+
+
+def test_solve_linear_with_matrix_right_side():
+    for f in FIELDS:
+        rng = np.random.default_rng(5)
+        m = random_invertible(f, 4, rng)
+        x, rank = matrix.solve_linear(f, m.num_dense(), np.diag([m.den] * 4))
+        assert rank == 4
+        assert m @ ExactMatrix.from_dense(f, x) == ExactMatrix.identity(f, 4)
+        b = np.arange(8, dtype=object).reshape(4, 2)
+        x, rank = matrix.solve_linear(f, m.num_dense(), b * m.den)
+        assert rank == 4
+        assert m @ ExactMatrix.from_dense(f, x) == ExactMatrix.from_dense(f, b.tolist())
+    assert matrix.solve_linear(QQ, [[1, 1], [2, 2]], [[1, 0], [2, 1]]) == (None, 1)
+
+
+# ----------------------------------------------------------------------
+# the CLI: routed and dense verifies
+
+def _spy_route(monkeypatch):
+    calls = []
+    real = matrix._rank_of_difference
+
+    def spy(spec, z):
+        calls.append(real(spec, z))
+        return calls[-1]
+    monkeypatch.setattr(matrix, "_rank_of_difference", spy)
+    return calls
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+F5_FLAGS = ["--walsh", "6", "--random", "2,2", "--field", "Fp 5", "--seed", "1"]
+
+
+def test_routed_verify_ranks_only_small_matrices(tmp_path, monkeypatch, capsys):
+    # no --random factors: sampling them ranks candidates outside the check
+    flags = ["--walsh", "8", "--field", "Fp 5"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", *flags, "--epsilon", "0.5", "--out", "c.cert"]) == 0
+    capsys.readouterr()
+    cert = read_cert("c.cert")
+    cols = len(np.unique(cert.z.num_triplets()[1]))
+    assert 0 < cols < cert.n
+    ranked = []
+    real = matrix._basis_rows
+
+    def spy(field, arr):
+        ranked.append(arr.size)
+        return real(field, arr)
+    monkeypatch.setattr(matrix, "_basis_rows", spy)
+    calls = _spy_route(monkeypatch)
+    assert cli.main(["verify", "--cert", "c.cert", *flags]) == 0
+    out = capsys.readouterr().out
+    assert calls and calls[0] is not None and f"rank_actual: {calls[0]}\n" in out
+    assert sum(ranked) <= cols ** 2 + 8 * 2 ** 2
+    assert max(ranked) <= cols ** 2
+
+
+# Output of the dense route, pinned from before the route existed.
+DENSE_ROUTE_SHA256 = {
+    "singular_decompose":
+        "ef4b56b84d2d9f4fbf923ab2508c074f24aca81b6f0b95b7e59f01d220ebd028",
+    "singular_verify":
+        "e14be820139107745634329a6a8f89d09498a791ecf5e3d344eb3984b41f5b75",
+    "corrupted_verify":
+        "d66dda8c317ba6c806d8ac70b52498d444ee8f2e03f023dd40f12cb0d634371c",
+    "target_verify":
+        "38580a594913af87f6037e5217e72dd361dbd15515eacf5619f95d41718a5c6b",
+}
+
+
+def test_singular_factor_keeps_the_dense_route(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.mat").write_text(
+        "field: Fp 5\nrows: 2\ncols: 2\nformat: dense\n1 2\n2 4\n")
+    flags = ["--walsh", "4", "--factors", "s.mat", "--field", "Fp 5"]
+    calls = _spy_route(monkeypatch)
+    assert cli.main(["decompose", *flags, "--epsilon", "0.5", "--out", "c.cert"]) == 0
+    assert _sha(capsys.readouterr().out) == DENSE_ROUTE_SHA256["singular_decompose"]
+    assert cli.main(["verify", "--cert", "c.cert", *flags]) == 0
+    assert _sha(capsys.readouterr().out) == DENSE_ROUTE_SHA256["singular_verify"]
+    assert calls == [None, None]
+
+
+def test_corrupted_and_target_file_verifies_keep_the_dense_route(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", *F5_FLAGS, "--epsilon", "0.5", "--out", "c.cert"]) == 0
+    assert cli.main(["generate", *F5_FLAGS, "--out", "a.mat"]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "c.cert").read_text().split("\n")
+    at = next(i for i, s in enumerate(lines) if s.startswith("u: ")) + 1
+    i, j, val = lines[at].split()
+    lines[at] = f"{i} {j} {(int(val) + 1) % 5}"
+    (tmp_path / "bad.cert").write_text("\n".join(lines))
+    calls = _spy_route(monkeypatch)
+    assert cli.main(["verify", "--cert", "bad.cert", *F5_FLAGS]) == 2
+    out = capsys.readouterr().out
+    assert "first_mismatch: [0, 0]\n" in out
+    assert _sha(out) == DENSE_ROUTE_SHA256["corrupted_verify"]
+    assert cli.main(["verify", "--cert", "c.cert", "--target", "a.mat"]) == 0
+    assert _sha(capsys.readouterr().out) == DENSE_ROUTE_SHA256["target_verify"]
+    assert calls == []

@@ -1,25 +1,35 @@
-"""Every name that perfbench/tracing.py wraps still exists in kronrig.
+"""Every name that perfbench/tracing.py wraps still exists in kronrig, and
+each benchmark workload's small cycle reaches every traced layer.
 
-`Tracer.install` looks each one up with getattr, so a renamed or deleted
-function would only surface when the benchmark runs with `--trace 1`.
+`Tracer.install` looks each one up with getattr, and `run.py --trace 1`
+fails a run whose span metric reads zero, so a renamed or deleted
+function, or a layer a change stops calling, would otherwise only
+surface when the benchmark runs with `--trace 1`.
 """
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
+import pytest
+
+from kronrig import cli
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.parent / "workloads.py"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path, name):
+    """A perfbench module, loaded by file path without importing perfbench."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_and_methods_resolve():
-    tracing = _load_tracing()
+    tracing = _load(TRACING, "perfbench_tracing")
     assert tracing.FUNCTIONS and tracing.METHODS
     for modname, name, *_ in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(modname), name, None)), \
@@ -27,3 +37,31 @@ def test_traced_functions_and_methods_resolve():
     for modname, cls, method, *_ in tracing.METHODS:
         owner = getattr(importlib.import_module(modname), cls)
         assert callable(getattr(owner, method, None)), f"{modname}.{cls}.{method}"
+
+
+@pytest.mark.parametrize("workload", ["fp_walsh", "q_family"])
+def test_small_cycle_reaches_every_traced_layer(workload, tmp_path, capsys):
+    """The rule `run.py --trace 1` enforces, on each workload's small cycle:
+    every span metric is non-zero unless `ONLY_ON` exempts the workload."""
+    tracing = _load(TRACING, "perfbench_tracing")
+    wl = _load(WORKLOADS, "perfbench_workloads").WORKLOADS[workload]
+    tracer = tracing.Tracer()
+    values = {}
+    for kind, argv in wl.cycle(1, str(tmp_path), small=True):
+        tracer.install()
+        try:
+            tracer.begin_op(kind)
+            start = time.perf_counter()
+            code = cli.main(argv)
+            tracer.end_op(time.perf_counter() - start)
+        finally:
+            tracer.uninstall()
+        assert code == 0, capsys.readouterr()
+        spans = tracer.ops[-1][1]
+        op_values, self_sum = tracing.op_metrics(kind, spans)
+        assert self_sum <= tracer.ops[-1][2]
+        values.update(op_values)
+    assert set(values) == set(tracing.metric_units())
+    zero = sorted(name for name, value in values.items() if value == 0
+                  and workload in tracing.ONLY_ON.get(name, {workload}))
+    assert not zero, zero
