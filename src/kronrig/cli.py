@@ -29,13 +29,9 @@ from .fileio import (
     write_report,
 )
 from .hadamard import paley_type_one, paley_type_two, walsh_factors
-from .matrix import KRON_ORDER_CAP, KroneckerSpec, SizeCapError, random_invertible
+from .matrix import KroneckerSpec, SizeCapError, random_invertible
 from .oracle import OracleCapError, brute_rc_rigidity, brute_rigidity
-from .pipeline import (
-    decompose_kron_product,
-    hadamard_family_pipeline,
-    predict_parameters,
-)
+from .pipeline import decompose_kron_product, predict_parameters
 from .scores import WeightScheme
 
 EXIT_OK = 0
@@ -183,15 +179,9 @@ def _emit(report, path):
 
 def cmd_decompose(args):
     entries, flat = _build_entries(args)
-    weights = _load_weights(args.weights)
-    if args.mode == "hadamard":
-        cert, rep = hadamard_family_pipeline(entries, args.epsilon,
-                                             weights=weights)
-        rep = {"mode": "hadamard", **rep}
-    else:
-        cert, rep = decompose_kron_product(flat, args.epsilon,
-                                           mode=args.mode, weights=weights,
-                                           delta=args.delta)
+    cert, rep = decompose_kron_product(entries, args.epsilon, mode=args.mode,
+                                       weights=_load_weights(args.weights),
+                                       delta=args.delta)
     ver = verify_cert(cert, KroneckerSpec(flat))
     report = {"command": "decompose", "seed": args.seed,
               "rng": "numpy-pcg64", **rep, **ver}
@@ -284,7 +274,8 @@ def build_parser():
     p.add_argument("--mode", choices=("equal", "binpack", "hadamard"),
                    default="equal")
     p.add_argument("--delta", default="auto",
-                   help="fixed threshold width instead of the search")
+                   help="fixed threshold width instead of the search "
+                        "(equal and binpack modes)")
     p.add_argument("--weights", default="uniform",
                    help="'uniform' or a file of 'order weight' lines")
     p.add_argument("--out", help="write the certificate here")

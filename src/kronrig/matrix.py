@@ -106,11 +106,19 @@ def _num_form(field, vals):
     return _fit(nums), den
 
 
+def _occupied(idx, size):
+    """The distinct values of the indices `idx` in range(size), ascending.
+    Not np.unique: its first call imports numpy.ma (about 0.03 s)."""
+    return np.flatnonzero(np.bincount(idx, minlength=size))
+
+
 def over_common_den(nums, dens):
     """(numerators, den) of the rationals nums[i]/dens[i], dens > 0: den
     is the lcm of dens, and the numerators are int64 when the inputs and
     their products fit it, Python ints otherwise."""
-    den = math.lcm(*np.unique(dens).tolist())
+    # the distinct dens by a sort, not np.unique (see _occupied)
+    s = np.sort(dens, axis=None)
+    den = math.lcm(*s[:1].tolist(), *s[1:][s[1:] != s[:-1]].tolist())
     if den == 1:
         return nums, 1
     if den <= _INT64_MAX:
@@ -508,8 +516,8 @@ class ExactMatrix:
             ri, ci, _ = self.num_triplets()
             if len(ri) == 0:
                 return 0
-            rsel = np.unique(ri)
-            csel = np.unique(ci)
+            rsel = _occupied(ri, self.rows)
+            csel = _occupied(ci, self.cols)
             if len(rsel) * len(csel) > DENSE_CELL_CAP:
                 raise SizeCapError(f"occupied {len(rsel)}x{len(csel)} block "
                                    "exceeds the dense cell cap")
@@ -872,9 +880,7 @@ def _rank_of_difference(spec, z):
     if sum(d ** 3 for d in dims) > n * n:
         return None
     ri, ci, vals = z.num_triplets()
-    # not np.unique: its first call imports numpy.ma (about 0.03 s)
-    rsel = np.flatnonzero(np.bincount(ri, minlength=n))
-    csel = np.flatnonzero(np.bincount(ci, minlength=n))
+    rsel, csel = _occupied(ri, n), _occupied(ci, n)
     if len(rsel) * len(csel) > DENSE_CELL_CAP:
         return None
     if any(m.exact_rank() < m.rows for m in spec.factors):
@@ -1126,21 +1132,19 @@ class KroneckerSpec:
     def __init__(self, factors):
         if not factors:
             raise ValueError("need at least one factor")
-        f = factors[0].field
-        for m in factors:
-            if m.field != f:
-                raise ValueError("Kronecker factors must share a field")
-            if not m.is_square:
-                raise ValueError("Kronecker factors must be square")
-            if m.rows < 2:
-                raise ValueError("factor orders must be at least 2")
+        for pos, m in enumerate(factors):
+            if not isinstance(m, ExactMatrix):
+                raise ValueError(f"factor {pos} is not an ExactMatrix")
+            if m.field != factors[0].field:
+                raise ValueError(f"factor {pos} is over {m.field.header}, "
+                                 f"factor 0 over {factors[0].field.header}")
+            if not m.is_square or m.rows < 2:
+                raise ValueError(f"factor {pos} must be square of order at "
+                                 f"least 2, got shape {m.shape}")
         self.factors = list(factors)
-        self.field = f
+        self.field = factors[0].field
         self.dims = tuple(m.rows for m in factors)
-        n = 1
-        for d in self.dims:
-            n *= d
-        self.n = n
+        self.n = math.prod(self.dims)
 
     @property
     def k(self):

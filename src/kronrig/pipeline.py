@@ -8,9 +8,13 @@ the per-layer certificates back into one certificate for the whole
 product.  On top of that sit three regrouping strategies: packing
 uneven factors into balanced bins, bucketing by doubly-exponential
 order ranges, and the two-regime treatment of families that mix small
-generic factors with large structured ones.
+generic factors with large structured ones.  `decompose_kron_product`
+is the one construction entry point for all of them, and
+`predict_parameters` runs the layered path's offset plan without the
+build.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -49,6 +53,11 @@ from .vfactor import DIAG, PERM, VCOL, VROW, pad_factorization, slot_kinds, v_fa
 # candidate offsets appended past the grid, taken from actual score gaps
 EXTENSION_POINTS = 17
 
+# constants of the display-only asymptotic rates in the hadamard and
+# predict reports
+C0 = Fraction(1, 64)
+GAMMA_CONSTANT = Fraction(1, 8)
+
 
 def _as_fraction(x):
     if isinstance(x, Fraction):
@@ -58,25 +67,27 @@ def _as_fraction(x):
     return Fraction(x)
 
 
-def _validate_factors(factors):
-    if not factors:
-        raise ValueError("need at least one factor")
-    f = factors[0].field
-    for pos, m in enumerate(factors):
-        if not isinstance(m, ExactMatrix):
-            raise ValueError(f"factor {pos} is not an ExactMatrix")
-        if m.field != f:
-            raise ValueError(f"factor {pos} is over {m.field.header}, "
-                             f"factor 0 over {f.header}")
-        if not m.is_square or m.rows < 2:
-            raise ValueError(f"factor {pos} must be square of order at "
-                             f"least 2, got shape {m.shape}")
-    dims = tuple(m.rows for m in factors)
-    n = math.prod(dims)
-    if n > KRON_ORDER_CAP:
-        raise SizeCapError(
-            f"total order {n} exceeds the materialization cap {KRON_ORDER_CAP}")
-    return f, dims, n
+def _epsilon(eps):
+    eps = _as_fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return eps
+
+
+def _inputs(entries, eps, weights):
+    """(entries as factor lists, the spec of their product, eps, weights).
+
+    Each entry is a factor, or a list of factors that keeps that
+    factor's own Kronecker structure.
+    """
+    entries = [[e] if isinstance(e, ExactMatrix) else list(e) for e in entries]
+    if not all(entries):
+        raise ValueError("structured entries must not be empty")
+    spec = KroneckerSpec([m for e in entries for m in e])
+    if spec.n > KRON_ORDER_CAP:
+        raise SizeCapError(f"total order {spec.n} exceeds the "
+                           f"materialization cap {KRON_ORDER_CAP}")
+    return entries, spec, _epsilon(eps), weights or WeightScheme.uniform()
 
 
 # ----------------------------------------------------------------------
@@ -113,47 +124,47 @@ def _offset_candidates(dims, weights, eps):
     return cands
 
 
-def _search_offset(dims, weights, eps, n, n_v_layers):
-    """Pick the split offset with exact claim arithmetic.
+def _plan(dims, weights, eps, delta):
+    """The split offset, its per-layer (rank, fill) and the search info.
 
-    Feasible offsets keep the composed sparsity within n**eps; among
-    them the smallest total rank wins.  If none is feasible the
-    sparsest offset is reported with the target flagged unmet.
+    Exact claim arithmetic over the candidate offsets, or over the one
+    offset a fixed `delta` gives: offsets that keep the composed
+    sparsity within n**eps are feasible, and among them the smallest
+    total rank wins.  If none is feasible the sparsest offset is
+    reported with the target flagged unmet.
     """
-    cands = _offset_candidates(dims, weights, eps)
+    n = math.prod(dims)
+    d_max = max(dims)
+    n_v = 2 * (d_max - 1)
+    if delta == "auto":
+        cands = _offset_candidates(dims, weights, eps)
+    else:
+        cands = [_as_fraction(delta) * d_max * mean_score(dims, weights)]
     scored = [(off,) + _layer_claims(dims, weights, off) for off in cands]
     p, q = eps.numerator, eps.denominator
     n_pow = n**p
-    feasible = [e for e in scored if (e[2] ** n_v_layers) ** q <= n_pow]
+    feasible = [e for e in scored if (e[2] ** n_v) ** q <= n_pow]
     if feasible:
         off, r_l, t_l = min(feasible, key=lambda e: (e[1], e[2], e[0]))
-        met = True
     else:
         off, r_l, t_l = min(scored, key=lambda e: (e[2], e[1], e[0]))
-        met = False
-    return off, r_l, t_l, {"grid_points": len(cands), "sparsity_target_met": met}
+    return off, r_l, t_l, {
+        "grid_points": len(cands) if delta == "auto" else 0,
+        "sparsity_target_met": bool(feasible)}
 
 
 # ----------------------------------------------------------------------
 # the layered construction
 
 
-def _layered_certificate(factors, eps, weights, delta, check_layers):
-    f, dims, n = _validate_factors(factors)
+def _layered_certificate(spec, eps, weights, delta):
+    f, dims, n, factors = spec.field, spec.dims, spec.n, spec.factors
     k = len(dims)
     d_max = max(dims)
     n_v = 2 * (d_max - 1)
     m = mean_score(dims, weights)
-    if delta == "auto":
-        offset, r_l, t_l, info = _search_offset(dims, weights, eps, n, n_v)
-    else:
-        offset = _as_fraction(delta) * d_max * m
-        r_l, t_l = _layer_claims(dims, weights, offset)
-        p, q = eps.numerator, eps.denominator
-        info = {"grid_points": 0,
-                "sparsity_target_met": bool((t_l**n_v) ** q <= n**p)}
-    if check_layers is None:
-        check_layers = n <= 1024
+    offset, r_l, t_l, info = _plan(dims, weights, eps, delta)
+    check_layers = n <= 1024
 
     chains = [pad_factorization(v_factorization(a), d_max) for a in factors]
     mats = [[fac.matrix() for fac in chain] for chain in chains]
@@ -215,7 +226,7 @@ def _layered_certificate(factors, eps, weights, delta, check_layers):
         "rank_claimed": cert.claimed_rank,
         "sparsity_claimed": cert.claimed_sparsity,
         "sparsity_target": float(n) ** float(eps),
-        "layer_checks": bool(check_layers),
+        "layer_checks": check_layers,
     }
     report.update(info)
     return cert, report
@@ -271,64 +282,62 @@ def regroup_permutation(dims, groups):
     return ((digits[:, tau] - 1) @ strides).astype(np.int64)
 
 
+def _regrouped(cert, entries, groups):
+    """Certificate for the product of `entries` in their own order, given
+    `cert` for the product of the same entries taken group by group."""
+    start = [0, *itertools.accumulate(len(e) for e in entries)]
+    flat_groups = [[j for i in g for j in range(start[i], start[i + 1])]
+                   for g in groups]
+    sigma = regroup_permutation([m.rows for e in entries for m in e],
+                                flat_groups)
+    return conjugate_cert(
+        cert, MonomialMatrix.permutation(entries[0][0].field, sigma))
+
+
 # ----------------------------------------------------------------------
 # entry points
 
 
-def decompose_kron_product(factors, eps, mode="equal", weights=None,
-                           delta="auto", check_layers=None):
-    """Certificate plus report for the Kronecker product of the factors.
+def decompose_kron_product(entries, eps, mode="equal", weights=None,
+                           delta="auto"):
+    """Certificate plus report for the Kronecker product of the entries.
 
-    Modes: "equal" splits the layered chains directly, "binpack" first
-    packs factors into balanced groups and conjugates back, "hadamard"
-    routes small and large factors through separate strategies.
+    Each entry is a factor, or a list of factors that keeps that
+    factor's own Kronecker structure.  Modes: "equal" splits the layered
+    chains of all factors directly, "binpack" first packs the factors
+    into balanced groups and conjugates back, "hadamard" routes small
+    and large entries through separate strategies and is the only mode
+    that reads the entries' structure.  A fixed `delta` replaces the
+    offset search of "equal" and "binpack"; "hadamard" refuses one.
     """
-    f, dims, n = _validate_factors(factors)
-    eps = _as_fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    weights = weights or WeightScheme.uniform()
+    if mode == "hadamard":
+        if delta != "auto":
+            raise ValueError("delta applies to the equal and binpack "
+                             "modes only")
+        return hadamard_family_pipeline(entries, eps, weights)
+    _, spec, eps, weights = _inputs(entries, eps, weights)
     if mode == "equal":
-        cert, report = _layered_certificate(factors, eps, weights, delta,
-                                            check_layers)
+        cert, report = _layered_certificate(spec, eps, weights, delta)
         report["mode"] = "equal"
         return cert, report
     if mode == "binpack":
-        capacity = max(dims) ** 2
-        groups = bin_pack(dims, capacity)
-        grouped = [kron_list([factors[i] for i in g]) for g in groups]
-        cert_g, report = _layered_certificate(grouped, eps, weights, delta,
-                                              check_layers)
-        sigma = regroup_permutation(dims, groups)
-        cert = conjugate_cert(cert_g, MonomialMatrix.permutation(f, sigma))
+        capacity = max(spec.dims) ** 2
+        groups = bin_pack(spec.dims, capacity)
+        grouped = [kron_list([spec.factors[i] for i in g]) for g in groups]
+        cert_g, report = _layered_certificate(KroneckerSpec(grouped), eps,
+                                              weights, delta)
         report.update({
             "mode": "binpack",
-            "dims": list(dims),
+            "dims": list(spec.dims),
             "capacity": capacity,
             "groups": [list(g) for g in groups],
             "grouped_dims": [g.rows for g in grouped],
         })
-        return cert, report
-    if mode == "hadamard":
-        return hadamard_family_pipeline(factors, eps, weights=weights)
+        return _regrouped(cert_g, [[m] for m in spec.factors], groups), report
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _normalize_entries(entries):
-    """Each entry is a factor or a list exposing that factor's own product structure."""
-    norm = []
-    for e in entries:
-        if isinstance(e, ExactMatrix):
-            norm.append([e])
-        else:
-            sub = list(e)
-            if not sub:
-                raise ValueError("structured entries must not be empty")
-            norm.append(sub)
-    return norm
-
-
-def bucket_pipeline(entries, eps, weights=None, base=None):
+def bucket_pipeline(entries, eps, weights=None):
     """Group entries into doubly-exponential order buckets and combine.
 
     Buckets with enough combined mass get subset-expanded certificates
@@ -336,17 +345,10 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
     stays fully sparse.  Entries may carry their own Kronecker
     structure, which is what makes the per-entry certificates strong.
     """
-    entries = _normalize_entries(entries)
-    flat = [m for sub in entries for m in sub]
-    f, flat_dims, n = _validate_factors(flat)
-    eps = _as_fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    weights = weights or WeightScheme.uniform()
-    entry_dims = [math.prod(m.rows for m in sub) for sub in entries]
-    b = base if base is not None else min(entry_dims)
-    if b < 2 or b > min(entry_dims):
-        raise ValueError("base must be at least 2 and at most the smallest order")
+    entries, spec, eps, weights = _inputs(entries, eps, weights)
+    n = spec.n
+    entry_dims = [math.prod(m.rows for m in e) for e in entries]
+    b = min(entry_dims)
 
     def bucket_of(d):
         t, hi = 1, b * b
@@ -363,10 +365,10 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
     level_count = max(1.0, math.log2(max(2.0, math.log2(d_top))))
     need = float(eps) / level_count * math.log2(n)
 
-    bucket_certs, bucket_mats, bucket_info = [], [], []
-    gammas = []
+    cert, bucket_info, gammas = None, [], []
     for t, g in zip(tvals, groups):
         mats = [kron_list(entries[i]) for i in g]
+        mat_t = kron_list(mats)
         mass = math.log2(math.prod(entry_dims[i] for i in g))
         selected = mass >= need - 1e-9
         if selected:
@@ -375,15 +377,13 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
                 c_e, _ = decompose_kron_product(entries[i], eps,
                                                 weights=weights)
                 certs.append(c_e)
-                d_e = entry_dims[i]
                 gammas.append(
                     max(0.0, 1.0 - math.log2(max(c_e.claimed_rank, 1))
-                        / math.log2(d_e)))
+                        / math.log2(entry_dims[i])))
             cert_t = subset_expand_combine(certs, mats, eps)
         else:
-            cert_t = full_cert(kron_list(mats))
-        bucket_certs.append(cert_t)
-        bucket_mats.append(kron_list(mats))
+            cert_t = full_cert(mat_t)
+        cert = cert_t if cert is None else compose_kron(cert, cert_t, mat_t)
         bucket_info.append({
             "level": t,
             "entries": list(g),
@@ -393,17 +393,7 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
             "sparsity_claimed": cert_t.claimed_sparsity,
         })
 
-    cert = bucket_certs[0]
-    for c, mat in zip(bucket_certs[1:], bucket_mats[1:]):
-        cert = compose_kron(cert, c, mat)
-    flat_groups = []
-    start = [0]
-    for sub in entries:
-        start.append(start[-1] + len(sub))
-    for g in groups:
-        flat_groups.append([j for i in g for j in range(start[i], start[i + 1])])
-    sigma = regroup_permutation(flat_dims, flat_groups)
-    cert = conjugate_cert(cert, MonomialMatrix.permutation(f, sigma))
+    cert = _regrouped(cert, entries, groups)
 
     # display-only asymptotic exponent; the guarantees live in the claims
     min_gamma = min(gammas) if gammas else 0.0
@@ -412,7 +402,7 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
     psi = float(eps) ** 2 * min_gamma / (4.0 * l2) - l3 / math.log2(n)
     report = {
         "mode": "bucket",
-        "field": f.header,
+        "field": spec.field.header,
         "order": n,
         "eps": str(eps),
         "base": b,
@@ -428,80 +418,53 @@ def bucket_pipeline(entries, eps, weights=None, base=None):
     return cert, report
 
 
-def hadamard_family_pipeline(entries, eps, weights=None, base=None,
-                             c0=Fraction(1, 64)):
+def hadamard_family_pipeline(entries, eps, weights=None):
     """Split a mixed family at a size threshold and certify both halves.
 
-    Entries of order at most max(base, 3/eps) are packed and layered
-    together; the rest go through the bucket path.  A composite
+    Entries of order at most max(smallest order, 3/eps) are packed and
+    layered together; the rest go through the bucket path.  A composite
     certificate is always produced, whichever side of the threshold the
-    family lands on; the regime only affects the reported exponents.
+    family lands on ("mixed" if some entries are large, else "bounded");
+    the regime only affects the reported exponents.
     """
-    entries = _normalize_entries(entries)
-    flat = [m for sub in entries for m in sub]
-    f, flat_dims, n = _validate_factors(flat)
-    eps = _as_fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    weights = weights or WeightScheme.uniform()
-    entry_dims = [math.prod(m.rows for m in sub) for sub in entries]
-    b = base if base is not None else min(entry_dims)
-    b_star = max(Fraction(b), Fraction(3) / eps)
+    entries, spec, eps, weights = _inputs(entries, eps, weights)
+    n = spec.n
+    entry_dims = [math.prod(m.rows for m in e) for e in entries]
+    b_star = max(Fraction(min(entry_dims)), Fraction(3) / eps)
 
     f_idx = [i for i, d in enumerate(entry_dims) if d <= b_star]
     h_idx = [i for i, d in enumerate(entry_dims) if d > b_star]
-    parts = []
+    # the smallest entry is never above the threshold, so f_idx is not empty
     reports = {}
-    if f_idx:
-        flat_f = [m for i in f_idx for m in entries[i]]
-        cert_f, rep_f = decompose_kron_product(flat_f, eps, mode="binpack",
-                                               weights=weights)
-        parts.append((cert_f, flat_f))
-        reports["small_part"] = rep_f
+    cert, reports["small_part"] = decompose_kron_product(
+        [entries[i] for i in f_idx], eps, mode="binpack", weights=weights)
     if h_idx:
-        cert_h, rep_h = bucket_pipeline([entries[i] for i in h_idx], eps,
-                                        weights=weights)
-        parts.append((cert_h, [m for i in h_idx for m in entries[i]]))
-        reports["large_part"] = rep_h
+        cert_h, reports["large_part"] = bucket_pipeline(
+            [entries[i] for i in h_idx], eps, weights=weights)
+        cert = compose_kron(cert, cert_h, KroneckerSpec(
+            [m for i in h_idx for m in entries[i]]).materialize())
+    cert = _regrouped(cert, entries, [idx for idx in (f_idx, h_idx) if idx])
 
-    cert, _ = parts[0]
-    for other, other_flat in parts[1:]:
-        cert = compose_kron(cert, other, KroneckerSpec(other_flat).materialize())
-
-    start = [0]
-    for sub in entries:
-        start.append(start[-1] + len(sub))
-    flat_groups = [[j for i in idx for j in range(start[i], start[i + 1])]
-                   for idx in (f_idx, h_idx) if idx]
-    sigma = regroup_permutation(flat_dims, flat_groups)
-    cert = conjugate_cert(cert, MonomialMatrix.permutation(f, sigma))
-
-    if not h_idx:
-        regime = "bounded"
-    elif not f_idx:
-        regime = "unbounded"
-    else:
-        regime = "mixed"
     eps_f = float(eps)
     b_sf = max(float(b_star), 2.0)
-    gamma_b = (float(c0) * eps_f**2
+    gamma_b = (float(C0) * eps_f**2
                / (b_sf**1.5 * math.log2(b_sf) ** 3
                   * math.log2(max(1.0 / eps_f, 2.0)) ** 2))
-    n_f = math.prod(entry_dims[i] for i in f_idx) if f_idx else 1
-    n_h = math.prod(entry_dims[i] for i in h_idx) if h_idx else 1
+    n_f = math.prod(entry_dims[i] for i in f_idx)
+    n_h = math.prod(entry_dims[i] for i in h_idx)
     report = {
         "mode": "hadamard",
-        "field": f.header,
+        "field": spec.field.header,
         "order": n,
         "eps": str(eps),
         "size_threshold": str(b_star),
         "small_entries": f_idx,
         "large_entries": h_idx,
-        "regime": regime,
+        "regime": "mixed" if h_idx else "bounded",
         "small_order": n_f,
         "large_order": n_h,
-        "small_part_heavy": bool(f_idx) and math.log2(n_f) >= eps_f * math.log2(n),
-        "large_part_heavy": bool(h_idx) and math.log2(n_h) >= eps_f * math.log2(n),
+        "small_part_heavy": math.log2(n_f) >= eps_f * math.log2(n),
+        "large_part_heavy": math.log2(n_h) >= eps_f * math.log2(n),
         "gamma_rate": gamma_b,
         "order_floor_log2": (24.0 / (eps_f * gamma_b)) * math.log2(b_sf),
         "rank_claimed": cert.claimed_rank,
@@ -532,8 +495,9 @@ def _common_power_base(dims):
     return None, None
 
 
-def predict_parameters(dims, eps, weights=None, gamma_constant=Fraction(1, 8)):
-    """Window of usable chain multiplicities and the resulting rank-saving rate.
+def predict_parameters(dims, eps, weights=None):
+    """Window of usable chain multiplicities, the resulting rank-saving
+    rate, and the claims of the equal-mode plan, with no matrix built.
 
     Exact rational arithmetic whenever every order is a power of one
     base; floating point otherwise.  An empty window is reported, not
@@ -541,9 +505,7 @@ def predict_parameters(dims, eps, weights=None, gamma_constant=Fraction(1, 8)):
     """
     if not dims or any(d < 2 for d in dims):
         raise ValueError("orders must all be at least 2")
-    eps = _as_fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    eps = _epsilon(eps)
     weights = weights or WeightScheme.uniform()
     dims = sorted(int(d) for d in dims)
     d_lo, d_hi = dims[0], dims[-1]
@@ -561,12 +523,11 @@ def predict_parameters(dims, eps, weights=None, gamma_constant=Fraction(1, 8)):
         exact = False
     window_ok = k_lower <= l_upper
     kf, lf = float(k_lower), float(l_upper)
-    gamma = (float(gamma_constant) * lf * float(eps) ** 2
+    gamma = (float(GAMMA_CONSTANT) * lf * float(eps) ** 2
              / (d_hi * math.log2(d_hi) * kf**2
                 * math.log2(max(kf / float(eps), 2.0)) ** 2))
-    n = math.prod(dims)
     n_v = 2 * (d_hi - 1)
-    off, r_l, t_l, info = _search_offset(dims, weights, eps, n, n_v)
+    off, r_l, t_l, info = _plan(dims, weights, eps, "auto")
     return {
         "dims": dims,
         "eps": str(eps),
@@ -578,7 +539,7 @@ def predict_parameters(dims, eps, weights=None, gamma_constant=Fraction(1, 8)):
         "balanced_multiplicity": k_lower if k_lower == l_upper else None,
         "window_nonempty": bool(window_ok),
         "gamma": gamma,
-        "gamma_constant": str(gamma_constant),
+        "gamma_constant": str(GAMMA_CONSTANT),
         "feasible": bool(window_ok and gamma > 0),
         "offset": str(off),
         "delta": str(off / (d_hi * m)),

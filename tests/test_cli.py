@@ -235,3 +235,21 @@ def test_bad_random_flags_are_usage_errors(tmp_path, command, flags, err):
                        timeout=120)
     assert (p.returncode, p.stdout, p.stderr) == (1, "", err)
     assert "Traceback" not in p.stderr
+
+
+def test_delta_with_hadamard_mode_is_usage_error(tmp_path, capsys):
+    """--delta fixes the offset of the equal and binpack searches; the
+    hadamard mode has no single search, so a fixed delta is refused
+    rather than silently ignored, and no certificate is written."""
+    cert = tmp_path / "c.txt"
+    code, out, err = run(capsys, "decompose", "--random", "3", "--walsh", "3",
+                         "--mode", "hadamard", "--delta", "0.25",
+                         "--epsilon", "0.5", "--out", str(cert))
+    assert (code, out) == (1, "")
+    assert err == ("kronrig: error: delta applies to the equal and binpack "
+                   "modes only\n")
+    assert not cert.exists()
+    code, _, _ = run(capsys, "decompose", "--random", "3", "--walsh", "3",
+                     "--mode", "hadamard", "--delta", "auto",
+                     "--epsilon", "0.5")
+    assert code == 0

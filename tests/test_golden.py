@@ -19,11 +19,15 @@ checks on, pinned by sha256.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kronrig import cli
-from kronrig.field import PrimeField
-from kronrig.fileio import parse_matrix, render_matrix
+from kronrig.field import QQ, PrimeField
+from kronrig.fileio import parse_matrix, render_cert, render_matrix
+from kronrig.hadamard import walsh_factors
+from kronrig.matrix import random_invertible
+from kronrig.pipeline import decompose_kron_product
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -46,6 +50,18 @@ def test_golden_decompose_and_verify(name, tmp_path, monkeypatch, capsys):
     assert (tmp_path / cert).read_bytes() == (GOLDEN / cert).read_bytes()
     assert cli.main(["verify", "--cert", cert, *factors]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}_verify.out").read_text()
+
+
+def test_library_hadamard_mode_reproduces_the_cli_certificate():
+    """The library entry point on the entries the CLI builds for the
+    golden q instance (two seeded random factors, then the 2^3 Walsh
+    block as one structured entry) writes the golden certificate."""
+    rng = np.random.default_rng(5)
+    entries = [random_invertible(QQ, 3, rng), random_invertible(QQ, 4, rng),
+               walsh_factors(QQ, 3)]
+    cert, rep = decompose_kron_product(entries, "0.5", mode="hadamard")
+    assert rep["rank_claimed"] == 368
+    assert render_cert(cert) == (GOLDEN / "q.cert").read_text()
 
 
 STDOUT_CASES = {

@@ -124,14 +124,14 @@ def test_layered_certificate_builds_each_slot_matrix_once(monkeypatch):
     monkeypatch.setattr(Factor, "matrix", counting)
     rng = np.random.default_rng(61)
     for field in (F5, QQ):
-        for check_layers in (True, False):
-            facs = [random_invertible(field, d, rng) for d in (2, 3)]
-            calls.clear()
-            cert, _ = decompose_kron_product(facs, "0.5", check_layers=check_layers)
-            # two chains padded to the 4*3 - 3 slots of the larger factor
-            assert len(calls) == 2 * 9
-            assert len(set(calls)) == len(calls)
-            assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
+        facs = [random_invertible(field, d, rng) for d in (2, 3)]
+        calls.clear()
+        cert, rep = decompose_kron_product(facs, "0.5")
+        assert rep["layer_checks"]
+        # two chains padded to the 4*3 - 3 slots of the larger factor
+        assert len(calls) == 2 * 9
+        assert len(set(calls)) == len(calls)
+        assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
 
 
 def test_single_factor_claims():
@@ -192,6 +192,24 @@ def test_validation_errors():
         decompose_kron_product([a, random_dense(F5, 2, 3, rng)], "0.5")
     with pytest.raises(SizeCapError):
         decompose_kron_product([a] * 17, "0.5")
+    with pytest.raises(ValueError, match="structured entries"):
+        decompose_kron_product([a, []], "0.5")
+    with pytest.raises(ValueError, match="factor 2 is not an ExactMatrix"):
+        decompose_kron_product([a, [a, "x"]], "0.5")
+    with pytest.raises(ValueError, match="factor 1 is over Fp 7, factor 0"):
+        decompose_kron_product([a, random_invertible(F7, 2, rng)], "0.5")
+    with pytest.raises(ValueError, match="delta"):
+        decompose_kron_product([a], "0.5", mode="hadamard", delta="1/4")
+
+
+def test_structured_entries_are_flattened_outside_hadamard_mode():
+    rng = np.random.default_rng(103)
+    a, b, c = (random_invertible(F5, d, rng) for d in (2, 3, 2))
+    for mode in ("equal", "binpack"):
+        cert_n, rep_n = decompose_kron_product([a, [b, c]], "0.5", mode=mode)
+        cert_f, rep_f = decompose_kron_product([a, b, c], "0.5", mode=mode)
+        assert cert_n.same_witness(cert_f)
+        assert rep_n == rep_f
 
 
 # ----------------------------------------------------------------------
@@ -235,19 +253,11 @@ def test_bucket_levels_and_reconstruction():
 def test_bucket_structured_entries():
     h = ExactMatrix.from_dense(F5, [[1, 1], [1, 4]])
     entries = [[h, h, h], [h, h, h, h]]
-    cert, rep = bucket_pipeline(entries, "0.3", base=8)
+    cert, rep = bucket_pipeline(entries, "0.3")
+    assert rep["base"] == 8
     assert rep["entry_orders"] == [8, 16]
     assert len(rep["gammas"]) == 2
     assert verify_cert(cert, KroneckerSpec([h] * 7).materialize())["ok"]
-
-
-def test_bucket_base_validation():
-    rng = np.random.default_rng(83)
-    entries = [random_invertible(F5, 3, rng)]
-    with pytest.raises(ValueError):
-        bucket_pipeline(entries, "0.5", base=4)
-    with pytest.raises(ValueError):
-        bucket_pipeline(entries, "0.5", base=1)
 
 
 def test_family_mixed_regime():
@@ -283,6 +293,22 @@ def test_family_via_mode_dispatch():
 
 # ----------------------------------------------------------------------
 # prediction
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 3),
+                                  (2, 2, 2, 2)])
+@pytest.mark.parametrize("eps", ["0.5", "0.3", "1"])
+def test_predict_and_decompose_share_one_plan(dims, eps):
+    """predict is the equal-mode plan without the build: it names the same
+    offset and claims as the report of the certificate decompose builds."""
+    rng = np.random.default_rng(109)
+    facs = [random_invertible(F5, d, rng) for d in dims]
+    _, rep = decompose_kron_product(facs, eps)
+    pred = predict_parameters(list(dims), eps)
+    assert (pred["offset"], pred["delta"], pred["predicted_rank"],
+            pred["predicted_sparsity"], pred["sparsity_target_met"]) == (
+        rep["offset"], rep["delta"], rep["rank_claimed"],
+        rep["sparsity_claimed"], rep["sparsity_target_met"])
 
 
 def test_predict_equal_orders():

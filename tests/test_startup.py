@@ -3,7 +3,8 @@
 The benchmark's set-up probe times a fresh interpreter that imports
 kronrig and runs one small cycle; sympy (used only by the brute-force
 oracle) and scipy.sparse (used only by large int64 sparse products) each
-cost more than that whole cycle, so both are imported on first use.
+cost more than that whole cycle, so both are imported on first use, and
+numpy.ma is not imported at all.
 """
 
 import subprocess
@@ -31,13 +32,22 @@ def loaded():
 print('import', loaded())
 cert = os.path.join(sys.argv[1], 'c.txt')
 flags = ['--walsh', '2', '--random', '2', '--field', 'Fp 5']
+qfile = os.path.join(sys.argv[1], 'q.txt')
+with open(qfile, 'w') as fh:
+    for line in ('field: Q', 'rows: 3', 'cols: 3', 'format: dense',
+                 '1/2 1 -3', '1 -1/3 2/3', '4 3/2 -1'):
+        print(line, file=fh)
+qflags = ['--factors', qfile, '--walsh', '3', '--field', 'Q']
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [kronrig.cli.main(['decompose', *flags, '--epsilon', '0.5',
                                '--out', cert]),
              kronrig.cli.main(['verify', '--cert', cert, *flags]),
              kronrig.cli.main(['predict', '--dims', '8,8,8',
-                               '--epsilon', '0.5'])]
-print('cli', codes, loaded())
+                               '--epsilon', '0.5']),
+             kronrig.cli.main(['decompose', '--mode', 'hadamard', *qflags,
+                               '--epsilon', '0.5', '--out', cert]),
+             kronrig.cli.main(['verify', '--cert', cert, *qflags])]
+print('cli', codes, loaded(), 'numpy.ma' in sys.modules)
 
 f = PrimeField(5)
 rng = np.random.default_rng(7)
@@ -58,15 +68,16 @@ print('product', n * n > _SMALL_CELLS, stored_dense,
 
 
 def test_scipy_sparse_is_imported_only_by_a_large_sparse_product(tmp_path):
-    """A fresh interpreter that imports kronrig and runs a small
-    decompose, verify and predict never loads scipy.sparse; the first
-    int64 sparse x sparse product above _SMALL_CELLS loads it and
-    equals its dense reference."""
+    """A fresh interpreter that imports kronrig and runs a small F_p
+    decompose, verify and predict and a small Q decompose and verify
+    loads neither scipy.sparse nor numpy.ma (which np.unique imports on
+    its first call); the first int64 sparse x sparse product above
+    _SMALL_CELLS loads scipy.sparse and equals its dense reference."""
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
         capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.splitlines() == [
         "import False",
-        "cli [0, 0, 0] False",
+        "cli [0, 0, 0, 0, 0] False False",
         "product True False True True",
     ]
