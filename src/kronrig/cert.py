@@ -25,13 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from .field import PrimeField
 from .matrix import (
-    DENSE_CELL_CAP,
     ExactMatrix,
     KRON_ORDER_CAP,
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
+    _bound,
+    _lift,
     hstack,
     rank_of_product,
     vstack,
@@ -167,8 +169,10 @@ def compose_product(cert_a, cert_b, b_matrix):
     """Certificate for A @ B from certificates of A and B.
 
     Needs B itself (to push A's low-rank rows through), as a matrix or a
-    KroneckerSpec; a spec is materialized only if A has a low-rank part.
-    The sparse parts multiply, so line budgets multiply as well.
+    KroneckerSpec; a spec is materialized only if A has a low-rank part,
+    in the storage its fill calls for, so that V_A @ B of a sparse B is a
+    sparse product.  The sparse parts multiply, so line budgets multiply
+    as well.
     """
     if cert_a.n != cert_b.n or cert_a.field != cert_b.field:
         raise ValueError("certificate mismatch")
@@ -375,14 +379,49 @@ def subset_expand_combine(certs, matrices, eps):
 # verification
 
 
+def _first_mismatch(uv, z, target):
+    """The row-major first (i, j) with (uv + z)[i, j] != target[i, j], or
+    None if there is none.
+
+    With uv and target dense, D = uv - target is formed in one integer
+    array over the common denominator, lifted to Python ints as `__add__`
+    lifts its sum, and Z's triplets are added to it in place.  Only D's
+    nonzeros are then tested for zero in the field: over F_p every entry
+    lies in (-p, 2p), so p is the one nonzero that is zero there.  With
+    either stored sparse the sparse sum runs, as `__add__` would run it.
+    """
+    if not (uv.is_dense and target.is_dense):
+        ri, ci, _ = (uv + z - target).num_triplets()
+        return (int(ri[0]), int(ci[0])) if len(ri) else None
+    a, b = uv.num_dense(), target.num_dense()
+    zr, zc, zv = z.num_triplets()
+    if isinstance(uv.field, PrimeField):
+        d = a - b
+    else:
+        den = math.lcm(uv.den, target.den, z.den)
+        sa, sb, sz = den // uv.den, den // target.den, den // z.den
+        a, b, zv = _lift(max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
+                         + max(_bound(zv), 1) * sz, a, b, zv)
+        d = a * sa
+        d -= b * sb
+        zv = zv * sz
+    d[zr, zc] += zv
+    bad = np.flatnonzero(d)
+    if isinstance(uv.field, PrimeField):
+        bad = bad[d.ravel()[bad] % uv.field.p != 0]
+    return tuple(map(int, divmod(bad[0], uv.cols))) if len(bad) else None
+
+
 def verify_cert(cert, target):
     """Recompute everything and report; claim failures are reported, not raised.
 
-    `target` is a matrix or a KroneckerSpec, materialized here once.  The
-    reconstruction U @ V + Z = target is checked entry by entry.  The rank
-    of U @ V is exact: once that check holds and the target is a
-    KroneckerSpec, `rank_of_product` may take it from the nonzero rows and
-    columns of Z and the factors' inverses; otherwise from U @ V itself.
+    `target` is a matrix or a KroneckerSpec, materialized here once, in
+    the storage its fill calls for.  The reconstruction U @ V + Z = target
+    is checked entry by entry; with U @ V and the target dense, in one
+    n x n integer array (`_first_mismatch`).  The rank of U @ V is exact:
+    once that check holds and the target is a KroneckerSpec,
+    `rank_of_product` may take it from the nonzero rows and columns of Z
+    and the factors' inverses; otherwise from U @ V itself.
     """
     spec = target if isinstance(target, KroneckerSpec) else None
     if spec is not None:
@@ -392,11 +431,8 @@ def verify_cert(cert, target):
     if target.field != cert.field:
         raise ValueError("field mismatch between certificate and target")
     uv = cert.e_matrix()
-    # canonical order: the first nonzero of the difference is the row-major
-    # first mismatch; the n x n difference itself is freed before the rank
-    ri, ci, _ = (uv + cert.z - target).num_triplets()
-    recon_ok = len(ri) == 0
-    mismatch = None if recon_ok else (int(ri[0]), int(ci[0]))
+    mismatch = _first_mismatch(uv, cert.z, target)
+    recon_ok = mismatch is None
     rank_actual = rank_of_product(
         cert.u, cert.v, uv,
         difference=(spec, cert.z) if recon_ok and spec is not None else None)

@@ -501,8 +501,13 @@ class ExactMatrix:
         vals = np.multiply.outer(av, bv).ravel()
         if isinstance(f, PrimeField):
             vals = vals % f.p
-        coo = _canon_coo(f, (out_r, out_c), ri, ci, vals, assume_clean=True)
-        return self._like(out_r, out_c, coo=coo, den=den)
+        # canonical without a merge: the pairs of entries are taken in
+        # row-major order of each operand, so a stable sort by row keeps
+        # each row's columns ascending; the products are distinct cells
+        # and, a field having no zero divisors, nonzero
+        order = np.argsort(ri, kind="stable")
+        return self._like(out_r, out_c, coo=(ri[order], ci[order], vals[order]),
+                          den=den)
 
     # ------------------------------------------------------------------
     # rank
@@ -1101,21 +1106,6 @@ def mixed_radix_strides(dims):
     return strides
 
 
-def tuple_to_index(x, dims):
-    """1-based digit tuple -> flat index in [0, prod dims)."""
-    strides = mixed_radix_strides(dims)
-    idx = 0
-    for xi, di, si in zip(x, dims, strides):
-        if not 1 <= xi <= di:
-            raise ValueError(f"digit {xi} out of [1, {di}]")
-        idx += (xi - 1) * si
-    return int(idx)
-
-def index_to_tuple(idx, dims):
-    strides = mixed_radix_strides(dims)
-    return tuple(int(idx // s % d) + 1 for s, d in zip(strides, dims))
-
-
 def all_digits(dims):
     """(n, k) array of 1-based digits for every flat index, row i = tuple(i)."""
     n = 1
@@ -1155,25 +1145,31 @@ class KroneckerSpec:
         return (self.n, self.n)
 
     def materialize(self):
+        """The product as one matrix, in the storage its fill calls for:
+        dense exactly when `_prefers_dense` says so for ∏ nnz(Mᵢ)
+        nonzeros, the product's exact count, as a field has no zero
+        divisors.  Every factor is brought to that storage first, so each
+        `kron` of the fold stays in it."""
         if self.n > KRON_ORDER_CAP:
             raise SizeCapError(
                 f"order {self.n} exceeds the materialization cap {KRON_ORDER_CAP}")
-        acc = self.factors[0]
-        if self.n * self.n <= DENSE_CELL_CAP:
-            acc = acc._like(acc.rows, acc.cols, dense=acc.num_dense())
-        for m in self.factors[1:]:
-            acc = acc.kron(m)
-        return acc
+        dense = _prefers_dense(self.n, self.n,
+                               math.prod(m.nnz for m in self.factors))
+        return kron_list([m._like(m.rows, m.cols, dense=m.num_dense()) if dense
+                          else m._like(m.rows, m.cols, coo=m.num_triplets())
+                          for m in self.factors])
 
     def __repr__(self):
         return f"<KroneckerSpec dims={self.dims} over {self.field.header}>"
 
 
 def kron_list(mats):
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc.kron(m)
-    return acc
+    """The Kronecker product of the matrices, folded as two halves, so
+    that only the last `kron` forms as many cells as the product."""
+    if len(mats) <= 1:
+        return mats[0]
+    h = len(mats) // 2
+    return kron_list(mats[:h]).kron(kron_list(mats[h:]))
 
 
 def random_dense(field, rows, cols, rng):

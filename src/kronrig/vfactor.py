@@ -100,13 +100,6 @@ def slot_kinds(d):
     return [PERM, VROW] * (d - 1) + [DIAG] + [VCOL, PERM] * (d - 1)
 
 
-def chain_product(factors):
-    acc = factors[0].matrix()
-    for f in factors[1:]:
-        acc = acc @ f.matrix()
-    return acc
-
-
 # ----------------------------------------------------------------------
 # one peeling step
 

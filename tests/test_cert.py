@@ -403,6 +403,83 @@ def test_verify_reports_bad_claims_without_raising():
     assert not report["ok"]
 
 
+def _stored(m, dense):
+    if dense:
+        return m._like(m.rows, m.cols, dense=m.num_dense())
+    return m._like(m.rows, m.cols, coo=m.num_triplets())
+
+
+def _bumped(m, i, j):
+    """m with entry (i, j) changed by one."""
+    vals = m.to_dense().copy()
+    vals[i, j] = m.field.add(vals[i, j], 1)
+    return _stored(ExactMatrix.from_dense(m.field, vals), m.is_dense)
+
+
+def _reconstruction_parts(field, rng):
+    """u, v and a sparse z of order 8: u @ v fills rows 0 and 7 only, so
+    a product of sparse u and v stays sparse and rows 1..6 are touched
+    by z alone.  Over Q, u, v and z carry denominators 2, 3 and 5; over
+    F_p, uv + z reaches p at (0, 0) before its reduction."""
+    n = 8
+    q = not isinstance(field, PrimeField)
+
+    def entry(den):
+        # over Q a numerator prime to 30 keeps den the reduced denominator
+        return Fraction(int(rng.choice([1, 7, -11, 13])), den) if q \
+            else field.rand_nonzero(rng)
+
+    u = [[0, 0] for _ in range(n)]
+    u[0][0] = u[n - 1][1] = entry(2) if q else 1
+    v = [[entry(3) for _ in range(n)] for _ in range(2)]
+    cells = [(0, 0), (3, 2), (5, 6), (n - 1, n - 1)]
+    z_vals = [entry(5) for _ in cells]
+    if not q:
+        z_vals[0] = field.neg(1)  # (u @ v)[0, 0] + z[0, 0] = v[0][0] + p - 1
+    z = ExactMatrix.from_triplets(field, n, n,
+                                  [(i, j, x) for (i, j), x in zip(cells, z_vals)])
+    return (ExactMatrix.from_dense(field, u), ExactMatrix.from_dense(field, v), z)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F5, PrimeField(2147483659), QQ],
+                         ids=lambda f: f.header)
+def test_reconstruction_check_matches_the_difference(field):
+    """The one-array check reports what (uv + z - target) reports, for
+    every storage of u @ v and of the target."""
+    rng = np.random.default_rng(83)
+    u, v, z = _reconstruction_parts(field, rng)
+    n, r = u.rows, u.cols
+    target = u @ v + z
+    if field == QQ:
+        assert len({(u @ v).den, z.den, target.den}) == 3
+    else:
+        uv = (u @ v).num_dense()
+        assert uv[0, 0] + z.num_dense()[0, 0] - target.num_dense()[0, 0] == field.p
+    edits = [("honest", u, v, z),
+             ("u first", _bumped(u, 0, 0), v, z),
+             ("u last", _bumped(u, n - 1, r - 1), v, z),
+             ("v first", u, _bumped(v, 0, 0), z),
+             ("v last", u, _bumped(v, r - 1, n - 1), z),
+             ("z first", u, v, _bumped(z, 0, 0)),
+             ("z last", u, v, _bumped(z, n - 1, n - 1)),
+             ("z only", u, v, _bumped(z, 3, 2))]
+    for uv_dense in (True, False):
+        for target_dense in (True, False):
+            tgt = _stored(target, target_dense)
+            for name, eu, ev, ez in edits:
+                eu = _stored(eu, uv_dense)
+                ev = _stored(ev, uv_dense)
+                uv = eu @ ev
+                assert uv.is_dense == uv_dense
+                ri, ci, _ = (uv + ez - tgt).num_triplets()
+                want = (int(ri[0]), int(ci[0])) if len(ri) else None
+                cert = Certificate(field, n, eu, ev, ez, r, n)
+                report = verify_cert(cert, tgt)
+                assert report["reconstruction_ok"] == (want is None), name
+                assert report["first_mismatch"] == want, name
+                assert (want is None) == (name == "honest"), name
+
+
 def test_verify_rejects_shape_and_field_mismatch():
     cert = full_cert(ExactMatrix.identity(F5, 2))
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Exact matrix storage, arithmetic, rank, and Kronecker indexing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from kronrig import matrix
 from kronrig.field import PrimeField, QQ
+from kronrig.hadamard import paley_type_one
 from kronrig.matrix import (
     ExactMatrix,
     KroneckerSpec,
@@ -17,17 +19,16 @@ from kronrig.matrix import (
     SizeCapError,
     all_digits,
     hstack,
-    index_to_tuple,
     kron_list,
     mixed_radix_strides,
     rank_of_product,
     random_dense,
     random_invertible,
     transposition,
-    tuple_to_index,
     vstack,
     _canon_coo,
 )
+from kronrig.vfactor import v_matrix
 
 F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -642,6 +643,61 @@ def test_kron_spec_materialize():
     assert kron_list(mats) == spec.materialize()
 
 
+def _stored(m, dense):
+    """The same matrix in dense or in sparse storage."""
+    if dense:
+        return m._like(m.rows, m.cols, dense=m.num_dense())
+    return m._like(m.rows, m.cols, coo=m.num_triplets())
+
+
+def _storage_cases(field, rng):
+    """Factor lists with zeros (monomial, v_matrix, Paley's core) and
+    without, each factor in either storage."""
+    def full(d):
+        return ExactMatrix.from_dense(
+            field, [[field.rand_nonzero(rng) for _ in range(d)] for _ in range(d)])
+
+    def mono(d):
+        return MonomialMatrix(field, rng.permutation(d),
+                              [field.rand_nonzero(rng) for _ in range(d)]).to_matrix()
+
+    def vm(d):
+        return v_matrix(field, [field.rand_nonzero(rng) for _ in range(d)])
+
+    cases = [[full(2), _stored(full(3), False)],           # no zeros: dense
+             [mono(3), _stored(mono(2), True), mono(2)],   # 12 of 144: sparse
+             [vm(3), full(2)],                             # 20 of 36: dense
+             [vm(2), _stored(vm(2), True), vm(2), vm(2)],  # 81 of 256: sparse
+             [_stored(mono(2), True)] * 13]                # beyond the cell cap
+    if field != F2:  # sign matrices need an odd characteristic
+        # a Paley conference core has a zero diagonal: 6 of 9 cells
+        core = ExactMatrix.from_dense(field, [[0, 1, 1], [1, 0, -1], [1, -1, 0]])
+        cases += [[core, _stored(paley_type_one(field, 3), False)],  # 96 of 144
+                  [core, core, mono(2)],                   # 72 of 324: sparse
+                  [core, core]]                            # 36 of 81: dense
+    return cases
+
+
+@pytest.mark.parametrize("field", [F2, F5, PrimeField(2147483659), QQ],
+                         ids=lambda f: f.header)
+def test_kron_spec_storage_follows_fill(field):
+    rng = np.random.default_rng(62)
+    for factors in _storage_cases(field, rng):
+        spec = KroneckerSpec(factors)
+        got = spec.materialize()
+        nnz = math.prod(m.nnz for m in factors)
+        assert got.nnz == nnz
+        assert got.is_dense == matrix._prefers_dense(spec.n, spec.n, nnz)
+        if spec.n * spec.n > matrix.DENSE_CELL_CAP:
+            continue  # no dense reference at this size
+        want = factors[0].to_dense()
+        for m in factors[1:]:
+            want = np.kron(want, m.to_dense())
+            if isinstance(field, PrimeField):
+                want %= field.p
+        assert (got.to_dense() == want).all()
+
+
 def test_kron_spec_validation_and_cap():
     a = ExactMatrix.from_dense(F5, [[1]])
     with pytest.raises(ValueError):
@@ -653,24 +709,16 @@ def test_kron_spec_validation_and_cap():
         spec.materialize()
 
 
-def test_mixed_radix_round_trip():
-    dims = (2, 3, 4)
-    assert mixed_radix_strides(dims).tolist() == [12, 4, 1]
-    n = 24
-    seen = set()
-    for idx in range(n):
-        t = index_to_tuple(idx, dims)
-        assert tuple_to_index(t, dims) == idx
-        seen.add(t)
-    assert len(seen) == n
-    digits = all_digits(dims)
-    assert digits.shape == (n, 3)
-    assert digits[0].tolist() == [1, 1, 1]
-    assert digits[n - 1].tolist() == [2, 3, 4]
-    # factor 1 is most significant: second half of rows has first digit 2
-    assert (digits[12:, 0] == 2).all()
-    with pytest.raises(ValueError):
-        tuple_to_index((0, 1, 1), dims)
+def test_mixed_radix_digits_and_strides():
+    assert mixed_radix_strides((2, 3, 4)).tolist() == [12, 4, 1]
+    for dims in [(2, 3, 4), (5,), (3, 2), (2, 2, 2, 2)]:
+        n = math.prod(dims)
+        digits = all_digits(dims)
+        # every 1-based digit tuple once, factor 1 most significant
+        want = list(itertools.product(*[range(1, d + 1) for d in dims]))
+        assert [tuple(row) for row in digits.tolist()] == want
+        # the strides take each row of the table back to its flat index
+        assert ((digits - 1) @ mixed_radix_strides(dims)).tolist() == list(range(n))
 
 
 def test_kron_digit_consistency():

@@ -134,6 +134,43 @@ def test_layered_certificate_builds_each_slot_matrix_once(monkeypatch):
         assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
 
 
+def test_compose_product_takes_suffixes_in_the_storage_their_fill_calls_for(
+        monkeypatch):
+    """At fp_walsh's shape (--walsh 8 and two 2x2 factors over F5, n=1024)
+    every suffix product that compose_product materializes with
+    3 * nnz <= n^2 arrives sparse, so V @ suffix is a sparse product."""
+    from kronrig import pipeline
+    from kronrig.hadamard import walsh_factors
+
+    real_compose, real_materialize = pipeline.compose_product, KroneckerSpec.materialize
+    inside, seen = [], []
+
+    def compose(cert_a, cert_b, b_matrix):
+        inside.append(b_matrix)
+        try:
+            return real_compose(cert_a, cert_b, b_matrix)
+        finally:
+            inside.pop()
+
+    def materialize(self):
+        out = real_materialize(self)
+        if inside:
+            seen.append((math.prod(m.nnz for m in self.factors), out))
+        return out
+
+    monkeypatch.setattr(pipeline, "compose_product", compose)
+    monkeypatch.setattr(KroneckerSpec, "materialize", materialize)
+    facs = walsh_factors(F5, 8) + [ExactMatrix.from_dense(F5, [[1, 2], [3, 4]]),
+                                   ExactMatrix.from_dense(F5, [[2, 1], [1, 4]])]
+    cert, _ = decompose_kron_product(facs, "0.5")
+    n = cert.n
+    sparse_fill = [(nnz, out) for nnz, out in seen if 3 * nnz <= n * n]
+    assert {nnz for nnz, _ in sparse_fill} >= {1024, 59049}
+    for nnz, out in sparse_fill:
+        assert out.nnz == nnz
+        assert not out.is_dense
+
+
 def test_single_factor_claims():
     rng = np.random.default_rng(47)
     a = random_invertible(F5, 4, rng)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kronrig.matrix import all_digits, tuple_to_index
+from kronrig.matrix import all_digits
 from kronrig.scores import (
     CountBudgetError,
     WeightScheme,
@@ -113,8 +113,8 @@ def test_masks_agree_with_tuple_scores():
         for off in [Fraction(0), Fraction(1, 2), Fraction(1)]:
             high, low = threshold_masks(dims, UNIFORM, off)
             m = mean_score(dims, UNIFORM)
-            for t in enumerate_tuples(dims):
-                idx = tuple_to_index(t, dims)
+            # itertools.product runs in row-major order: factor 1 most significant
+            for idx, t in enumerate(enumerate_tuples(dims)):
                 s = score_of_tuple(t, dims, UNIFORM)
                 assert high[idx] == (s >= m + off)
                 assert low[idx] == (s <= m - off)

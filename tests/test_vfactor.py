@@ -22,7 +22,6 @@ from kronrig.vfactor import (
     PERM,
     VCOL,
     VROW,
-    chain_product,
     embed_monomial,
     factor_step,
     lift_vector,
@@ -50,6 +49,14 @@ def assemble_step(field, d, p1, y, core, lam, x, p2):
     mid_m = ExactMatrix.from_dense(field, mid)
     return (p1.to_matrix() @ v_matrix(field, y).T @ mid_m
             @ v_matrix(field, x) @ p2.to_matrix())
+
+
+def chain_product(factors):
+    """The product of a chain's factors, folded left to right."""
+    acc = factors[0].matrix()
+    for f in factors[1:]:
+        acc = acc @ f.matrix()
+    return acc
 
 
 def random_singular(field, d, rng):
