@@ -10,6 +10,16 @@ triplets.  Certificate files store the three witness blocks as triplet
 lists plus the claimed budgets; the in-memory ``meta`` dict is runtime
 provenance and is deliberately not persisted.  Reports are "key: value"
 lines followed by a single machine-readable JSON line.
+
+Triplet blocks and dense rows are written and read as byte arrays.  The
+writer encodes a whole block in one uint8 array: digits by repeated
+division over each column, right-aligned in fixed-width rows whose
+padding is then dropped; only numbers past int64 take a per-value str().
+The reader takes the header keys line by line and each block as one
+byte range.  A block of exactly the tokens the writer emits is decoded
+there eight digits at a time (int() reads parts of more than 18 digits);
+anything else (comments, tabs, CRLF, '+3', ...) goes to the line loop,
+which names the first bad line as `str.splitlines` numbers it.
 """
 
 import json
@@ -40,29 +50,47 @@ class FileFormatError(ValueError):
     pass
 
 
+# bytes other than '\n' at which str.splitlines ends a line in ASCII text
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
 class _LineReader:
     """Content lines of a text: lines that are neither blank nor '#'
-    comments, numbered as `str.splitlines` counts them."""
+    comments, numbered as `str.splitlines` counts them.  The text is kept
+    as UTF-8 bytes in which '\\n' alone ends lines, so a run of lines is
+    one byte range."""
 
     def __init__(self, text):
-        self.lines = text.splitlines()
-        self.pos = 0  # index of the next unread line
+        data = text.encode("utf-8") if isinstance(text, str) else text
+        if not data.isascii() or any(b in data for b in _OTHER_BREAKS):
+            data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
+        self.data = data
+        self.at = 0  # byte offset of the next unread line
+        self.no = 0  # lines read so far
+        self._ends = None  # offset of every '\n', found on first use
 
     def _skip(self):
-        """The next content line, stripped, or None at the end."""
-        while self.pos < len(self.lines):
-            s = self.lines[self.pos].strip()
+        """The next content line, stripped, and the offset of its end, or
+        None at the end."""
+        data = self.data
+        while self.at < len(data):
+            end = data.find(b"\n", self.at)
+            if end < 0:
+                end = len(data)
+            s = data[self.at:end].decode("utf-8").strip()
             if s and not s.startswith("#"):
-                return s
-            self.pos += 1
+                return s, end
+            self.at = end + 1
+            self.no += 1
         return None
 
     def next(self, what):
-        s = self._skip()
-        if s is None:
+        got = self._skip()
+        if got is None:
             raise FileFormatError(f"unexpected end of file, expected {what}")
-        self.pos += 1
-        return self.pos, s
+        s, self.at = got[0], got[1] + 1
+        self.no += 1
+        return self.no, s
 
     def key(self, name):
         no, s = self.next(f"'{name}:'")
@@ -79,6 +107,36 @@ class _LineReader:
             raise FileFormatError(
                 f"line {no}: '{name}' needs an integer, got {raw!r}") from None
 
+    def bulk(self, count, decode):
+        """decode(the bytes of the next `count` lines, or of all the rest
+        when count is None, without the last line's newline), read past
+        those lines unless it returns None.  None without a call when
+        count < 1 or fewer lines remain."""
+        data = self.data
+        if count is None:
+            if self.at >= len(data):
+                return None
+            end = len(data) - data.endswith(b"\n")
+            count = data.count(b"\n", self.at, end) + 1
+        else:
+            if count < 1:
+                return None
+            if self._ends is None:
+                self._ends = np.flatnonzero(
+                    np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+            last = self.no + count - 1  # the block's last line
+            if last < len(self._ends):
+                end = int(self._ends[last])
+            elif last == len(self._ends) and not data.endswith(b"\n"):
+                end = len(data)
+            else:
+                return None
+        got = decode(data[self.at:end])
+        if got is not None:
+            self.no += count
+            self.at = end + 1
+        return got
+
     def exhausted(self):
         return self._skip() is None
 
@@ -89,29 +147,93 @@ class _LineReader:
 
 
 # ----------------------------------------------------------------------
-# triplet lines "i j value", shared by sparse matrices and certificates
+# the writer: a whole block of integers to ASCII in one byte array
+
+def _decimal(x):
+    """(w, fill): the width of the integers x written in decimal, and a
+    function fill(chars, keep) that writes them right-aligned into
+    (len(x), w) uint8 and bool arrays, so that chars[i][keep[i]] is
+    str(x[i]) in ASCII."""
+    if x.dtype == object:
+        try:
+            x = x.astype(np.int64)
+        except OverflowError:  # past int64: each value's own str()
+            texts = [str(v) for v in x.tolist()]
+            lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            w = int(lens.max())
+
+            def fill_texts(chars, keep):
+                keep[:] = np.arange(w) >= (w - lens)[:, None]
+                chars[keep] = np.frombuffer("".join(texts).encode("ascii"),
+                                            dtype=np.uint8)
+            return w, fill_texts
+    neg = x < 0
+    a = np.abs(x).view(np.uint64)  # |-2**63| wraps to itself: 2**63 as uint64
+    top = int(a.max())
+    if top < 1 << 32:  # uint32 division is several times faster
+        a = a.astype(np.uint32)
+    sign = int(neg.any())
+    w = sign + len(str(top))
+
+    def fill(chars, keep):
+        rest = a
+        for k in range(w - 1, sign - 1, -1):
+            keep[:, k] = rest != 0  # a digit is written while digits are left
+            q = rest // 10
+            chars[:, k] = rest - q * 10
+            rest = q
+        chars[:, sign:] += ord("0")
+        keep[:, w - 1] = True
+        if sign:
+            chars[:, 0] = ord("-")
+            keep[:, 0] = neg
+    return w, fill
 
 
-def _texts(den, nums):
-    """Each value nums[i]/den written as str(Fraction) writes it reduced,
-    as a Python int or an 'n/d' string; residues over F_p have den 1."""
+def _value_parts(nums, den, lead=None):
+    """The parts of _text that write the values nums/den as str(Fraction)
+    writes them: n/d reduced, or n where d is 1.  Residues over F_p have
+    den 1."""
     if den == 1:
-        return nums.tolist()
+        return [(nums, lead, None)]
     if den >= 1 << 63:
         nums = nums.astype(object)
     g = np.gcd(nums, den)
-    return [f"{n}/{d}" if d != 1 else n
-            for n, d in zip((nums // g).tolist(), (den // g).tolist())]
+    d = den // g
+    return [(nums // g, lead, None), (d, ord("/"), d != 1)]
 
 
-def _render_triplets(out, m):
-    """Append m's canonical triplet lines to `out`, joined into one string."""
+def _text(parts, ends):
+    """ASCII lines, each the parts in order and then its byte of `ends`
+    (one byte, or an array of a byte per line).  A part (x, lead, show)
+    writes the integers x, each after the byte `lead` unless lead is
+    None, and leaves both out where the bool array `show` is False."""
+    n = len(parts[0][0])
+    cols = [(lead, show, *_decimal(x)) for x, lead, show in parts]
+    total = sum((lead is not None) + w for lead, _, w, _ in cols) + 1
+    chars = np.empty((n, total), dtype=np.uint8)
+    keep = np.ones((n, total), dtype=bool)
+    at = 0
+    for lead, show, w, fill in cols:
+        start = at
+        if lead is not None:
+            chars[:, at] = lead
+            at += 1
+        fill(chars[:, at:at + w], keep[:, at:at + w])
+        at += w
+        if show is not None:
+            keep[:, start:at] &= show[:, None]
+    chars[:, at] = ends
+    return chars[keep].tobytes().decode("ascii")
+
+
+def _triplet_text(m):
+    """m's canonical triplet lines 'i j value', each ending in a newline."""
     ri, ci, vals = m.num_triplets()
-    if len(ri):
-        if m.den != 1:
-            vals = np.array(_texts(m.den, vals), dtype=object)
-        cells = np.stack([ri, ci, vals], axis=1).ravel().tolist()
-        out.append("\n".join(["%s %s %s"] * len(ri)) % tuple(cells))
+    if not len(ri):
+        return ""
+    return _text([(ri, None, None), (ci, ord(" "), None),
+                  *_value_parts(vals, m.den, ord(" "))], ord("\n"))
 
 
 def _parse_value(field, tok, no):
@@ -121,80 +243,168 @@ def _parse_value(field, tok, no):
         raise FileFormatError(f"line {no}: {e}") from None
 
 
-# 10**18 < 2**63, so tokens of at most this many digits fit int64.
+# ----------------------------------------------------------------------
+# the bulk reader: the writer's own tokens at array speed
+
+# 10**18 < 2**63, so parts of at most this many digits fit int64; int()
+# reads longer ones
 _BULK_DIGITS = 18
 
 
-def _bulk_values(lines, width, slash_cols=None):
-    """int64 arrays (nums, dens) of shape (len(lines), width), or None
-    unless each line is exactly `width` tokens joined by single spaces,
-    each -?[0-9]{1,18}, or in the columns marked in `slash_cols` also
-    -?[0-9]{1,18}/[0-9]{1,18} with a nonzero denominator.  dens is None
-    when no token has a '/'.  On such lines int() and Fraction() agree
+def _words(buf):
+    """words[e], a little-endian uint64, holds the 8 bytes of buf that end
+    at offset e, with zero bytes before buf's start."""
+    pad = np.zeros(len(buf) + 8, dtype=np.uint8)
+    pad[8:] = buf
+    return np.ndarray((len(buf) + 1,), dtype="<u8", buffer=pad, strides=(1,))
+
+
+def _swar(words, n):
+    """The numbers written by the last n[i] (1 to 8) ASCII digits of each
+    word, combined in pairs, fours and eights within the word (Lemire,
+    "Number parsing at a gigabyte per second", 2021).  Overwrites both
+    arrays."""
+    n *= -8
+    n += 64
+    shift = n.view(np.uint64)
+    words >>= shift  # clear the bytes before the digits
+    words <<= shift
+    words &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    words *= np.uint64(10 << 8 | 1)
+    words >>= np.uint64(8)
+    words &= np.uint64(0x00FF00FF00FF00FF)
+    words *= np.uint64(100 << 16 | 1)
+    words >>= np.uint64(16)
+    words &= np.uint64(0x0000FFFF0000FFFF)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+    return words
+
+
+def _decode(words, buf, tails, lens):
+    """The numbers written in the lens[i] digits of buf that end at
+    tails[i], int64, or Python ints when one has more than 18 digits;
+    None if a run is empty.  `words` is _words(buf)."""
+    if not len(lens) or lens.min() < 1:
+        return None
+    vals = _swar(words[tails], np.minimum(lens, 8))
+    top = int(lens.max())
+    for c in (8, 16):  # the digits before the last 8 and the last 16
+        if top <= c:
+            break
+        at = np.flatnonzero((lens > c) & (lens <= _BULK_DIGITS))
+        vals[at] += _swar(words[tails[at] - c],
+                          np.minimum(lens[at] - c, 8)) * np.uint64(10**c)
+    vals = vals.view(np.int64)
+    if top > _BULK_DIGITS:
+        vals = vals.astype(object)
+        for i in np.flatnonzero(lens > _BULK_DIGITS).tolist():
+            vals[i] = int(buf[tails[i] - lens[i]:tails[i]].tobytes())
+    return vals
+
+
+def _marks(raw, buf, sep, byte):
+    """Offsets of `byte` in buf and the token each sits in."""
+    at = np.flatnonzero(buf == ord(byte)) if byte in raw else sep[:0]
+    return at, np.searchsorted(sep, at)
+
+
+def _bulk_values(raw, width, slash_cols=None):
+    """Arrays (nums, dens) of shape (lines, width) of the bytes `raw`, or
+    None unless raw is lines of exactly `width` tokens joined by single
+    spaces, each -?[0-9]+, or in the columns marked in `slash_cols` also
+    -?[0-9]+/[0-9]+ with a nonzero denominator.  dens is None when no
+    token has a '/'.  The arrays are int64, or Python ints where a part
+    has more than 18 digits.  On such lines int() and Fraction() agree
     with this parse; the renderer writes only such lines."""
-    body = "\n".join(lines)
-    if not body.isascii():
-        return None
-    raw = body.encode("ascii")
     buf = np.frombuffer(raw, dtype=np.uint8)
-    sep = np.flatnonzero((buf == ord(" ")) | (buf == ord("\n")))
-    ntok = width * len(lines)
-    if len(sep) != ntok - 1 or not np.array_equal(
-            buf[sep] == ord("\n"), np.arange(1, ntok) % width == 0):
+    sep = np.flatnonzero(buf <= ord(" "))
+    nl = sep[width - 1::width]  # where the newlines must be
+    if (len(sep) + 1) % width or raw.count(b"\n") != len(nl) \
+            or raw.count(b" ") != len(sep) - len(nl) \
+            or not (buf[nl] == ord("\n")).all():
         return None
-    starts = np.concatenate(([0], sep + 1))
-    ends = np.concatenate((sep, [len(buf)]))
-    if (ends - starts).min() < 1:
+    ends = np.append(sep, len(buf))  # of each token
+    lens = np.empty_like(ends)  # then of its digits
+    lens[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lens[1:])
+    lens[1:] -= 1
+    minus, neg = _marks(raw, buf, sep, b"-")
+    if (minus != ends[neg] - lens[neg]).any():  # each starts its token
         return None
-    neg = buf[starts] == ord("-")
-    digits = ends - starts - neg
-    slash = np.flatnonzero(buf == ord("/")) if b"/" in raw else sep[:0]
+    lens[neg] -= 1
+    tails = ends
+    slash, tok = _marks(raw, buf, sep, b"/")
     if len(slash):
-        tok = np.searchsorted(sep, slash)  # the token each '/' sits in
         if slash_cols is None or not slash_cols[tok % width].all() \
                 or (np.diff(tok) == 0).any():
             return None
-        den_digits = ends[tok] - slash - 1
-        if den_digits.min() < 1 or den_digits.max() > _BULK_DIGITS:
-            return None
-        digits[tok] -= den_digits + 1
-        raw = raw.replace(b"/", b" ")
-    if digits.min() < 1 or digits.max() > _BULK_DIGITS:
-        return None
-    # every byte is a separator, a '/', a digit or the '-' that starts a token
-    if (len(sep) + len(slash) + np.count_nonzero(neg)
+        den_lens = ends[tok] - slash - 1
+        lens[tok] -= den_lens + 1
+        tails = ends.copy()
+        tails[tok] = slash
+    # every byte is a separator, a '-' that starts a token, a '/' or a digit
+    if (len(sep) + len(minus) + len(slash)
             + np.count_nonzero(buf - ord("0") < 10)) != len(buf):
         return None
-    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if not len(slash):
-        return vals.reshape(-1, width), None
-    at = np.arange(ntok) + np.searchsorted(tok, np.arange(ntok))
-    dens = np.ones(ntok, dtype=np.int64)
-    dens[tok] = vals[at[tok] + 1]
-    if dens.min() < 1:
+    words = _words(buf)
+    nums = _decode(words, buf, tails, lens)
+    if nums is None:
         return None
-    return vals[at].reshape(-1, width), dens.reshape(-1, width)
+    nums[neg] = -nums[neg]
+    if not len(slash):
+        return nums.reshape(-1, width), None
+    d = _decode(words, buf, ends[tok], den_lens)
+    if d is None or not d.all():
+        return None
+    dens = np.ones(len(ends), dtype=d.dtype)
+    dens[tok] = d
+    return nums.reshape(-1, width), dens.reshape(-1, width)
 
 
-def _bulk_triplets(lines, rows, cols):
-    """int64 arrays (i, j, value) of `lines`, or None unless each line is
-    `i j value` as _bulk_values reads it and every index is in range.  A
-    value may be written n/d; then the value array holds (n, d) rows."""
-    got = _bulk_values(lines, 3, np.array([False, False, True]))
+_VALUE_COL = np.array([False, False, True])
+
+
+def _bulk_triplets(raw, rows, cols):
+    """Arrays (i, j, value) of the lines in `raw`, or None unless each
+    line is `i j value` as _bulk_values reads it and every index is in
+    range.  A value may be written n/d; then the value array holds (n, d)
+    rows."""
+    got = _bulk_values(raw, 3, _VALUE_COL)
     if got is None:
         return None
-    (ri, ci, vals), dens = got[0].T, got[1]
+    nums, dens = got
+    try:
+        ri, ci = nums[:, 0].astype(np.int64), nums[:, 1].astype(np.int64)
+    except OverflowError:
+        return None
     if ri.min() < 0 or ri.max() >= rows or ci.min() < 0 or ci.max() >= cols:
         return None
+    vals = nums[:, 2].copy()
     return ri, ci, vals if dens is None else np.stack([vals, dens[:, 2]], axis=1)
 
 
 def _bulk_nums(field, vals, dens):
     """(numerators, den) of bulk-decoded values and denominators (None
     for all ones), or None where a value written n/d is not in the field."""
-    if dens is None:
-        return vals, 1
-    return over_common_den(vals, dens) if isinstance(field, RationalField) else None
+    if isinstance(field, RationalField):
+        return (vals, 1) if dens is None else over_common_den(vals, dens)
+    if dens is not None:
+        return None
+    return (vals % field.p if vals.dtype == object else vals), 1
+
+
+def _bulk_coo(field, rows, cols, raw):
+    """The matrix of the triplet lines `raw` if _bulk_triplets reads them
+    and every value is in the field, else None."""
+    bulk = _bulk_triplets(raw, rows, cols)
+    if bulk is None:
+        return None
+    ri, ci, vals = bulk
+    nums = _bulk_nums(field, *((vals, None) if vals.ndim == 1 else vals.T))
+    if nums is None:
+        return None
+    return ExactMatrix.from_num_coo(field, rows, cols, ri, ci, *nums)
 
 
 def _parse_triplets(rd, field, rows, cols, count=None, name=None):
@@ -202,15 +412,9 @@ def _parse_triplets(rd, field, rows, cols, count=None, name=None):
     None, as a rows x cols matrix; `name` is the certificate block named in
     errors.  A block of canonical lines is decoded in bulk; the line loop
     parses everything else and names the first bad line."""
-    end = len(rd.lines) if count is None else rd.pos + count
-    if rd.pos < end <= len(rd.lines):
-        bulk = _bulk_triplets(rd.lines[rd.pos:end], rows, cols)
-        if bulk is not None:
-            ri, ci, vals = bulk
-            nums = _bulk_nums(field, *((vals, None) if vals.ndim == 1 else vals.T))
-            if nums is not None:
-                rd.pos = end
-                return ExactMatrix.from_num_coo(field, rows, cols, ri, ci, *nums)
+    m = rd.bulk(count, lambda raw: _bulk_coo(field, rows, cols, raw))
+    if m is not None:
+        return m
     block = f"block '{name}' " if name else ""
     trips = []
     while (not rd.exhausted()) if count is None else len(trips) < count:
@@ -238,17 +442,24 @@ def render_matrix(m, fmt=None):
         fmt = "dense" if m.is_dense else "sparse"
     if fmt not in ("dense", "sparse"):
         raise ValueError(f"format must be dense or sparse, got {fmt!r}")
-    f = m.field
-    out = [f"field: {f.header}", f"rows: {m.rows}", f"cols: {m.cols}",
-           f"format: {fmt}"]
-    if fmt == "dense":
-        if m.cols > 0:  # zero-width rows would render as blank lines
-            texts = _texts(m.den, m.num_dense().ravel())
-            for i in range(0, len(texts), m.cols):
-                out.append(" ".join(map(str, texts[i:i + m.cols])))
-    else:
-        _render_triplets(out, m)
-    return "\n".join(out) + "\n"
+    head = (f"field: {m.field.header}\nrows: {m.rows}\ncols: {m.cols}\n"
+            f"format: {fmt}\n")
+    if fmt == "sparse":
+        return head + _triplet_text(m)
+    if m.rows == 0 or m.cols == 0:  # zero-width rows would render as blank lines
+        return head
+    nums = m.num_dense().ravel()
+    ends = np.full(len(nums), ord(" "), dtype=np.uint8)
+    ends[m.cols - 1::m.cols] = ord("\n")
+    return head + _text(_value_parts(nums, m.den), ends)
+
+
+def _bulk_dense(field, cols, raw):
+    """The matrix of the rows `raw` if _bulk_values reads them and every
+    value is in the field, else None."""
+    bulk = _bulk_values(raw, cols, np.ones(cols, dtype=bool))
+    nums = None if bulk is None else _bulk_nums(field, *bulk)
+    return None if nums is None else ExactMatrix.from_num_dense(field, *nums)
 
 
 def _parse_dense(rd, field, rows, cols):
@@ -257,13 +468,9 @@ def _parse_dense(rd, field, rows, cols):
     the first bad line."""
     if rows == 0 or cols == 0:
         return ExactMatrix.zeros(field, rows, cols)
-    if rd.pos + rows <= len(rd.lines):
-        bulk = _bulk_values(rd.lines[rd.pos:rd.pos + rows], cols,
-                            np.ones(cols, dtype=bool))
-        nums = None if bulk is None else _bulk_nums(field, *bulk)
-        if nums is not None:
-            rd.pos += rows
-            return ExactMatrix.from_num_dense(field, *nums)
+    m = rd.bulk(rows, lambda raw: _bulk_dense(field, cols, raw))
+    if m is not None:
+        return m
     data = []
     for _ in range(rows):
         no, s = rd.next(f"a row of {cols} entries")
@@ -276,6 +483,7 @@ def _parse_dense(rd, field, rows, cols):
 
 
 def parse_matrix(text):
+    """The matrix of a matrix file's text, as str or UTF-8 bytes."""
     rd = _LineReader(text)
     _, header = rd.key("field")
     try:
@@ -297,7 +505,7 @@ def parse_matrix(text):
 
 
 def read_matrix(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_matrix(fh.read())
 
 
@@ -326,10 +534,9 @@ def render_cert(cert):
            f"claimed_sparsity: {cert.claimed_sparsity}",
            _render_support("support_rows", cert.support_rows),
            _render_support("support_cols", cert.support_cols)]
-    for name, m in (("u", cert.u), ("v", cert.v), ("z", cert.z)):
-        out.append(f"{name}: {m.nnz}")
-        _render_triplets(out, m)
-    return "\n".join(out) + "\n"
+    blocks = [f"{name}: {m.nnz}\n" + _triplet_text(m)
+              for name, m in (("u", cert.u), ("v", cert.v), ("z", cert.z))]
+    return "\n".join(out) + "\n" + "".join(blocks)
 
 
 def _parse_block(rd, name, field, rows, cols):
@@ -350,6 +557,7 @@ def _parse_support(rd, name):
 
 
 def parse_cert(text):
+    """The certificate of a certificate file's text, as str or UTF-8 bytes."""
     rd = _LineReader(text)
     no, kind = rd.key("kind")
     if kind != "certificate":
@@ -375,7 +583,7 @@ def parse_cert(text):
 
 
 def read_cert(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_cert(fh.read())
 
 

@@ -128,6 +128,13 @@ def over_common_den(nums, dens):
     return nums.astype(object) * (den // dens.astype(object)), den
 
 
+def _freeze(*arrays):
+    """Make the arrays read-only: matrices share their arrays, so a write
+    through one would change every matrix that shares it."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
     """Sort row-major, merge duplicates, drop zeros."""
     ri = np.asarray(ri, dtype=np.int64)
@@ -137,6 +144,13 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
     if not assume_clean:
         if ri.min() < 0 or ri.max() >= shape[0] or ci.min() < 0 or ci.max() >= shape[1]:
             raise IndexError("triplet index out of range")
+    # already canonical, as a certificate's blocks are written: row-major
+    # keys (below rows * cols, the indices being in range) strictly
+    # increase, and no value is zero
+    if shape[0] * shape[1] <= _INT64_MAX:
+        key = ri * shape[1] + ci
+        if (key[1:] > key[:-1]).all() and (vals != 0).all():
+            return ri, ci, vals
     order = np.lexsort((ci, ri))
     ri, ci, vals = ri[order], ci[order], vals[order]
     dup = np.zeros(len(ri), dtype=bool)
@@ -157,7 +171,7 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
 
 
 class ExactMatrix:
-    """Immutable exact matrix; do not mutate the backing arrays.
+    """Immutable exact matrix; the backing arrays are read-only.
 
     `den` is the common denominator of the stored values: 1 over F_p.
     """
@@ -187,6 +201,7 @@ class ExactMatrix:
         self.den = den
         self._dense = dense
         self._coo = coo
+        _freeze(*(coo if dense is None else (dense,)))
 
     # ------------------------------------------------------------------
     # constructors
@@ -266,6 +281,7 @@ class ExactMatrix:
                 raise SizeCapError(
                     f"{self.rows}x{self.cols} exceeds the dense cell cap")
             self._dense = self._scatter()
+            _freeze(self._dense)
         return self._dense
 
     def _scatter(self):
@@ -282,6 +298,7 @@ class ExactMatrix:
             arr = self._dense
             ri, ci = np.nonzero(arr)
             self._coo = (ri.astype(np.int64), ci.astype(np.int64), arr[ri, ci])
+            _freeze(*self._coo)
         return self._coo
 
     def _values(self, nums):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kronrig.cert import verify_cert
+from kronrig.cert import Certificate, verify_cert
 from kronrig import fileio
 from kronrig.field import QQ, PrimeField, field_from_header
 from kronrig.fileio import (
@@ -56,6 +56,124 @@ def test_degenerate_shapes_round_trip():
             assert parse_matrix(render_matrix(m, fmt)) == m
 
 
+# ----------------------------------------------------------------------
+# the writer against a reference formatter
+
+F2, FBIG = PrimeField(2), PrimeField(2147483659)  # FBIG: object residues
+_MAX = 2**63 - 1
+
+
+def _ref_triplets(m):
+    """Triplet lines as '%s %s %s' over each row, column and str() of the
+    field value (str(Fraction) over Q)."""
+    ri, ci, vals = m.triplets()
+    return "".join("%s %s %s\n" % t
+                   for t in zip(ri.tolist(), ci.tolist(), vals.tolist()))
+
+
+def _ref_matrix(m, fmt):
+    head = (f"field: {m.field.header}\nrows: {m.rows}\ncols: {m.cols}\n"
+            f"format: {fmt}\n")
+    if fmt == "sparse":
+        return head + _ref_triplets(m)
+    if m.cols == 0:
+        return head
+    return head + "".join(" ".join(map(str, row)) + "\n"
+                          for row in m.to_dense().tolist())
+
+
+def _ref_support(name, idx):
+    if idx is None:
+        return f"{name}: -\n"
+    return f"{name}:" + "".join(f" {int(i)}" for i in idx) + "\n"
+
+
+def _ref_cert(c):
+    return (f"kind: certificate\nfield: {c.field.header}\norder: {c.n}\n"
+            f"inner: {c.inner_dim}\nclaimed_rank: {c.claimed_rank}\n"
+            f"claimed_sparsity: {c.claimed_sparsity}\n"
+            + _ref_support("support_rows", c.support_rows)
+            + _ref_support("support_cols", c.support_cols)
+            + "".join(f"{name}: {m.nnz}\n" + _ref_triplets(m)
+                      for name, m in (("u", c.u), ("v", c.v), ("z", c.z))))
+
+
+def _q(rows):
+    return ExactMatrix.from_dense(QQ, [[Fraction(v) for v in r] for r in rows])
+
+
+_Q_CASES = {
+    "den 1": _q([[1, -2, 0], [0, 3, 40]]),
+    "reduce to integers": _q([[Fraction(1, 2), 3], [Fraction(-4, 6), Fraction(6, 3)]]),
+    "negative": _q([[Fraction(-7, 3), -1], [0, Fraction(-10, 9)]]),
+    "past int64": _q([[Fraction(10**20 + 1, 3), -(10**25)], [Fraction(1, 7), 0]]),
+    "int64 extremes": _q([[_MAX, -_MAX], [0, 1]]),
+    "int64 extremes over a den": _q([[Fraction(_MAX, 2), Fraction(-_MAX, 3)], [1, 0]]),
+    "den past int64": _q([[Fraction(1, 2**64), Fraction(-3, 2**63 + 1)], [2, 0]]),
+}
+
+
+def _writer_matrices():
+    rng = np.random.default_rng(5)
+    mats = dict(_Q_CASES)
+    for f in (F2, F5, FBIG, QQ):
+        h = f.header
+        mats[f"{h} random"] = random_dense(f, 4, 6, rng)
+        mats[f"{h} sparse"] = ExactMatrix.from_triplets(
+            f, 5, 12, [(0, 11, 1), (3, 0, 1), (4, 10, 1)])
+        mats[f"{h} one triplet"] = ExactMatrix.from_triplets(f, 3, 3, [(2, 1, 1)])
+        mats[f"{h} zero"] = ExactMatrix.zeros(f, 2, 2)
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            mats[f"{h} {shape}"] = ExactMatrix.zeros(f, *shape)
+    mats["Fp 2147483659 top residues"] = ExactMatrix.from_dense(
+        FBIG, [[FBIG.p - 1, 1], [0, FBIG.p - 2]])
+    return mats
+
+
+@pytest.mark.parametrize("name,m", list(_writer_matrices().items()))
+def test_render_matrix_matches_reference(name, m):
+    for fmt in ("dense", "sparse"):
+        text = render_matrix(m, fmt)
+        assert text == _ref_matrix(m, fmt)
+        assert parse_matrix(text) == m
+
+
+def _writer_certs(field):
+    rng = np.random.default_rng(9)
+    n = 3
+    z1 = ExactMatrix.from_triplets(field, n, n, [(1, 2, 1)])
+    zero = ExactMatrix.zeros(field, n, n)
+    certs = [
+        Certificate(field, n, random_dense(field, n, 2, rng),
+                    random_dense(field, 2, n, rng), z1, 2, 1),
+        Certificate(field, n, ExactMatrix.zeros(field, n, 0),
+                    ExactMatrix.zeros(field, 0, n), zero, 0, 0,
+                    support_rows=np.array([0, 2]),
+                    support_cols=np.array([], dtype=np.int64)),
+        Certificate(field, n, ExactMatrix.from_triplets(field, n, 1, [(0, 0, 1)]),
+                    ExactMatrix.zeros(field, 1, n), random_dense(field, n, n, rng),
+                    1, 3),
+    ]
+    if field == QQ:
+        a, b = _Q_CASES["past int64"], _Q_CASES["den past int64"]
+        c, d = _Q_CASES["int64 extremes"], _Q_CASES["int64 extremes over a den"]
+        certs.append(Certificate(QQ, 2, a, b, c, 2, 2))
+        certs.append(Certificate(QQ, 2, d, c.T, a + b, 2, 2))
+    return certs
+
+
+@pytest.mark.parametrize("header", ["Fp 2", "Fp 5", "Fp 2147483659", "Q"])
+def test_render_cert_matches_reference(header):
+    field = field_from_header(header)
+    for cert in _writer_certs(field) + [_cert(header)]:
+        text = render_cert(cert)
+        assert text == _ref_cert(cert)
+        back = parse_cert(text)
+        assert back.same_witness(cert)
+        assert _same_support(back.support_rows, cert.support_rows)
+        assert _same_support(back.support_cols, cert.support_cols)
+
+
 def test_comments_and_blanks_ignored():
     text = ("# produced by hand\n\nfield: Fp 5\nrows: 1\n# shape note\n"
             "cols: 2\nformat: dense\n3 4\n\n")
@@ -91,6 +209,11 @@ _SPARSE_F5 = "field: Fp 5\nrows: 2\ncols: 2\nformat: sparse\n0 0 1\n1 1 1\n"
      "line 6: bad rational literal '1/0'"),
     ("field: Q\nrows: 2\ncols: 1\nformat: dense\n1\n",
      "unexpected end of file, expected a row of 1 entries"),
+    # lines end where str.splitlines ends them, not only at '\n'
+    ("field: Q\rrows: 2\x0ccols: 2\x1dformat: sparse\r\n0 0 1\x1c5 0 1\n",
+     "line 6: index (5, 0) outside 2x2"),
+    ("field: Q\nrows: 2\u2028cols: 2\nformat: sparse\n\u00e9\n",
+     "line 5: expected 'i j value', got '\u00e9'"),
 ])
 def test_matrix_rejections(text, fragment):
     with pytest.raises(FileFormatError) as e:
@@ -187,7 +310,7 @@ def test_cert_rejections(mangle, fragment):
 def _per_line(monkeypatch, parse, text):
     """`parse(text)` with every triplet block read by the line loop."""
     with monkeypatch.context() as mp:
-        mp.setattr(fileio, "_bulk_triplets", lambda lines, rows, cols: None)
+        mp.setattr(fileio, "_bulk_triplets", lambda raw, rows, cols: None)
         return parse(text)
 
 
@@ -257,11 +380,16 @@ def test_canonical_blocks_skip_line_loop(monkeypatch):
     assert render_cert(parse_cert(text)) == text
 
 
+def _lines(*lines):
+    """A block of lines as the reader hands it to the bulk decoder."""
+    return "\n".join(lines).encode("utf-8")
+
+
 @pytest.mark.parametrize("line,expected", [
     ("1 2 3", (1, 2, 3)),
     ("0 0 -0", (0, 0, 0)),
     ("007 1 -999999999999999999", (7, 1, -999999999999999999)),
-    ("0 0 1000000000000000000", None),  # 19 digits
+    ("0 0 1000000000000000000", (0, 0, 10**18)),  # 19 digits, read by int()
     ("-1 0 1", None),  # index out of range
     ("0 9 1", None),
     ("+1 0 1", None),
@@ -277,7 +405,7 @@ def test_canonical_blocks_skip_line_loop(monkeypatch):
 def test_bulk_triplets(line, expected):
     """Canonical lines decode as int() reads them; anything else is left
     to the line loop."""
-    got = fileio._bulk_triplets(["2 3 4", line, "0 1 5"], 8, 8)
+    got = fileio._bulk_triplets(_lines("2 3 4", line, "0 1 5"), 8, 8)
     if expected is None:
         assert got is None
     else:
@@ -286,10 +414,10 @@ def test_bulk_triplets(line, expected):
 
 
 def test_bulk_triplets_checks_each_line():
-    assert fileio._bulk_triplets(["0 0", "1 1 1 1"], 8, 8) is None
-    assert fileio._bulk_triplets(["0 0 1 1", "1 1"], 8, 8) is None
-    assert fileio._bulk_triplets(["0 0 1", "1 1 "], 8, 8) is None
-    assert fileio._bulk_triplets(["0  1", "1 1 1"], 8, 8) is None
+    assert fileio._bulk_triplets(_lines("0 0", "1 1 1 1"), 8, 8) is None
+    assert fileio._bulk_triplets(_lines("0 0 1 1", "1 1"), 8, 8) is None
+    assert fileio._bulk_triplets(_lines("0 0 1", "1 1 "), 8, 8) is None
+    assert fileio._bulk_triplets(_lines("0  1", "1 1 1"), 8, 8) is None
 
 
 @pytest.mark.parametrize("line,expected", [
@@ -309,13 +437,13 @@ def test_bulk_triplets_checks_each_line():
     ("1 2 /4", None),
     ("1 2 -/4", None),
     ("1 2 3/", None),
-    ("1 2 3/1000000000000000000", None),  # 19-digit denominator
+    ("1 2 3/1000000000000000000", (3, 10**18)),  # 19-digit denominator
     ("1 2 3 /4", None),
 ])
 def test_bulk_triplets_rational(line, expected):
     """A value written n/d comes back as an (n, d) row; anything that
     Fraction() or the index check would not take is left to the line loop."""
-    got = fileio._bulk_triplets(["2 3 4", line], 8, 8)
+    got = fileio._bulk_triplets(_lines("2 3 4", line), 8, 8)
     if expected is None:
         assert got is None
     else:
@@ -384,12 +512,34 @@ def test_canonical_dense_and_q_skip_line_loop(monkeypatch):
 
 
 def test_big_rational_files_parse_as_line_loop(monkeypatch):
-    """Tokens beyond 18 digits are read by the line loop."""
+    """Files with tokens beyond 18 digits give the line loop's matrices
+    and render back byte for byte."""
     for name in ("bigq_a.mat", "bigq_b.mat"):
         text = (Path(__file__).parent / "data" / "golden" / name).read_text()
         m = parse_matrix(text)
         assert m == _line_loop_only(monkeypatch, text)
         assert render_matrix(m, "dense") == text
+
+
+def test_big_rational_files_skip_line_loop(monkeypatch):
+    """The bulk decoder reads tokens beyond 18 digits with int(), so the
+    big-rational factor files and certificate parse without the line
+    loop, to the line loop's matrices."""
+    golden = Path(__file__).parent / "data" / "golden"
+    mats = [(golden / name).read_text() for name in ("bigq_a.mat", "bigq_b.mat")]
+    cert = (golden / "bigq.cert").read_text()
+    want = [_line_loop_only(monkeypatch, t) for t in mats]
+    want_cert = _per_line(monkeypatch, parse_cert, cert)
+
+    def no_line_loop(*args):
+        raise AssertionError("line loop used")
+
+    monkeypatch.setattr(fileio, "_parse_value", no_line_loop)
+    for text, ref in zip(mats, want):
+        m = parse_matrix(text)
+        assert m == ref and m.num_dense().dtype == object
+    back = parse_cert(cert)
+    assert back.same_witness(want_cert) and render_cert(back) == cert
 
 
 def test_duplicate_q_triplets_sum_past_int64(monkeypatch):

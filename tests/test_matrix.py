@@ -86,6 +86,82 @@ def test_out_of_range_triplet_rejected():
         ExactMatrix.from_triplets(F5, 2, 2, [(2, 0, 1)])
 
 
+def _ref_canon(field, ri, ci, vals):
+    """Canonical triplet lists by a dict: values summed per cell (mod p
+    over F_p), zeros dropped, cells in row-major order."""
+    cells = {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), vals.tolist()):
+        cells[i, j] = cells.get((i, j), 0) + v
+    if isinstance(field, PrimeField):
+        cells = {k: v % field.p for k, v in cells.items()}
+    keys = sorted(k for k, v in cells.items() if v != 0)
+    return [i for i, _ in keys], [j for _, j in keys], [cells[k] for k in keys]
+
+
+@pytest.mark.parametrize("f", [F5, PrimeField(2147483659), QQ],
+                         ids=["Fp5", "Fp2^31+11", "Q"])
+def test_canon_coo_sorts_only_what_is_not_canonical(f, monkeypatch):
+    """Triplets already in canonical order come back as they are, with no
+    sort; unsorted triplets, duplicates (over Q summing past 2**63) and
+    explicit zeros take the sort and merge, and out-of-range indices raise,
+    whatever the order."""
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    big = 1 << 62 if f is QQ else f.p - 1
+
+    def arrays(trips):
+        ri, ci, vals = zip(*trips)
+        out = np.empty(len(vals), dtype=f.dtype)
+        out[:] = vals
+        return np.array(ri, dtype=np.int64), np.array(ci, dtype=np.int64), out
+
+    canonical = [(0, 1, 3), (0, 4, big), (1, 0, 1), (3, 2, 2)]
+    cases = [
+        (canonical, False),
+        (canonical[::-1], True),
+        ([(0, 1, big), (0, 1, big), (0, 1, big), (2, 2, 1)], True),
+        ([(0, 1, 3), (1, 1, 0), (2, 2, 1)], True),
+        ([(0, 1, 3), (0, 1, 0), (2, 2, 1)], True),
+    ]
+    for trips, sorted_ in cases:
+        sorts.clear()
+        ri, ci, vals = arrays(trips)
+        got = _canon_coo(f, (4, 5), ri, ci, vals)
+        assert bool(sorts) == sorted_
+        assert [a.tolist() for a in got] == list(_ref_canon(f, ri, ci, vals))
+    sum_past_int64 = _canon_coo(f, (4, 5), *arrays(cases[2][0]))[2]
+    assert sum_past_int64.dtype == (object if f is QQ else f.dtype)
+    # a shape of more than 2**63 cells has no int64 row-major key
+    got = _canon_coo(f, (4, 1 << 70), *arrays(canonical))
+    assert [a.tolist() for a in got] == list(_ref_canon(f, *arrays(canonical)))
+    for bad in ([(0, 1, 1), (4, 0, 1)], [(4, 0, 1), (0, 1, 1)], [(0, 1, 1), (1, 5, 1)],
+                [(0, -1, 1), (1, 1, 1)]):
+        with pytest.raises(IndexError):
+            _canon_coo(f, (4, 5), *arrays(bad))
+
+
+@pytest.mark.parametrize("f", [F5, PrimeField(2147483659), QQ],
+                         ids=["Fp5", "Fp2^31+11", "Q"])
+def test_storage_is_read_only(f):
+    """Writing into a matrix's arrays raises and leaves the matrix, and
+    every matrix sharing its storage, as it was."""
+    rng = np.random.default_rng(23)
+    m = random_dense(f, 3, 4, rng)
+    want = m.to_dense().copy()
+    s = ExactMatrix.from_coo(f, 3, 4, *m.triplets())
+    shared = m._like(m.rows, m.cols, dense=m.num_dense())
+    arrays = [m.num_dense(), m.num_triplets()[2], m.num_triplets()[0],
+              s.num_triplets()[2], s.num_dense()]
+    if isinstance(f, PrimeField):  # field values are the stored residues
+        arrays.append(m.to_dense())
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+    for x in (m, s, shared):
+        assert (x.to_dense() == want).all()
+
+
 def test_dense_cap_guard():
     big = ExactMatrix.zeros(F5, 1 << 13, 1 << 13)
     with pytest.raises(SizeCapError):
@@ -339,7 +415,7 @@ def test_sparse_rank_matches_dense_within_cap(monkeypatch):
 def _dependent_top(m):
     """m with row 0 zeroed and row 1 a copy of row 2, so its first rows
     are no basis."""
-    vals = m.to_dense()
+    vals = m.to_dense().copy()
     vals[0] = 0
     vals[1] = vals[2]
     return ExactMatrix.from_dense(m.field, vals)
