@@ -32,6 +32,7 @@ from .matrix import (
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
+    _BLOCK_CELLS,
     _bound,
     _lift,
     hstack,
@@ -383,33 +384,40 @@ def _first_mismatch(uv, z, target):
     """The row-major first (i, j) with (uv + z)[i, j] != target[i, j], or
     None if there is none.
 
-    With uv and target dense, D = uv - target is formed in one integer
-    array over the common denominator, lifted to Python ints as `__add__`
-    lifts its sum, and Z's triplets are added to it in place.  Only D's
-    nonzeros are then tested for zero in the field: over F_p every entry
-    lies in (-p, 2p), so p is the one nonzero that is zero there.  With
-    either stored sparse the sparse sum runs, as `__add__` would run it.
+    With uv and target dense, D = uv - target + z is formed a block of
+    rows at a time (_BLOCK_CELLS cells) over the common denominator,
+    lifted to Python ints as `__add__` lifts its sum, and the scan stops
+    at the first block that holds a mismatch.  Over F_p the entries of
+    D that hold an entry of z are reduced mod p; every other entry lies
+    in (-p, p), so a nonzero of D is a nonzero in the field.  With either
+    stored sparse the sparse sum runs, as `__add__` would run it.
     """
     if not (uv.is_dense and target.is_dense):
         ri, ci, _ = (uv + z - target).num_triplets()
         return (int(ri[0]), int(ci[0])) if len(ri) else None
+    f = uv.field
     a, b = uv.num_dense(), target.num_dense()
     zr, zc, zv = z.num_triplets()
-    if isinstance(uv.field, PrimeField):
-        d = a - b
+    if isinstance(f, PrimeField):
+        sa = sb = sz = bound = 1  # the residues' D fits int64 as it is
     else:
         den = math.lcm(uv.den, target.den, z.den)
         sa, sb, sz = den // uv.den, den // target.den, den // z.den
-        a, b, zv = _lift(max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
-                         + max(_bound(zv), 1) * sz, a, b, zv)
-        d = a * sa
-        d -= b * sb
-        zv = zv * sz
-    d[zr, zc] += zv
-    bad = np.flatnonzero(d)
-    if isinstance(uv.field, PrimeField):
-        bad = bad[d.ravel()[bad] % uv.field.p != 0]
-    return tuple(map(int, divmod(bad[0], uv.cols))) if len(bad) else None
+        bound = (max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
+                 + max(_bound(zv), 1) * sz)
+    step = max(1, _BLOCK_CELLS // max(uv.cols, 1))
+    for lo in range(0, uv.rows, step):
+        k0, k1 = np.searchsorted(zr, (lo, lo + step))
+        x, y, w = _lift(bound, a[lo:lo + step], b[lo:lo + step], zv[k0:k1])
+        d = x - y if sa == sb == 1 else x * sa - y * sb
+        at = (zr[k0:k1] - lo, zc[k0:k1])
+        d[at] += w * sz
+        if isinstance(f, PrimeField):
+            d[at] %= f.p
+        if d.any():
+            i = int(np.flatnonzero(d)[0])
+            return lo + i // uv.cols, i % uv.cols
+    return None
 
 
 def verify_cert(cert, target):
@@ -417,8 +425,8 @@ def verify_cert(cert, target):
 
     `target` is a matrix or a KroneckerSpec, materialized here once, in
     the storage its fill calls for.  The reconstruction U @ V + Z = target
-    is checked entry by entry; with U @ V and the target dense, in one
-    n x n integer array (`_first_mismatch`).  The rank of U @ V is exact:
+    is checked entry by entry; with U @ V and the target dense, a block
+    of rows at a time (`_first_mismatch`).  The rank of U @ V is exact:
     once that check holds and the target is a KroneckerSpec,
     `rank_of_product` may take it from the nonzero rows and columns of Z
     and the factors' inverses; otherwise from U @ V itself.

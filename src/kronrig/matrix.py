@@ -8,11 +8,12 @@ ints otherwise, and the form is canonical (`den` is 1 for the zero
 matrix, else gcd(den, numerators) = 1).  Dense storage is a numpy
 array; sparse storage is a canonical COO triple: row-major sorted,
 duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
-paths (float64 BLAS, int64 numpy and scipy kernels) are engaged only
-when a bound on the result proves it fits the intermediate type; the
-Python-int route takes over beyond.  scipy.sparse serves only int64
-products with a sparse operand above _SMALL_CELLS and is imported on the
-first of them, so a short run on a small instance never pays its import.
+paths (float64 BLAS, float32, float64 and int64 numpy and scipy kernels)
+are engaged only when a bound on the result proves it fits the
+intermediate type; the Python-int route takes over beyond.  scipy.sparse
+serves only products with a sparse operand above _SMALL_CELLS and is
+imported on the first of them, so a short run on a small instance never
+pays its import.
 `triplets()`, `to_dense()` and indexing give Q values as `Fraction`s,
 built on demand.
 """
@@ -36,6 +37,26 @@ _INT64_MAX = (1 << 63) - 1
 # times its inner dimension is at most this: scipy's set-up (0.1-0.2 ms a
 # product) costs more than the dense product up to about 2**13 cells
 _SMALL_CELLS = 1 << 13
+# float64 holds every integer of magnitude up to 2**53; the kernels stop
+# at _FLOAT_LIMIT, which leaves _reduce its margin
+_FLOAT_LIMIT = 1 << 50
+# (dtype, largest bound whose sums it holds exactly) for _kernel_dtype
+_KERNEL_LIMITS = ((np.float32, 1 << 24), (np.float64, _FLOAT_LIMIT),
+                  (np.int64, _INT64_MAX))
+# result cells _blocked_matmul forms at a time: 256 rows of 1024, whose
+# float32 block and int64 rows stay in cache
+_BLOCK_CELLS = 1 << 18
+# _densify's costs, in multiply-adds of _blocked_matmul's float32 kernel:
+# a result cell (its reduction, with the scatter and scan that come with
+# a densified operand) costs about 16, and a multiply-add of scipy's
+# sparse product, with the building of its result, about 32.  Fitted on
+# 64 products of random sparse F_5 matrices of orders 256 to 2048 and
+# densities 0.003 to 0.3 (2-core x86-64 VM, one BLAS thread): the rule
+# picks the faster path in all but 3, which lose 0.04-0.14 ms.  A ratio
+# with no cell term mis-picks 11 at best and loses 78 ms of the 2.9 s.
+# Wider dtypes are slower per multiply-add, so only float32 densifies.
+_CELL_COST = 16
+_SPARSE_COST = 32
 
 
 class SizeCapError(ValueError):
@@ -79,14 +100,23 @@ def _times(a, k):
     return a if k == 1 else _lift(max(_bound(a), 1) * abs(k), a)[0] * k
 
 
+_to_int = np.frompyfunc(int, 1, 1)
+
+
 def _canon_vals(field, vals):
-    """Canonicalize a flat array of field values."""
+    """Canonicalize a flat array of field values.  Over F_p the values are
+    reduced mod p unless their minimum and maximum show them residues
+    already, as the file decoder reads them."""
     if isinstance(field, PrimeField):
         if field.dtype is np.int64:
-            return np.asarray(vals, dtype=np.int64) % field.p
-        arr = np.empty(len(vals), dtype=object)
-        arr[:] = [int(v) % field.p for v in vals]
-        return arr
+            arr = np.asarray(vals, dtype=np.int64)
+        else:  # to Python ints, of any size
+            arr = np.asarray(vals)
+            arr = (_to_int(arr) if arr.dtype == object
+                   else arr.astype(np.int64, copy=False))
+        if arr.size and (arr.min() < 0 or arr.max() >= field.p):
+            arr = arr % field.p
+        return arr.astype(field.dtype, copy=False)
     arr = np.empty(len(vals), dtype=object)
     arr[:] = [field.canon(v) for v in vals]
     return arr
@@ -570,9 +600,9 @@ class ExactMatrix:
 # products
 #
 # Over Q the kernels multiply numerators and the denominators multiply.
-# Each integer product runs in float64 or int64 only when a bound on its
-# sums (max|a| * max|b| * inner) proves them exact in that type; Python
-# ints carry everything beyond.
+# Each integer product runs in float32, float64 or int64 only when a
+# bound on its sums (max|a| * max|b| * inner, (p-1)**2 * inner over F_p)
+# proves them exact in that type; Python ints carry everything beyond.
 
 
 def _product_bound(field, a, b, inner):
@@ -584,6 +614,10 @@ def _product_bound(field, a, b, inner):
 
 
 def _dense_matmul(field, a, b):
+    """a @ b for dense stored values.  Over Q it runs in float64 BLAS when
+    max|a| * max|b| * inner <= _FLOAT_LIMIT, so every partial sum is an
+    integer float64 holds; over F_p with p < _FLOAT_P, _matmul_mod cuts
+    the inner dimension so that no sum passes _FLOAT_LIMIT."""
     if isinstance(field, RationalField):
         bound = _product_bound(field, a, b, a.shape[1])
         if a.dtype != object and b.dtype != object and bound <= _FLOAT_LIMIT:
@@ -596,8 +630,12 @@ def _dense_matmul(field, a, b):
 
 
 def _sparse_matmul(a, b, den):
-    """a @ b with at least one sparse operand: small products run dense,
-    scipy runs int64 products, _expand_matmul Python-int ones."""
+    """a @ b with at least one sparse operand.  Small products run dense
+    in numpy, Python-int ones in _expand_matmul.  The rest run in scipy:
+    against a dense operand in _blocked_matmul when one is dense, or when
+    float32 is exact and _densify picks one to densify (its costs were
+    measured in float32, where the kernel is fastest); else as scipy's
+    int64 sparse product (Gustavson's algorithm)."""
     f = a.field
     if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
         out = a._like(a.rows, b.cols, den=den, dense=_dense_matmul(
@@ -610,21 +648,23 @@ def _sparse_matmul(a, b, den):
     y = b._dense if b.is_dense else b._coo[2]
     if len(x) == 0 or len(y) == 0:
         return ExactMatrix.zeros(f, a.rows, b.cols)
-    x, y = _lift(_product_bound(f, x, y, a.cols), x, y)
-    if x.dtype == object:
+    dtype = _kernel_dtype(_product_bound(f, x, y, a.cols), x, y)
+    if dtype is None:
         out = _expand_matmul(a, b, den)
         return out.density_preferred() if a.is_dense or b.is_dense else out
-    import scipy.sparse as sp  # on first use: see the module docstring
-    am = x if a.is_dense else sp.csr_matrix(
-        (x, a._coo[:2]), shape=a.shape, dtype=np.int64)
-    bm = y if b.is_dense else sp.csr_matrix(
-        (y, b._coo[:2]), shape=b.shape, dtype=np.int64)
-    cm = am @ bm
-    if a.is_dense or b.is_dense:
-        cm = np.asarray(cm)
-        if isinstance(f, PrimeField):
-            cm %= f.p
-        return a._like(a.rows, b.cols, dense=cm, den=den)
+    dense_a, dense_b = a.is_dense, b.is_dense
+    if not (dense_a or dense_b) and dtype is np.float32:
+        side = _densify(a, b)
+        dense_a, dense_b = side == "a", side == "b"
+    if dense_a or dense_b:
+        arr = _blocked_matmul(f, _operand(a, dtype, dense_a),
+                              _operand(b, dtype, dense_b))
+        if a.is_dense or b.is_dense or _prefers_dense(
+                a.rows, b.cols, np.count_nonzero(arr)):
+            return a._like(a.rows, b.cols, dense=arr, den=den)
+        ri, ci = np.nonzero(arr)
+        return a._like(a.rows, b.cols, den=den, coo=(ri, ci, arr[ri, ci]))
+    cm = _operand(a, np.int64, False) @ _operand(b, np.int64, False)
     if isinstance(f, PrimeField):
         cm.data %= f.p
     # scipy's product holds no duplicate entries
@@ -635,6 +675,83 @@ def _sparse_matmul(a, b, den):
     cm = cm.tocoo()
     return a._like(a.rows, b.cols, den=den, coo=(
         cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+
+
+def _kernel_dtype(bound, *arrays):
+    """The narrowest of float32, float64 and int64 that holds every integer
+    of magnitude at most `bound` exactly, or None (Python ints) beyond
+    int64 or for object arrays.  With `bound` a _product_bound, every
+    partial sum of the product, in any order, is such an integer, so the
+    product is exact in that dtype: float32 holds every integer up to
+    2**24, float64 up to 2**53 (the kernels stop at _FLOAT_LIMIT) and
+    int64 up to its maximum."""
+    if any(x.dtype == object for x in arrays):
+        return None
+    for dtype, limit in _KERNEL_LIMITS:
+        if bound <= limit:
+            return dtype
+    return None
+
+
+def _operand(m, dtype, dense):
+    """m's stored values in `dtype`: a dense array, or a scipy CSR matrix."""
+    if dense and m.is_dense:
+        return m._dense.astype(dtype, copy=False)
+    ri, ci, vals = m._coo
+    if dense:
+        arr = np.zeros(m.shape, dtype=dtype)
+        arr[ri, ci] = vals
+        return arr
+    import scipy.sparse as sp  # on first use: see the module docstring
+    indptr = np.searchsorted(ri, np.arange(m.rows + 1))
+    return sp.csr_matrix((vals.astype(dtype), ci, indptr), shape=m.shape)
+
+
+def _blocked_matmul(f, x, y):
+    """The stored values of x @ y as a new int64 array, for kernel operands
+    (_operand) of one dtype, at least one of them dense.
+
+    The product is formed _BLOCK_CELLS result cells at a time, as blocks
+    of whole rows, in the operands' dtype, which the caller has chosen
+    by _kernel_dtype for the product's bound: float32 only when the bound
+    is at most 2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is
+    then an integer that the dtype holds exactly, so each block is exact.
+    It is copied into the int64 result, and over F_p reduced there,
+    before the next is formed.
+    """
+    rows, cols = x.shape[0], y.shape[1]
+    out = np.empty((rows, cols), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    for lo in range(0, rows, step):
+        blk = out[lo:lo + step]
+        np.copyto(blk, x[lo:lo + step] @ y, casting="unsafe")
+        if isinstance(f, PrimeField):
+            np.remainder(blk, f.p, out=blk)
+    return out
+
+
+def _densify(a, b):
+    """Which of the sparse operands of a @ b to densify for
+    _blocked_matmul, "a" or "b", or None to keep scipy's sparse product.
+
+    Against a dense b the kernel does nnz(a) * b.cols multiply-adds, and
+    against a dense a nnz(b) * a.rows; the cheaper side is densified
+    when that count plus _CELL_COST per result cell is at most
+    _SPARSE_COST times the sparse product's count, sum over k of
+    nnz(a[:, k]) * nnz(b[k, :]), and the result and the densified
+    operand stay within the cell cap.
+    """
+    cells = a.rows * b.cols
+    if cells > DENSE_CELL_CAP:
+        return None
+    sparse = int(np.dot(np.bincount(a._coo[1], minlength=a.cols),
+                        np.bincount(b._coo[0], minlength=b.rows)))
+    cost, side, m = min((len(a._coo[0]) * b.cols, "b", b),
+                        (len(b._coo[0]) * a.rows, "a", a), key=lambda c: c[0])
+    if (cost + _CELL_COST * cells > _SPARSE_COST * sparse
+            or m.rows * m.cols > DENSE_CELL_CAP):
+        return None
+    return side
 
 
 _EXPAND_BLOCK = 1 << 20  # products that _expand_matmul holds at once
@@ -683,9 +800,13 @@ def _expand_matmul(a, b, den):
 # below 2**31 and Python ints above.  Over Q the rank is the largest rank
 # modulo enough primes.
 
-_FLOAT_LIMIT = 1 << 50
 _FLOAT_P = 1 << 25
-_LEAF = 4  # columns (and triangular-solve rows) eliminated one at a time
+# columns (and triangular-solve rows) eliminated one at a time.  On
+# random F_5 matrices (medians of 9-90 runs, 2-core x86-64 VM) 4 -> 16
+# takes 64^2 from 4.3 to 3.1 ms and 252^2 from 24.0 to 19.6 ms, and
+# leaves 1024^2 and 600 x 1000 within their spread; 24, 32 and 48 are no
+# faster than 16, and 48 is slower on 600 x 1000
+_LEAF = 16
 
 
 @functools.lru_cache(maxsize=64)
@@ -892,11 +1013,14 @@ def _rank_of_difference(spec, z):
 
         rank(A - z) = n - |C| + rank(I_C - A^-1[C, R] z[R, C]).
 
-    A^-1 is the Kronecker product of the factors' inverses, so each entry
-    of A^-1[C, R] is the product of factor-inverse entries at the
-    mixed-radix digits of its row and column.  The route needs every
-    factor of full rank, |C| * |R| within the cell cap, and the factors'
-    solves (about sum d^3 integer operations) within the n^2 cells of A.
+    A^-1 is the Kronecker product of the factors' inverses.  Split into
+    a first half of the factors and the rest, A^-1 = L (x) M with M of
+    order n2, so A^-1[c, r] = L[c // n2, r // n2] * M[c % n2, r % n2]:
+    A^-1[C, R] is the product of one gather from each half.  The split
+    puts the fewest cells in L and M together, about n each when the
+    orders balance.  The route needs every factor of full rank, |C| * |R| within
+    the cell cap, and the factors' solves (about sum d^3 integer
+    operations) within the n^2 cells of A.
     """
     n, dims = spec.n, spec.dims
     if sum(d ** 3 for d in dims) > n * n:
@@ -910,20 +1034,21 @@ def _rank_of_difference(spec, z):
     if len(csel) == 0:
         return n
     f = spec.field
-    strides = mixed_radix_strides(dims)
-    sizes = np.asarray(dims, dtype=np.int64)
-    row_digits = csel[:, None] // strides % sizes
-    col_digits = rsel[:, None] // strides % sizes
-    acc, den = np.ones((len(csel), len(rsel)), dtype=np.int64), 1
-    for i, m in enumerate(spec.factors):
+    inv = []
+    for m in spec.factors:
         x, _ = solve_linear(f, m.num_dense(), np.diag([m.den] * m.rows))
-        inv = ExactMatrix.from_dense(f, x)
-        part = inv.num_dense()[np.ix_(row_digits[:, i], col_digits[:, i])]
-        acc, part = _lift(_product_bound(f, acc, part, 1), acc, part)
-        acc = acc * part
-        if isinstance(f, PrimeField):
-            acc %= f.p
-        den *= inv.den
+        inv.append(ExactMatrix.from_dense(f, x))
+    h = min(range(1, len(dims)),
+            key=lambda i: math.prod(dims[:i]) ** 2 + math.prod(dims[i:]) ** 2)
+    left, right = kron_list(inv[:h]), kron_list(inv[h:])
+    n2 = right.rows
+    acc = left.num_dense()[np.ix_(csel // n2, rsel // n2)]
+    part = right.num_dense()[np.ix_(csel % n2, rsel % n2)]
+    acc, part = _lift(_product_bound(f, acc, part, 1), acc, part)
+    acc = acc * part
+    if isinstance(f, PrimeField):
+        acc %= f.p
+    den = left.den * right.den
     inv_cr = ExactMatrix(f, len(csel), len(rsel), dense=acc, den=den)
     z_rc = ExactMatrix(f, len(rsel), len(csel), den=z.den, coo=(
         np.searchsorted(rsel, ri), np.searchsorted(csel, ci), vals))

@@ -5,11 +5,13 @@ entry by entry from the definitions (no shared kron/threshold code) and
 enumerating score sets by brute force.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kronrig import cert as cert_module
 from kronrig.cert import (
     Certificate,
     compose_kron,
@@ -443,9 +445,10 @@ def _reconstruction_parts(field, rng):
 
 @pytest.mark.parametrize("field", [PrimeField(2), F5, PrimeField(2147483659), QQ],
                          ids=lambda f: f.header)
-def test_reconstruction_check_matches_the_difference(field):
-    """The one-array check reports what (uv + z - target) reports, for
-    every storage of u @ v and of the target."""
+def test_reconstruction_check_matches_the_difference(field, monkeypatch):
+    """The blocked check reports what (uv + z - target) reports, for
+    every storage of u @ v and of the target, in blocks of 1, 3 and all
+    8 rows."""
     rng = np.random.default_rng(83)
     u, v, z = _reconstruction_parts(field, rng)
     n, r = u.rows, u.cols
@@ -463,21 +466,22 @@ def test_reconstruction_check_matches_the_difference(field):
              ("z first", u, v, _bumped(z, 0, 0)),
              ("z last", u, v, _bumped(z, n - 1, n - 1)),
              ("z only", u, v, _bumped(z, 3, 2))]
-    for uv_dense in (True, False):
-        for target_dense in (True, False):
-            tgt = _stored(target, target_dense)
-            for name, eu, ev, ez in edits:
-                eu = _stored(eu, uv_dense)
-                ev = _stored(ev, uv_dense)
-                uv = eu @ ev
-                assert uv.is_dense == uv_dense
-                ri, ci, _ = (uv + ez - tgt).num_triplets()
-                want = (int(ri[0]), int(ci[0])) if len(ri) else None
-                cert = Certificate(field, n, eu, ev, ez, r, n)
-                report = verify_cert(cert, tgt)
-                assert report["reconstruction_ok"] == (want is None), name
-                assert report["first_mismatch"] == want, name
-                assert (want is None) == (name == "honest"), name
+    for block, uv_dense, target_dense in itertools.product(
+            (8, 3 * 8, 1 << 18), (True, False), (True, False)):
+        monkeypatch.setattr(cert_module, "_BLOCK_CELLS", block)
+        tgt = _stored(target, target_dense)
+        for name, eu, ev, ez in edits:
+            eu = _stored(eu, uv_dense)
+            ev = _stored(ev, uv_dense)
+            uv = eu @ ev
+            assert uv.is_dense == uv_dense
+            ri, ci, _ = (uv + ez - tgt).num_triplets()
+            want = (int(ri[0]), int(ci[0])) if len(ri) else None
+            cert = Certificate(field, n, eu, ev, ez, r, n)
+            report = verify_cert(cert, tgt)
+            assert report["reconstruction_ok"] == (want is None), name
+            assert report["first_mismatch"] == want, name
+            assert (want is None) == (name == "honest"), name
 
 
 def test_verify_rejects_shape_and_field_mismatch():

@@ -63,8 +63,12 @@ def _check_routed(spec, rng):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.header)
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2), (2, 3, 2), (7, 2, 3),
+                                  (2, 2, 2, 2, 3)])
 def test_routed_rank_equals_dense_rank(field, dims):
+    """Balanced and unbalanced orders: A^-1[C, R] comes from one gather in
+    each half's Kronecker product of inverses, split where the halves
+    hold the fewest cells (7 | 2*3 and 2*2*2 | 2*3 for the last two)."""
     rng = np.random.default_rng(sum(dims) * 7 + len(dims))
     spec = KroneckerSpec([random_invertible(field, d, rng) for d in dims])
     _check_routed(spec, rng)

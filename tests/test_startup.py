@@ -2,9 +2,9 @@
 
 The benchmark's set-up probe times a fresh interpreter that imports
 kronrig and runs one small cycle; sympy (used only by the brute-force
-oracle) and scipy.sparse (used only by large int64 sparse products) each
-cost more than that whole cycle, so both are imported on first use, and
-numpy.ma is not imported at all.
+oracle) and scipy.sparse (used only by large products with a sparse
+operand) each cost more than that whole cycle, so both are imported on
+first use, and numpy.ma is not imported at all.
 """
 
 import subprocess

@@ -65,3 +65,39 @@ def test_small_cycle_reaches_every_traced_layer(workload, tmp_path, capsys):
     zero = sorted(name for name, value in values.items() if value == 0
                   and workload in tracing.ONLY_ON.get(name, {workload}))
     assert not zero, zero
+
+
+def test_full_size_cycle_keeps_the_traced_check(fp_walsh_cert, tmp_path, capsys):
+    """At the fp_walsh workload's order (n = 1024), the check both ops end
+    in forms U @ V as one n x n product and the target by one
+    `materialize()`, so `cert.uv_products` reads 1 and
+    `matrix.materialize_*` are not zero, as `run.py --trace 1` needs."""
+    tracing = _load(TRACING, "perfbench_tracing")
+    cert, decompose, verify = fp_walsh_cert
+    decompose = decompose[:-1] + [str(tmp_path / "c.txt")]
+    tracer = tracing.Tracer()
+    for kind, argv in (("decompose", decompose), ("verify", verify)):
+        tracer.install()
+        try:
+            tracer.begin_op(kind)
+            code = cli.main(argv)
+            tracer.end_op(0.0)
+        finally:
+            tracer.uninstall()
+        assert code == 0, capsys.readouterr()
+        spans = tracer.ops[-1][1]
+        values, _ = tracing.op_metrics(kind, spans)
+        assert values[f"{kind}.cert.uv_products"] == 1
+        assert values[f"{kind}.matrix.materialize_cells"] >= 1024 * 1024
+        check = next(s for s in spans if s.name == "cert.verify")
+        inside = [(s.name, s.info) for s in spans if _within(s, check)]
+        assert inside.count(("matrix.matmul", (1024, 1024))) == 1
+        assert [i for name, i in inside if name == "matrix.materialize"] \
+            == [1024 * 1024]
+    assert (tmp_path / "c.txt").read_bytes() == Path(cert).read_bytes()
+
+
+def _within(span, ancestor):
+    while span is not None and span is not ancestor:
+        span = span.parent
+    return span is ancestor
