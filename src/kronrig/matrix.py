@@ -8,8 +8,8 @@ ints otherwise, and the form is canonical (`den` is 1 for the zero
 matrix, else gcd(den, numerators) = 1).  Dense storage is a numpy
 array; sparse storage is a canonical COO triple: row-major sorted,
 duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
-paths (float64 BLAS, float32, float64 and int64 numpy and scipy kernels)
-are engaged only when a bound on the result proves it fits the
+paths (float64 BLAS, int16, float32, float64 and int64 numpy and scipy
+kernels) are engaged only when a bound on the result proves it fits the
 intermediate type; the Python-int route takes over beyond.  scipy.sparse
 serves only products with a sparse operand above _SMALL_CELLS and is
 imported on the first of them, so a short run on a small instance never
@@ -41,11 +41,17 @@ _SMALL_CELLS = 1 << 13
 # at _FLOAT_LIMIT, which leaves _reduce its margin
 _FLOAT_LIMIT = 1 << 50
 # (dtype, largest bound whose sums it holds exactly) for _kernel_dtype
-_KERNEL_LIMITS = ((np.float32, 1 << 24), (np.float64, _FLOAT_LIMIT),
-                  (np.int64, _INT64_MAX))
+_KERNEL_LIMITS = ((np.int16, (1 << 15) - 1), (np.float32, 1 << 24),
+                  (np.float64, _FLOAT_LIMIT), (np.int64, _INT64_MAX))
 # result cells _blocked_matmul forms at a time: 256 rows of 1024, whose
 # float32 block and int64 rows stay in cache
 _BLOCK_CELLS = 1 << 18
+# int16 blocks are larger: 2**20 cells, a 2 MiB block and as much for its
+# reduction.  Scipy's row slicing is a fixed cost a block: the fp_walsh
+# U @ V took 11.5 ms in blocks of 2**18 cells, 9.8-10.6 ms in 2**19-2**20,
+# and a 4096 x 2000 x 4096 F_5 product 3-4% less at each doubling from
+# 2**17 to 2**21 (medians, 2-core x86-64 VM)
+_INT16_BLOCK_CELLS = 1 << 20
 # _densify's costs, in multiply-adds of _blocked_matmul's float32 kernel:
 # a result cell (its reduction, with the scatter and scan that come with
 # a densified operand) costs about 16, and a multiply-add of scipy's
@@ -54,7 +60,9 @@ _BLOCK_CELLS = 1 << 18
 # densities 0.003 to 0.3 (2-core x86-64 VM, one BLAS thread): the rule
 # picks the faster path in all but 3, which lose 0.04-0.14 ms.  A ratio
 # with no cell term mis-picks 11 at best and loses 78 ms of the 2.9 s.
-# Wider dtypes are slower per multiply-add, so only float32 densifies.
+# int16 is faster per multiply-add (the fp_walsh U @ V raw product takes
+# about 8 ms against 17 ms in float32), so for it these costs are
+# conservative; wider dtypes are slower, so only int16 and float32 densify.
 _CELL_COST = 16
 _SPARSE_COST = 32
 
@@ -181,7 +189,10 @@ def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
         key = ri * shape[1] + ci
         if (key[1:] > key[:-1]).all() and (vals != 0).all():
             return ri, ci, vals
-    order = np.lexsort((ci, ri))
+        # the lexsort order; a stable sort finds and merges presorted runs
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.lexsort((ci, ri))
     ri, ci, vals = ri[order], ci[order], vals[order]
     dup = np.zeros(len(ri), dtype=bool)
     dup[1:] = (ri[1:] == ri[:-1]) & (ci[1:] == ci[:-1])
@@ -530,11 +541,16 @@ class ExactMatrix:
                 f"Kronecker output {out_r}x{out_c} beyond the order cap {KRON_ORDER_CAP}")
         den = self.den * other.den
         if (self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP):
-            a, b = _lift(_product_bound(f, self._dense, other._dense, 1),
-                         self._dense, other._dense)
-            prod = np.kron(a, b)
-            if isinstance(f, PrimeField):
-                prod %= f.p
+            a, b = self._dense, other._dense
+            bound = _product_bound(f, a, b, 1)
+            if isinstance(f, PrimeField) and _kernel_dtype(bound, a, b) is np.int16:
+                # residue products in int16, reduced there, widened once
+                prod = np.kron(a.astype(np.int16), b.astype(np.int16))
+                prod = _reduce_int16(prod, f.p).astype(f.dtype)
+            else:
+                prod = np.kron(*_lift(bound, a, b))
+                if isinstance(f, PrimeField):
+                    prod %= f.p
             return self._like(out_r, out_c, dense=prod, den=den)
         ar, ac, av = self.num_triplets()
         br, bc, bv = other.num_triplets()
@@ -600,7 +616,7 @@ class ExactMatrix:
 # products
 #
 # Over Q the kernels multiply numerators and the denominators multiply.
-# Each integer product runs in float32, float64 or int64 only when a
+# Each integer product runs in int16, float32, float64 or int64 only when a
 # bound on its sums (max|a| * max|b| * inner, (p-1)**2 * inner over F_p)
 # proves them exact in that type; Python ints carry everything beyond.
 
@@ -633,9 +649,9 @@ def _sparse_matmul(a, b, den):
     """a @ b with at least one sparse operand.  Small products run dense
     in numpy, Python-int ones in _expand_matmul.  The rest run in scipy:
     against a dense operand in _blocked_matmul when one is dense, or when
-    float32 is exact and _densify picks one to densify (its costs were
-    measured in float32, where the kernel is fastest); else as scipy's
-    int64 sparse product (Gustavson's algorithm)."""
+    int16 or float32 is exact and _densify picks one to densify (its
+    costs were measured in float32, and int16 is faster still); else as
+    scipy's int64 sparse product (Gustavson's algorithm)."""
     f = a.field
     if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
         out = a._like(a.rows, b.cols, den=den, dense=_dense_matmul(
@@ -653,7 +669,7 @@ def _sparse_matmul(a, b, den):
         out = _expand_matmul(a, b, den)
         return out.density_preferred() if a.is_dense or b.is_dense else out
     dense_a, dense_b = a.is_dense, b.is_dense
-    if not (dense_a or dense_b) and dtype is np.float32:
+    if not (dense_a or dense_b) and dtype in (np.int16, np.float32):
         side = _densify(a, b)
         dense_a, dense_b = side == "a", side == "b"
     if dense_a or dense_b:
@@ -678,13 +694,13 @@ def _sparse_matmul(a, b, den):
 
 
 def _kernel_dtype(bound, *arrays):
-    """The narrowest of float32, float64 and int64 that holds every integer
-    of magnitude at most `bound` exactly, or None (Python ints) beyond
-    int64 or for object arrays.  With `bound` a _product_bound, every
-    partial sum of the product, in any order, is such an integer, so the
-    product is exact in that dtype: float32 holds every integer up to
-    2**24, float64 up to 2**53 (the kernels stop at _FLOAT_LIMIT) and
-    int64 up to its maximum."""
+    """The narrowest of int16, float32, float64 and int64 that holds every
+    integer of magnitude at most `bound` exactly, or None (Python ints)
+    beyond int64 or for object arrays.  With `bound` a _product_bound,
+    every partial sum of the product, in any order, is such an integer,
+    so the product is exact in that dtype: int16 holds every integer up
+    to 2**15 - 1, float32 up to 2**24, float64 up to 2**53 (the kernels
+    stop at _FLOAT_LIMIT) and int64 up to its maximum."""
     if any(x.dtype == object for x in arrays):
         return None
     for dtype, limit in _KERNEL_LIMITS:
@@ -711,23 +727,39 @@ def _blocked_matmul(f, x, y):
     """The stored values of x @ y as a new int64 array, for kernel operands
     (_operand) of one dtype, at least one of them dense.
 
-    The product is formed _BLOCK_CELLS result cells at a time, as blocks
-    of whole rows, in the operands' dtype, which the caller has chosen
-    by _kernel_dtype for the product's bound: float32 only when the bound
-    is at most 2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is
-    then an integer that the dtype holds exactly, so each block is exact.
-    It is copied into the int64 result, and over F_p reduced there,
-    before the next is formed.
+    The product is formed a block of whole rows at a time (_BLOCK_CELLS
+    result cells, _INT16_BLOCK_CELLS in int16) in the operands' dtype,
+    which the caller has chosen by _kernel_dtype for the product's bound:
+    int16 only when the bound is at most 2**15 - 1, float32 at most
+    2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is then an
+    integer that the dtype holds exactly, so each block is exact.  Over
+    F_p an int16 block is reduced while it is int16 and then widened into
+    the int64 result; any other block is copied into the result and
+    reduced there, before the next is formed.
     """
     rows, cols = x.shape[0], y.shape[1]
     out = np.empty((rows, cols), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    narrow = x.dtype == np.int16
+    step = max(1, (_INT16_BLOCK_CELLS if narrow else _BLOCK_CELLS) // max(cols, 1))
     for lo in range(0, rows, step):
-        blk = out[lo:lo + step]
-        np.copyto(blk, x[lo:lo + step] @ y, casting="unsafe")
-        if isinstance(f, PrimeField):
-            np.remainder(blk, f.p, out=blk)
+        blk = x[lo:lo + step] @ y
+        if narrow and isinstance(f, PrimeField):
+            _reduce_int16(blk, f.p)
+        res = out[lo:lo + step]
+        np.copyto(res, blk, casting="unsafe")
+        if not narrow and isinstance(f, PrimeField):
+            np.remainder(res, f.p, out=res)
     return out
+
+
+def _reduce_int16(x, p):
+    """x mod p in place for a nonnegative int16 array, as x - (x // p) * p:
+    numpy vectorizes int16 floor division by a scalar, not its remainder
+    (0.8 against 3.9 ms a million cells, 2-core x86-64 VM)."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _densify(a, b):

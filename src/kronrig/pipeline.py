@@ -42,6 +42,8 @@ from .matrix import (
 )
 from .scores import (
     WeightScheme,
+    _int_classes,
+    _scaled_bounds,
     delta_grid,
     mean_score,
     neighborhood_counts,
@@ -140,7 +142,16 @@ def _plan(dims, weights, eps, delta):
         cands = _offset_candidates(dims, weights, eps)
     else:
         cands = [_as_fraction(delta) * d_max * mean_score(dims, weights)]
-    scored = [(off,) + _layer_claims(dims, weights, off) for off in cands]
+    # the claims depend on the offset only through its scaled score
+    # bounds, which many candidates share: count each pair of bounds once
+    classes, scale = _int_classes(dims, weights)
+    claims = {}
+    scored = []
+    for off in cands:
+        bounds = _scaled_bounds(classes, scale, off)
+        if bounds not in claims:
+            claims[bounds] = _layer_claims(dims, weights, off)
+        scored.append((off,) + claims[bounds])
     p, q = eps.numerator, eps.denominator
     n_pow = n**p
     feasible = [e for e in scored if (e[2] ** n_v) ** q <= n_pow]

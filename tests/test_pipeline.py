@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kronrig import pipeline
 from kronrig.cert import verify_cert
 from kronrig.field import QQ, PrimeField
 from kronrig.matrix import (
@@ -29,7 +30,7 @@ from kronrig.pipeline import (
     predict_parameters,
     regroup_permutation,
 )
-from kronrig.scores import WeightScheme
+from kronrig.scores import WeightScheme, mean_score
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -346,6 +347,54 @@ def test_predict_and_decompose_share_one_plan(dims, eps):
             pred["predicted_sparsity"], pred["sparsity_target_met"]) == (
         rep["offset"], rep["delta"], rep["rank_claimed"],
         rep["sparsity_claimed"], rep["sparsity_target_met"])
+
+
+def _plan_per_offset(dims, weights, eps, delta):
+    """_plan with the claims counted again at every candidate offset."""
+    d_max = max(dims)
+    if delta == "auto":
+        cands = pipeline._offset_candidates(dims, weights, eps)
+    else:
+        cands = [Fraction(delta) * d_max * mean_score(dims, weights)]
+    scored = [(off,) + pipeline._layer_claims(dims, weights, off) for off in cands]
+    n_pow = math.prod(dims) ** eps.numerator
+    feasible = [e for e in scored
+                if (e[2] ** (2 * (d_max - 1))) ** eps.denominator <= n_pow]
+    if feasible:
+        off, r_l, t_l = min(feasible, key=lambda e: (e[1], e[2], e[0]))
+    else:
+        off, r_l, t_l = min(scored, key=lambda e: (e[2], e[1], e[0]))
+    return off, r_l, t_l, {"grid_points": len(cands) if delta == "auto" else 0,
+                           "sparsity_target_met": bool(feasible)}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (2, 3, 5), (2, 2, 2, 3, 4),
+                                  (4, 4, 4), (2,) * 10])
+@pytest.mark.parametrize("weights", [
+    WeightScheme.uniform(),
+    WeightScheme({2: Fraction(7, 4), 3: Fraction(1), 4: Fraction(1, 3),
+                  5: Fraction(1, 2)})], ids=["uniform", "mixed"])
+def test_plan_counts_claims_once_per_pair_of_score_bounds(dims, weights,
+                                                         monkeypatch):
+    """_plan counts the claims once per distinct pair of scaled score
+    bounds, and chooses as counting them at every candidate offset does,
+    with the search and with a fixed delta."""
+    calls = []
+    real = pipeline._layer_claims
+    monkeypatch.setattr(pipeline, "_layer_claims",
+                        lambda *a: calls.append(a[2]) or real(*a))
+    for eps in (Fraction(1, 2), Fraction(3, 10), Fraction(3, 4), Fraction(1)):
+        for delta in ("auto", Fraction(1, 400), Fraction(1, 3)):
+            calls.clear()
+            got = pipeline._plan(dims, weights, eps, delta)
+            assert len(calls) <= max(1, got[3]["grid_points"])
+            assert got == _plan_per_offset(dims, weights, eps, delta)
+    # (candidates, distinct pairs of bounds) at eps = 1/2, uniform weights
+    counts = {(3, 4): (67, 3), (2, 2, 2, 3, 4): (68, 6), (2,) * 10: (69, 5)}
+    if dims in counts and weights == WeightScheme.uniform():
+        calls.clear()
+        info = pipeline._plan(dims, weights, Fraction(1, 2), "auto")[3]
+        assert (info["grid_points"], len(calls)) == counts[dims]
 
 
 def test_predict_equal_orders():

@@ -1,11 +1,12 @@
 """The blocked product kernel of products with a sparse operand.
 
 `_blocked_matmul` forms a @ b against a dense operand in the narrowest of
-float32, float64 and int64 that `_kernel_dtype` proves exact for the
-product's bound, a block of rows at a time, and reduces each block into
-the int64 result.  These tests compare it with an object-dtype reference
-in every field, at the float32 bound and one past it, and pin where
-`_densify` sends a sparse-by-sparse product.
+int16, float32, float64 and int64 that `_kernel_dtype` proves exact for
+the product's bound, a block of rows at a time, and reduces each block
+into the int64 result.  These tests compare it with an object-dtype
+reference in every field, at the int16 and float32 bounds and one past
+each, and pin where `_densify` sends a sparse-by-sparse product.  The
+dense Kronecker product over F_p runs in int16 by the same bound.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from kronrig.matrix import ExactMatrix
 # pass int64 at every inner dimension above 1, so they take Python ints
 FIELDS = [PrimeField(2), PrimeField(5), PrimeField(65537), PrimeField(33554467),
           PrimeField(2**31 - 1), PrimeField(2147483659), QQ]
-KERNEL_DTYPE = {2: np.float32, 5: np.float32, 65537: np.float64,
+KERNEL_DTYPE = {2: np.int16, 5: np.int16, 65537: np.float64,
                 33554467: np.int64, 2**31 - 1: None, 2147483659: None}
 
 
@@ -74,25 +75,28 @@ def _reference(a, b):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.header)
 def test_kernel_matches_reference_in_every_order(field, monkeypatch):
     """Sparse by dense, dense by sparse, and sparse by sparse with either
-    operand densified (float32 only), in blocks of 3 rows and of all 45."""
+    operand densified (int16 and float32 only), in blocks of 3 rows and of
+    all 45."""
     rng = np.random.default_rng(41)
     a, b = _random(field, rng, 45, 300, 0.2), _random(field, rng, 300, 50, 0.2)
     want = _reference(a, b)
     seen = _spy(monkeypatch)
     for block in (3 * 50, 1 << 18):
         monkeypatch.setattr(matrix, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(matrix, "_INT16_BLOCK_CELLS", block)
         for side in ("a", "b"):
             monkeypatch.setattr(matrix, "_densify", lambda a, b, side=side: side)
             for x, y in ((a, _dense(b)), (_dense(a), b), (a, b)):
                 assert (x @ y).to_dense().tolist() == want
     assert not a.is_dense and not b.is_dense
     dtype = KERNEL_DTYPE.get(getattr(field, "p", None), np.float64)
-    assert seen == [dtype] * {np.float32: 12, None: 0}.get(dtype, 8)
+    assert seen == [dtype] * {np.int16: 12, np.float32: 12, None: 0}.get(dtype, 8)
 
 
 def test_kernel_chooses_the_narrowest_exact_dtype():
     limit = 1 << 24
-    for bound, dtype in ((0, np.float32), (limit, np.float32),
+    for bound, dtype in ((0, np.int16), ((1 << 15) - 1, np.int16),
+                         (1 << 15, np.float32), (limit, np.float32),
                          (limit + 1, np.float64), (1 << 50, np.float64),
                          ((1 << 50) + 1, np.int64), ((1 << 63) - 1, np.int64),
                          (1 << 63, None)):
@@ -124,6 +128,28 @@ def test_f257_at_the_float32_bound_and_one_past(inner, dtype, monkeypatch):
         == (1 << 24) + (65025 if inner == 257 else 0)
 
 
+def _check_signed_q(top, other, inner, sign, bound, dtype, monkeypatch):
+    """A sparse Q matrix of numerators in [-top, top] times a dense one in
+    [-other, other], whose row 0 and column 0 (rows and columns 1) reach
+    the extreme sum sign * bound (bound)."""
+    assert top * other * inner == bound
+    rows = 8192 // inner + 3
+    rng = np.random.default_rng(inner)
+    a = rng.integers(-top, top + 1, (rows, inner))
+    b = rng.integers(-other, other + 1, (inner, rows))
+    a[0], b[:, 0] = sign * top, other
+    a[1], b[:, 1] = -top, -other
+    am, bm = ExactMatrix.from_dense(QQ, a.tolist()), ExactMatrix.from_dense(QQ, b.tolist())
+    assert matrix._product_bound(QQ, am.num_dense(), bm.num_dense(), inner) == bound
+    sa = ExactMatrix(QQ, rows, inner, coo=am.num_triplets())
+    seen = _spy(monkeypatch)
+    got = (sa @ bm).to_dense()
+    assert got.tolist() == _reference(am, bm)
+    assert got[0, 0] == sign * bound
+    assert got[1, 1] == bound
+    assert seen == [dtype]
+
+
 @pytest.mark.parametrize("top,inner,sign,dtype", [
     (512, 64, -1, np.float32),    # 512 * 512 * 64 = 2**24
     (257, 97, 1, np.float64),     # 257 * 673 * 97 = 2**24 + 1
@@ -133,23 +159,60 @@ def test_signed_q_numerators_at_the_float32_bound(top, inner, sign, dtype,
     """Q numerators of both signs: at the bound the extreme sum is -2**24,
     which float32 holds; one past it, the extreme sum is 2**24 + 1, which
     it does not."""
-    rows = 8192 // inner + 3
     other = (1 << 24) // (top * inner) if dtype is np.float32 else 673
-    rng = np.random.default_rng(inner)
-    a = rng.integers(-top, top + 1, (rows, inner))
-    b = rng.integers(-other, other + 1, (inner, rows))
-    a[0], b[:, 0] = sign * top, other
-    a[1], b[:, 1] = -top, -other
-    am, bm = ExactMatrix.from_dense(QQ, a.tolist()), ExactMatrix.from_dense(QQ, b.tolist())
-    assert matrix._product_bound(QQ, am.num_dense(), bm.num_dense(), inner) \
-        == (1 << 24) + (dtype is np.float64)
-    sa = ExactMatrix(QQ, rows, inner, coo=am.num_triplets())
+    _check_signed_q(top, other, inner, sign, (1 << 24) + (dtype is np.float64),
+                    dtype, monkeypatch)
+
+
+@pytest.mark.parametrize("top,other,inner,sign,dtype", [
+    (151, 7, 31, -1, np.int16),   # 151 * 7 * 31 = 2**15 - 1
+    (128, 8, 32, 1, np.float32),  # 128 * 8 * 32 = 2**15
+])
+def test_signed_q_numerators_at_the_int16_bound(top, other, inner, sign, dtype,
+                                                monkeypatch):
+    """At the int16 bound the extreme sum is -(2**15 - 1), which int16
+    holds; one past it, the extreme sum is 2**15, which it does not."""
+    _check_signed_q(top, other, inner, sign, top * other * inner, dtype,
+                    monkeypatch)
+
+
+@pytest.mark.parametrize("inner,dtype", [(2047, np.int16), (2048, np.float32)])
+def test_f5_at_the_int16_bound_and_one_past(inner, dtype, monkeypatch):
+    """(p - 1)**2 * 2047 = 2**15 - 17 for p = 5: the kernel runs in int16
+    at 2047 and leaves it at 2048, where every sum below is 4 * 4 * 2048 =
+    2**15, one past int16's largest value, and int16 would wrap it."""
+    f = PrimeField(5)
+    a, b = _full(f, 6, inner, 4), _full(f, inner, 6, 4)
     seen = _spy(monkeypatch)
-    got = (sa @ bm).to_dense()
-    assert got.tolist() == _reference(am, bm)
-    assert got[0, 0] == sign * top * other * inner
-    assert got[1, 1] == top * other * inner
-    assert seen == [dtype]
+    for x, y in ((a, _dense(b)), (_dense(a), b)):
+        assert (x @ y).to_dense().tolist() == _reference(a, b)
+    assert seen == [dtype] * 2
+    sums = np.dot(_nums(a), _nums(b))
+    assert (sums == 16 * inner).all()
+    assert (np.full(inner, 16, dtype=np.int16).sum(dtype=np.int16) < 0) \
+        == (inner == 2048)
+
+
+@pytest.mark.parametrize("p,narrow", [(181, True), (191, False)])
+def test_dense_kron_over_fp_in_int16_and_past_it(p, narrow, monkeypatch):
+    """180**2 = 32400 fits int16 and 190**2 = 36100 does not: the dense
+    Kronecker product over F_181 runs in int16 and over F_191 in int64,
+    each equal to the object-dtype product, extreme residues included."""
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (7, 5)), rng.integers(0, p, (6, 9))
+    a[0, 0] = b[0, 0] = a[6, 4] = b[5, 8] = p - 1
+    am, bm = ExactMatrix.from_dense(f, a.tolist()), ExactMatrix.from_dense(f, b.tolist())
+    assert am.is_dense and bm.is_dense
+    reduced = []
+    real = matrix._reduce_int16
+    monkeypatch.setattr(matrix, "_reduce_int16",
+                        lambda x, q: reduced.append(x.dtype) or real(x, q))
+    got = am.kron(bm)
+    assert got.is_dense and got.num_dense().dtype == f.dtype
+    want = np.kron(a.astype(object), b.astype(object)) % p
+    assert got.num_dense().tolist() == want.tolist()
+    assert reduced == ([np.dtype(np.int16)] if narrow else [])
 
 
 # ----------------------------------------------------------------------
