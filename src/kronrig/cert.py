@@ -232,10 +232,11 @@ def split_g_kron(field, vectors, offset, weights=None):
     n = math.prod(dims)
     if n > KRON_ORDER_CAP:
         raise SizeCapError(f"order {n} beyond the materialization cap")
-    bound = 1
+    # nnz(G(x)) = (d - 1) + nnz(x): the identity's d - 1 columns, then x
+    count = 1
     for v in vectors:
-        bound *= 1 + (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
-    _guard_nnz(bound, "kron of sparse unit pieces")
+        count *= (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
+    _guard_nnz(count, "kron of sparse unit pieces")
 
     acc = v_matrix(field, vectors[0])
     for vec in vectors[1:]:

@@ -260,14 +260,7 @@ def cmd_generate(args):
 # wiring
 
 
-def build_parser():
-    top = _Parser(prog="kronrig",
-                  description="Exact low-rank-plus-sparse certificates "
-                              "for Kronecker products.")
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("decompose",
-                       help="build and verify a certificate")
+def _decompose_args(p):
     _add_factor_flags(p)
     p.add_argument("--epsilon", required=True,
                    help="sparsity budget exponent in (0, 1]")
@@ -282,8 +275,8 @@ def build_parser():
     p.add_argument("--report", help="also write the report here")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify",
-                       help="check a certificate against a target")
+
+def _verify_args(p):
     p.add_argument("--cert", required=True)
     p.add_argument("--target", help="target matrix file; omit to build "
                                     "the target from factor flags")
@@ -291,17 +284,16 @@ def build_parser():
     p.add_argument("--report", help="also write the report here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("predict",
-                       help="parameter window and predicted claims, "
-                            "no matrices needed")
+
+def _predict_args(p):
     p.add_argument("--dims", required=True, metavar="D1,D2,...")
     p.add_argument("--epsilon", required=True)
     p.add_argument("--weights", default="uniform")
     p.add_argument("--report", help="also write the report here")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("oracle",
-                       help="exhaustive rigidity on a tiny matrix file")
+
+def _oracle_args(p):
     p.add_argument("--file", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--rc", action="store_true",
@@ -309,17 +301,48 @@ def build_parser():
     p.add_argument("--report", help="also write the report here")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("generate",
-                       help="write a factor product as a matrix file")
+
+def _generate_args(p):
     _add_factor_flags(p)
     p.add_argument("--format", choices=("dense", "sparse"), default="dense")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_generate)
+
+
+# (name, help, adds its arguments)
+SUBCOMMANDS = (
+    ("decompose", "build and verify a certificate", _decompose_args),
+    ("verify", "check a certificate against a target", _verify_args),
+    ("predict", "parameter window and predicted claims, no matrices needed",
+     _predict_args),
+    ("oracle", "exhaustive rigidity on a tiny matrix file", _oracle_args),
+    ("generate", "write a factor product as a matrix file", _generate_args),
+)
+
+
+def build_parser(argv=None):
+    """The parser, with every subcommand registered, so usage text and
+    errors name them all.  Only the subcommand that argv's first token
+    names gets its arguments (adding all of them took about 1.8 ms a
+    call); without argv, or when that token names none, all do."""
+    top = _Parser(prog="kronrig",
+                  description="Exact low-rank-plus-sparse certificates "
+                              "for Kronecker products.")
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    first = argv[0] if argv else None
+    if first not in [name for name, _, _ in SUBCOMMANDS]:
+        first = None
+    for name, text, add_args in SUBCOMMANDS:
+        p = sub.add_parser(name, help=text)
+        if first in (None, name):
+            add_args(p)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -10,10 +10,11 @@ array; sparse storage is a canonical COO triple: row-major sorted,
 duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
 paths (float64 BLAS, int16, float32, float64 and int64 numpy and scipy
 kernels) are engaged only when a bound on the result proves it fits the
-intermediate type; the Python-int route takes over beyond.  scipy.sparse
-serves only products with a sparse operand above _SMALL_CELLS and is
-imported on the first of them, so a short run on a small instance never
-pays its import.
+intermediate type; the Python-int route takes over beyond.  Products
+with a sparse operand of at most _SMALL_CELLS cells, and products of two
+sparse operands with at most _EXPAND_MADDS multiply-adds, run in numpy
+alone; scipy.sparse serves the rest and is imported on the first of
+them, so a run on a small instance never pays its import.
 `triplets()`, `to_dense()` and indexing give Q values as `Fraction`s,
 built on demand.
 """
@@ -65,6 +66,14 @@ _INT16_BLOCK_CELLS = 1 << 20
 # conservative; wider dtypes are slower, so only int16 and float32 densify.
 _CELL_COST = 16
 _SPARSE_COST = 32
+# a product of two sparse operands with at most this many multiply-adds
+# runs in numpy as _expand_matmul: the crossover with the scipy paths.
+# Over 304 random sparse F_5 and Q products (orders 128 to 2048, inner
+# dimension n or n/2, operand nnz balanced or 8:1; 2-core x86-64 VM, one
+# BLAS thread, scipy imported already) the expansion's median time over
+# theirs was 0.70 at 2**12 multiply-adds, 0.83 at 2**13, 0.95 at 2**13.5,
+# 1.01 at 2**14, 1.14 at 2**15 and 1.38 at 2**16
+_EXPAND_MADDS = 1 << 14
 
 
 class SizeCapError(ValueError):
@@ -171,6 +180,13 @@ def _freeze(*arrays):
     through one would change every matrix that shares it."""
     for a in arrays:
         a.setflags(write=False)
+
+
+def _aranges(starts, lengths):
+    """The concatenation of arange(s, s + n) over starts s and lengths n."""
+    out = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    out += np.arange(len(out))
+    return out
 
 
 def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
@@ -540,37 +556,45 @@ class ExactMatrix:
             raise SizeCapError(
                 f"Kronecker output {out_r}x{out_c} beyond the order cap {KRON_ORDER_CAP}")
         den = self.den * other.den
-        if (self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP):
+        dense = self.is_dense and other.is_dense and out_r * out_c <= DENSE_CELL_CAP
+        if dense:
             a, b = self._dense, other._dense
-            bound = _product_bound(f, a, b, 1)
-            if isinstance(f, PrimeField) and _kernel_dtype(bound, a, b) is np.int16:
-                # residue products in int16, reduced there, widened once
-                prod = np.kron(a.astype(np.int16), b.astype(np.int16))
-                prod = _reduce_int16(prod, f.p).astype(f.dtype)
-            else:
-                prod = np.kron(*_lift(bound, a, b))
-                if isinstance(f, PrimeField):
-                    prod %= f.p
+        else:
+            (ar, ac, a), (br, bc, b) = self.num_triplets(), other.num_triplets()
+            if len(a) * len(b) > DENSE_CELL_CAP:
+                raise SizeCapError(
+                    f"Kronecker output would hold {len(a) * len(b)} explicit "
+                    f"entries, beyond the cap of {DENSE_CELL_CAP}")
+        bound = _product_bound(f, a, b, 1)
+        # residue products in int16 where they fit, reduced there and
+        # widened once
+        narrow = isinstance(f, PrimeField) and _kernel_dtype(bound, a, b) is np.int16
+        a, b = (a.astype(np.int16), b.astype(np.int16)) if narrow else _lift(bound, a, b)
+        if dense:
+            prod = np.kron(a, b)
+        else:
+            # row-major without a sort: output row (i, j) = i * b.rows + j
+            # holds the products of a's row i with b's row j, a's entries
+            # outer, so the entries of a, and of b, that they take are aranges
+            na = np.bincount(ar, minlength=self.rows)
+            nb = np.bincount(br, minlength=other.rows)
+            j = np.arange(out_r) % other.rows
+            na_out = na.repeat(other.rows)  # entries of a in each output row
+            reps = nb[j].repeat(na_out)  # products of each of them
+            pa = _aranges((na.cumsum() - na).repeat(other.rows), na_out).repeat(reps)
+            pb = _aranges((nb.cumsum() - nb)[j].repeat(na_out), reps)
+            ri = np.arange(out_r).repeat(na_out * nb[j])
+            ci = ac[pa] * other.cols + bc[pb]
+            prod = a[pa] * b[pb]
+        if narrow:
+            prod = _reduce_int16(prod, f.p).astype(f.dtype)
+        elif isinstance(f, PrimeField):
+            prod %= f.p
+        if dense:
             return self._like(out_r, out_c, dense=prod, den=den)
-        ar, ac, av = self.num_triplets()
-        br, bc, bv = other.num_triplets()
-        if len(av) * len(bv) > DENSE_CELL_CAP:
-            raise SizeCapError(
-                f"Kronecker output would hold {len(av) * len(bv)} explicit "
-                f"entries, beyond the cap of {DENSE_CELL_CAP}")
-        ri = (ar[:, None] * other.rows + br[None, :]).ravel()
-        ci = (ac[:, None] * other.cols + bc[None, :]).ravel()
-        av, bv = _lift(_product_bound(f, av, bv, 1), av, bv)
-        vals = np.multiply.outer(av, bv).ravel()
-        if isinstance(f, PrimeField):
-            vals = vals % f.p
-        # canonical without a merge: the pairs of entries are taken in
-        # row-major order of each operand, so a stable sort by row keeps
-        # each row's columns ascending; the products are distinct cells
-        # and, a field having no zero divisors, nonzero
-        order = np.argsort(ri, kind="stable")
-        return self._like(out_r, out_c, coo=(ri[order], ci[order], vals[order]),
-                          den=den)
+        # the products are distinct cells and, a field having no zero
+        # divisors, nonzero
+        return self._like(out_r, out_c, coo=(ri, ci, prod), den=den)
 
     # ------------------------------------------------------------------
     # rank
@@ -646,40 +670,39 @@ def _dense_matmul(field, a, b):
 
 
 def _sparse_matmul(a, b, den):
-    """a @ b with at least one sparse operand.  Small products run dense
-    in numpy, Python-int ones in _expand_matmul.  The rest run in scipy:
-    against a dense operand in _blocked_matmul when one is dense, or when
-    int16 or float32 is exact and _densify picks one to densify (its
-    costs were measured in float32, and int16 is faster still); else as
-    scipy's int64 sparse product (Gustavson's algorithm)."""
+    """a @ b with at least one sparse operand.
+
+    A product of at most _SMALL_CELLS cells (max(rows, cols) times the
+    inner dimension) runs dense in numpy.  Above that, a product of two
+    sparse operands with at most _EXPAND_MADDS multiply-adds (_madds)
+    runs in _expand_matmul, and so does every Python-int product.  The
+    rest run in scipy: against a dense operand in _blocked_matmul when
+    one is dense, or when int16 or float32 is exact and _densify picks
+    one to densify (its costs were measured in float32, and int16 is
+    faster still); else as scipy's int64 sparse product (Gustavson's
+    algorithm).
+    """
     f = a.field
     if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
-        out = a._like(a.rows, b.cols, den=den, dense=_dense_matmul(
+        return _product_of_array(a, b, den, _dense_matmul(
             f, a._dense if a.is_dense else a._scatter(),
             b._dense if b.is_dense else b._scatter()))
-        if a.is_dense or b.is_dense or _prefers_dense(a.rows, b.cols, out.nnz):
-            return out
-        return a._like(a.rows, b.cols, coo=out.num_triplets(), den=out.den)
+    if not (a.is_dense or b.is_dense) and _madds(a, b) <= _EXPAND_MADDS:
+        return _expand_matmul(a, b, den)
     x = a._dense if a.is_dense else a._coo[2]
     y = b._dense if b.is_dense else b._coo[2]
     if len(x) == 0 or len(y) == 0:
         return ExactMatrix.zeros(f, a.rows, b.cols)
     dtype = _kernel_dtype(_product_bound(f, x, y, a.cols), x, y)
     if dtype is None:
-        out = _expand_matmul(a, b, den)
-        return out.density_preferred() if a.is_dense or b.is_dense else out
+        return _expand_matmul(a, b, den)
     dense_a, dense_b = a.is_dense, b.is_dense
     if not (dense_a or dense_b) and dtype in (np.int16, np.float32):
         side = _densify(a, b)
         dense_a, dense_b = side == "a", side == "b"
     if dense_a or dense_b:
-        arr = _blocked_matmul(f, _operand(a, dtype, dense_a),
-                              _operand(b, dtype, dense_b))
-        if a.is_dense or b.is_dense or _prefers_dense(
-                a.rows, b.cols, np.count_nonzero(arr)):
-            return a._like(a.rows, b.cols, dense=arr, den=den)
-        ri, ci = np.nonzero(arr)
-        return a._like(a.rows, b.cols, den=den, coo=(ri, ci, arr[ri, ci]))
+        return _product_of_array(a, b, den, _blocked_matmul(
+            f, _operand(a, dtype, dense_a), _operand(b, dtype, dense_b)))
     cm = _operand(a, np.int64, False) @ _operand(b, np.int64, False)
     if isinstance(f, PrimeField):
         cm.data %= f.p
@@ -691,6 +714,24 @@ def _sparse_matmul(a, b, den):
     cm = cm.tocoo()
     return a._like(a.rows, b.cols, den=den, coo=(
         cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+
+
+def _product_of_array(a, b, den, arr):
+    """a @ b from `arr`, the dense array of its stored values: stored
+    dense when an operand is dense or _prefers_dense says so for its
+    fill, else as the canonical triplets of its nonzeros."""
+    if a.is_dense or b.is_dense or _prefers_dense(
+            a.rows, b.cols, np.count_nonzero(arr)):
+        return a._like(a.rows, b.cols, dense=arr, den=den)
+    ri, ci = np.nonzero(arr)
+    return a._like(a.rows, b.cols, den=den, coo=(ri, ci, arr[ri, ci]))
+
+
+def _madds(a, b):
+    """The multiply-adds of the sparse product a @ b: the sum over k of
+    nnz(a[:, k]) * nnz(b[k, :])."""
+    return int(np.dot(np.bincount(a._coo[1], minlength=a.cols),
+                      np.bincount(b._coo[0], minlength=b.rows)))
 
 
 def _kernel_dtype(bound, *arrays):
@@ -776,8 +817,7 @@ def _densify(a, b):
     cells = a.rows * b.cols
     if cells > DENSE_CELL_CAP:
         return None
-    sparse = int(np.dot(np.bincount(a._coo[1], minlength=a.cols),
-                        np.bincount(b._coo[0], minlength=b.rows)))
+    sparse = _madds(a, b)
     cost, side, m = min((len(a._coo[0]) * b.cols, "b", b),
                         (len(b._coo[0]) * a.rows, "a", a), key=lambda c: c[0])
     if (cost + _CELL_COST * cells > _SPARSE_COST * sparse
@@ -790,36 +830,96 @@ _EXPAND_BLOCK = 1 << 20  # products that _expand_matmul holds at once
 
 
 def _expand_matmul(a, b, den):
-    """a @ b in Python ints: every product a[i, k] * b[k, j] is formed and
-    _canon_coo sums them.  The rows of a go in blocks of about
-    _EXPAND_BLOCK products, so memory follows the size of the result."""
+    """a @ b by expansion: every product a[i, k] * b[k, j] is formed, and
+    the products of each cell are summed in the narrowest form that their
+    _product_bound proves exact.  The bound's inner dimension is a.cols,
+    or where that passes _FLOAT_LIMIT the most terms a cell's sum can
+    have, min(max row nnz of a, max column nnz of b).
+
+    Where the result may be stored dense (_prefers_dense, with as many
+    nonzeros as products) and the bound is at most _FLOAT_LIMIT, a
+    float64 bincount over the flat cell indices sums them into the dense
+    result: every partial sum is an integer within the bound.  Otherwise
+    _merge_products sorts and merges them, in int64 when the bound is at
+    most 2**63 - 1 and in Python ints beyond.  The rows of a go in blocks
+    of about _EXPAND_BLOCK products, so memory follows the size of the
+    result.
+    """
     f = a.field
     ar, ac, av = a.num_triplets()
     br, bc, bv = b.num_triplets()
     if len(ar) == 0 or len(br) == 0:
         return ExactMatrix.zeros(f, a.rows, b.cols)
     starts = np.searchsorted(br, np.arange(b.rows + 1))
-    counts = starts[ac + 1] - starts[ac]  # products of each entry of a
-    done = np.concatenate([[0], np.cumsum(counts)])  # products before each entry
-    row_end = np.searchsorted(ar, np.arange(1, a.rows + 1))
-    pieces = []
+    counts = np.diff(starts)[ac]  # products of each entry of a
+    done = np.cumsum(counts)  # products up to each entry's last
+    bound = _product_bound(f, av, bv, a.cols)
+    if bound > _FLOAT_LIMIT:
+        bound = _product_bound(f, av, bv, min(
+            int(np.bincount(ar, minlength=a.rows).max()),
+            int(np.bincount(bc, minlength=b.cols).max())))
+    cells = a.rows * b.cols
+    dense = bound <= _FLOAT_LIMIT and _prefers_dense(a.rows, b.cols, int(done[-1]))
+    dtype = np.float64 if dense else np.int64 if bound <= _INT64_MAX else object
+    av, bv = av.astype(dtype, copy=False), bv.astype(dtype, copy=False)
+    row_base = ar * b.cols  # flat cell indices
+    acc, pieces = None, []
     lo = 0
     while lo < len(ar):
-        hi = max(int(np.searchsorted(done, done[lo] + _EXPAND_BLOCK, side="right")) - 1,
-                 lo + 1)
-        hi = int(row_end[ar[hi - 1]])  # whole rows, so the blocks stay apart
-        src = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        pos = starts[ac[src]] + np.arange(len(src)) - (done[src] - done[lo])
-        vals = av[src].astype(object) * bv[pos].astype(object)
-        if isinstance(f, PrimeField):
-            vals %= f.p
-        pieces.append(_canon_coo(f, (a.rows, b.cols), ar[src], bc[pos], vals,
-                                 assume_clean=True))
+        first = int(done[lo] - counts[lo])  # products before entry lo
+        hi = len(ar)
+        if done[-1] - first > _EXPAND_BLOCK:
+            hi = max(int(np.searchsorted(done, first + _EXPAND_BLOCK, side="right")),
+                     lo + 1)
+            # whole rows, so the blocks stay apart
+            hi = int(np.searchsorted(ar, ar[hi - 1], side="right"))
+        reps = counts[lo:hi]
+        pos = _aranges(starts[ac[lo:hi]], reps)  # the entries of b taken
+        vals = np.repeat(av[lo:hi], reps) * bv[pos]
+        flat = np.repeat(row_base[lo:hi], reps)
+        flat += bc[pos]
+        if dense:
+            sums = np.bincount(flat, weights=vals, minlength=cells)
+            acc = sums if acc is None else acc + sums
+        else:
+            pieces.append(_merge_products(f, b.cols, np.repeat(ar[lo:hi], reps),
+                                          flat, vals))
         lo = hi
+    if dense:
+        if isinstance(f, PrimeField):
+            _reduce(acc, f.p)
+        return _product_of_array(a, b, den, acc.astype(np.int64).reshape(
+            a.rows, b.cols))
     ri, ci, vals = (np.concatenate(part) for part in zip(*pieces))
     if isinstance(f, PrimeField):
         vals = vals.astype(f.dtype, copy=False)
-    return a._like(a.rows, b.cols, coo=(ri, ci, vals), den=den)
+    out = a._like(a.rows, b.cols, coo=(ri, ci, vals), den=den)
+    # a Python-int product of sparse operands stays sparse: dense arrays
+    # of Python ints are slow to work with
+    return out if dtype is object and not (a.is_dense or b.is_dense) \
+        else out.density_preferred()
+
+
+def _merge_products(f, cols, ri, flat, vals):
+    """Canonical triplets of the sums of products at flat cell indices
+    `flat` (row ri, column flat - ri * cols), with ri nondecreasing.  A
+    stable sort by `flat` only reorders each row's products, so the
+    sorted products keep their rows.  Over F_p the sums are reduced once
+    merged: the caller's dtype holds them unreduced."""
+    order = np.argsort(flat, kind="stable")
+    flat, vals = flat[order], vals[order]
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    if not new.all():
+        starts = np.flatnonzero(new)
+        ri, flat, vals = ri[starts], flat[starts], np.add.reduceat(vals, starts)
+    if isinstance(f, PrimeField):
+        vals %= f.p
+    keep = vals != 0
+    if not keep.all():
+        ri, flat, vals = ri[keep], flat[keep], vals[keep]
+    return ri, flat - ri * cols, vals
 
 
 # ----------------------------------------------------------------------

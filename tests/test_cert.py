@@ -6,6 +6,7 @@ enumerating score sets by brute force.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from kronrig.matrix import (
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
+    kron_list,
     random_dense,
 )
 from kronrig.scores import WeightScheme
@@ -158,6 +160,45 @@ def test_split_deterministic():
 def test_split_refuses_oversized_orders():
     with pytest.raises(SizeCapError):
         split_g_kron(F5, [(1, 2)] * 17, 1)
+
+
+@pytest.mark.parametrize("vectors", [[(2, 3), (4, 1)], [(0, 3), (1, 2, 3)],
+                                     [(2, 0, 0, 1), (3,), (1, 1)]])
+def test_split_nnz_guard_counts_exactly(vectors, monkeypatch):
+    """The guard counts nnz(G(x)) = (d - 1) + nnz(x) a factor, the
+    entries of the Kronecker product the split builds: at a cap equal to
+    that count the split runs, one below it the split is refused.  The
+    count the guard used to take, 1 + (d - 1) + nnz(x) a factor, is past
+    the cap at which the split now runs."""
+    count = kron_list([v_matrix(F5, v) for v in vectors]).nnz
+    old = math.prod(len(v) + sum(1 for t in v if t % 5) for v in vectors)
+    assert count == math.prod(len(v) - 1 + sum(1 for t in v if t % 5)
+                              for v in vectors) < old
+    monkeypatch.setattr(cert_module, "CERT_NNZ_CAP", count)
+    cert = split_g_kron(F5, vectors, Fraction(1, 2))
+    assert verify_cert(cert, dense_g_kron(F5, vectors))["ok"]
+    monkeypatch.setattr(cert_module, "CERT_NNZ_CAP", count - 1)
+    with pytest.raises(SizeCapError, match=f"hold about {count} "):
+        split_g_kron(F5, vectors, Fraction(1, 2))
+
+
+def test_split_nnz_guard_lets_walsh_14_through(monkeypatch):
+    """14 factors of order 2 with a full x (n = 16384): 3**14 = 4,782,969
+    entries pass the cap of 2**25, where the old count, 4**14 =
+    268,435,456, did not; the split is stopped right after the guard,
+    before it builds anything.  16 such factors (n = 65536, 3**16 =
+    43,046,721 entries) are still refused."""
+    class Reached(Exception):
+        pass
+
+    def stop(field, vec):
+        raise Reached
+    monkeypatch.setattr(cert_module, "v_matrix", stop)
+    assert 3 ** 14 <= cert_module.CERT_NNZ_CAP < min(4 ** 14, 3 ** 16)
+    with pytest.raises(Reached):
+        split_g_kron(F5, [(1, 4)] * 14, Fraction(1, 2))
+    with pytest.raises(SizeCapError, match=f"hold about {3 ** 16} "):
+        split_g_kron(F5, [(1, 4)] * 16, Fraction(1, 2))
 
 
 def test_split_refuses_oversized_fill():

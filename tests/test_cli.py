@@ -1,12 +1,14 @@
 """End-to-end command behavior: exit codes, files, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from kronrig.cli import main
+from kronrig.cli import SUBCOMMANDS, build_parser, main
 from kronrig.field import QQ, PrimeField
 from kronrig.fileio import read_cert, read_matrix, write_matrix
 from kronrig.hadamard import walsh
@@ -253,3 +255,47 @@ def test_delta_with_hadamard_mode_is_usage_error(tmp_path, capsys):
                      "--mode", "hadamard", "--delta", "auto",
                      "--epsilon", "0.5")
     assert code == 0
+
+
+def _parsed(parser, argv):
+    """(exit code or None, stdout, stderr, namespace) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), args and vars(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["nosuch"], ["nosuch", "--help"], ["--bogus"],
+    *[[name, "--help"] for name, _, _ in SUBCOMMANDS],
+    ["decompose"], ["decompose", "--walsh", "x"], ["verify", "--cert"],
+    ["predict", "--dims", "2,2"], ["oracle", "--bogus"],
+    ["generate", "--format", "csv"],
+    ["decompose", "--walsh", "2", "--epsilon", "0.5", "--mode", "hadamard"],
+    ["verify", "--cert", "c.txt", "--random", "2,2", "--field", "Fp 5"],
+    ["predict", "--dims", "8,8", "--epsilon", "0.5"],
+    ["oracle", "--file", "m.txt", "--rank", "1", "--rc"],
+    ["generate", "--walsh", "2", "--format", "sparse"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parser_for_argv_matches_the_full_parser(argv):
+    """The parser that adds only the named subcommand's arguments prints
+    the same help and usage errors, byte for byte, and parses the same
+    arguments as the one that adds every subcommand's."""
+    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(), argv)
+
+
+def test_parser_adds_only_the_named_subcommand():
+    def arguments(parser):
+        (sub,) = [a for a in parser._actions if a.dest == "subcommand"]
+        return {name: len(p._actions) for name, p in sub.choices.items()}
+    full = arguments(build_parser())
+    assert min(full.values()) > 1
+    for argv in ([], ["--help"], ["nosuch", "--cert", "c.txt"]):
+        assert arguments(build_parser(argv)) == full
+    for name, _, _ in SUBCOMMANDS:
+        assert arguments(build_parser([name, "--help"])) == {
+            other: full[other] if other == name else 1 for other in full}

@@ -695,6 +695,43 @@ def test_kron_against_numpy():
             assert (av.kron(bv).to_dense() == want).all()
 
 
+@pytest.mark.parametrize("f", [F5, FBIG, QQ], ids=["Fp5", "Fp2^31+11", "Q"])
+def test_sparse_kron_is_row_major_without_a_sort(f, monkeypatch):
+    """The sparse Kronecker product's triplets equal every pair of
+    entries sorted row-major, with no sort: over random sparse operands
+    with empty rows, 1 x 1 factors and an all-zero factor."""
+    rng = np.random.default_rng(61)
+    top = 1 << 40 if f is QQ else f.p
+
+    def rand(rows, cols, empty_rows=()):
+        vals = np.where(rng.random((rows, cols)) < 0.4,
+                        rng.integers(1, top, (rows, cols)), 0).astype(object)
+        vals[list(empty_rows)] = 0
+        if f is QQ:
+            vals = [[Fraction(int(v), 3) for v in r] for r in vals]
+        m = ExactMatrix.from_dense(f, vals)
+        return ExactMatrix(f, rows, cols, coo=m.num_triplets(), den=m.den)
+    sorts = []
+    for name in ("argsort", "lexsort", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, **kw:
+                            sorts.append(1) or real(*a, **kw))
+    pairs = [(rand(1, 1), rand(1, 1)), (rand(1, 1), rand(5, 3, [2])),
+             (rand(6, 4, [0, 3]), rand(1, 1)), (rand(7, 5, [1, 6]), rand(4, 6, [0, 2])),
+             (rand(1, 8), rand(9, 1, [4])), (rand(3, 3, [0, 1, 2]), rand(2, 2)),
+             (rand(12, 10, [5]), rand(3, 7, [1]))]
+    for a, b in pairs:
+        want = sorted(
+            (i * b.rows + k, j * b.cols + m, x * y if f is QQ else x * y % f.p)
+            for i, j, x in zip(*a.triplets()) for k, m, y in zip(*b.triplets()))
+        sorts.clear()
+        got = a.kron(b)
+        assert not sorts
+        ri, ci, vals = got.triplets()
+        assert list(zip(ri.tolist(), ci.tolist(), vals.tolist())) == want
+        assert not got.is_dense and ri.dtype == ci.dtype == np.int64
+
+
 def test_kron_sign_square_frozen():
     h = ExactMatrix.from_dense(QQ, [[1, 1], [1, -1]])
     hh = h.kron(h)
@@ -987,9 +1024,12 @@ def test_q_numerator_matmul_past_float64_exactness():
             assert (av @ bv)[0, 0] == want
 
 
-def test_q_numerator_matmul_large_sparse_int64_and_object():
+def test_q_numerator_matmul_large_sparse_int64_and_object(monkeypatch):
     """Products with a sparse operand go through scipy (int64) or the
-    triplet expansion (Python ints); both agree with the dense route."""
+    triplet expansion (Python ints); both agree with the dense route.
+    The sparse-by-sparse products have fewer multiply-adds than
+    _EXPAND_MADDS, so they run once with it lowered to 0, which sends the
+    int64 one to scipy, and once as they are, in the expansion."""
     rng = np.random.default_rng(117)
     for top in [3, (1 << 40), (1 << 62)]:
         a = np.where(rng.random((70, 120)) < 0.05, rng.integers(-top, top, (70, 120)), 0)
@@ -998,9 +1038,12 @@ def test_q_numerator_matmul_large_sparse_int64_and_object():
         fb = [[Fraction(int(x), 35) for x in r] for r in b.tolist()]
         sa, sb = _q_storage(fa)[1], _q_storage(fb)[1]
         want = ExactMatrix.from_dense(QQ, fa) @ ExactMatrix.from_dense(QQ, fb)
-        for got in (sa @ sb, sa @ _q_storage(fb)[0], _q_storage(fa)[0] @ sb):
-            assert got == want
-            assert _num_canonical(got)
+        assert 0 < matrix._madds(sa, sb) <= matrix._EXPAND_MADDS
+        for limit in (0, matrix._EXPAND_MADDS):
+            monkeypatch.setattr(matrix, "_EXPAND_MADDS", limit)
+            for got in (sa @ sb, sa @ _q_storage(fb)[0], _q_storage(fa)[0] @ sb):
+                assert got == want
+                assert _num_canonical(got)
         assert want.to_dense()[5, 7] == sum(fa[5][t] * fb[t][7] for t in range(120))
 
 

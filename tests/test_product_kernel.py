@@ -7,6 +7,11 @@ into the int64 result.  These tests compare it with an object-dtype
 reference in every field, at the int16 and float32 bounds and one past
 each, and pin where `_densify` sends a sparse-by-sparse product.  The
 dense Kronecker product over F_p runs in int16 by the same bound.
+
+A sparse-by-sparse product of at most `_EXPAND_MADDS` multiply-adds runs
+in `_expand_matmul` instead, summed by a float64 bincount, in int64 or in
+Python ints by the same kind of bound; the last tests check it against
+the reference, at each bound and at the threshold.
 """
 
 from fractions import Fraction
@@ -76,10 +81,12 @@ def _reference(a, b):
 def test_kernel_matches_reference_in_every_order(field, monkeypatch):
     """Sparse by dense, dense by sparse, and sparse by sparse with either
     operand densified (int16 and float32 only), in blocks of 3 rows and of
-    all 45."""
+    all 45.  The sparse-by-sparse product has about 2.7e4 multiply-adds;
+    _EXPAND_MADDS is lowered below that so that it reaches the kernel."""
     rng = np.random.default_rng(41)
     a, b = _random(field, rng, 45, 300, 0.2), _random(field, rng, 300, 50, 0.2)
     want = _reference(a, b)
+    monkeypatch.setattr(matrix, "_EXPAND_MADDS", matrix._madds(a, b) - 1)
     seen = _spy(monkeypatch)
     for block in (3 * 50, 1 << 18):
         monkeypatch.setattr(matrix, "_BLOCK_CELLS", block)
@@ -243,3 +250,152 @@ def test_cost_rule_declines_a_permutation_like_product(fp_walsh_cert):
     got = v @ b
     assert not got.is_dense
     assert got == matrix._expand_matmul(v, b, 1)
+
+
+# ----------------------------------------------------------------------
+# the expansion
+
+EXPAND_FIELDS = [PrimeField(2), PrimeField(5), PrimeField(2147483659), QQ]
+
+
+def _forms(monkeypatch):
+    """The accumulations _expand_matmul runs, one per product: "float64"
+    for the dense bincount, else the dtype of the merged products."""
+    seen = []
+    real_merge, real_bincount = matrix._merge_products, np.bincount
+
+    def merge(f, cols, ri, flat, vals):
+        seen.append(vals.dtype.name)
+        return real_merge(f, cols, ri, flat, vals)
+
+    def bincount(x, weights=None, minlength=0):
+        if weights is not None:
+            seen.append(weights.dtype.name)
+        return real_bincount(x, weights=weights, minlength=minlength)
+    monkeypatch.setattr(matrix, "_merge_products", merge)
+    monkeypatch.setattr(np, "bincount", bincount)
+    return seen
+
+
+def _pattern(m):
+    return (_nums(m) != 0).astype(np.int64)
+
+
+@pytest.mark.parametrize("field", EXPAND_FIELDS, ids=lambda f: f.header)
+@pytest.mark.parametrize("rows,density,dense", [(40, 0.05, True),
+                                                (200, 0.01, False)])
+def test_expansion_matches_reference(field, rows, density, dense, monkeypatch):
+    """Random sparse products routed to the expansion, with cells that sum
+    several products: a result that may be dense (3 * products > cells)
+    is summed by a float64 bincount when its bound allows, any other in
+    int64 by a sort and merge, and over F_2147483659 in Python ints."""
+    rng = np.random.default_rng(rows + getattr(field, "p", 0))
+    a = _random(field, rng, rows, 300, density)
+    b = _random(field, rng, 300, rows, density)
+    madds = matrix._madds(a, b)
+    assert max(rows, rows) * 300 > matrix._SMALL_CELLS
+    assert 0 < madds <= matrix._EXPAND_MADDS
+    assert matrix._prefers_dense(rows, rows, madds) == dense
+    assert ((_pattern(a) @ _pattern(b)) > 1).any()  # duplicate cells
+    forms = _forms(monkeypatch)
+    got = a @ b
+    assert got.to_dense().tolist() == _reference(a, b)
+    big = getattr(field, "p", 0) > 1 << 31
+    assert forms == ["object" if big else "float64" if dense else "int64"]
+    ri, ci, _ = got.num_triplets()
+    key = ri * rows + ci
+    assert (key[1:] > key[:-1]).all()
+
+
+def _q_signed(rows, cols, top, axis):
+    """A sparse Q matrix of numerators top, negated in row 1 (axis 0) or
+    column 1 (axis 1)."""
+    nums = np.full((rows, cols), top, dtype=object)
+    if axis == 0:
+        nums[1] = -top
+    else:
+        nums[:, 1] = -top
+    if matrix._bound(nums) <= matrix._INT64_MAX:
+        nums = nums.astype(np.int64)
+    return ExactMatrix(QQ, rows, cols, coo=ExactMatrix(
+        QQ, rows, cols, dense=nums).num_triplets())
+
+
+@pytest.mark.parametrize("top,other,inner,form", [
+    (1 << 24, 1 << 25, 2, "float64"),        # 2**24 * 2**25 * 2 = 2**50
+    ((1 << 50) + 1, 1, 1, "int64"),          # 2**50 + 1
+    ((1 << 63) - 1, 1, 1, "int64"),          # 2**63 - 1
+    (1317624576693539401, 1, 7, "int64"),    # 7 * 1317624576693539401 = 2**63 - 1
+    (1 << 60, 1, 8, "object"),               # 8 * 2**60 = 2**63
+])
+def test_expansion_accumulates_at_each_bound(top, other, inner, form, monkeypatch):
+    """Q numerators whose extreme sums reach the bound: float64 up to
+    _FLOAT_LIMIT, int64 from one past it up to 2**63 - 1, Python ints
+    from 2**63, which int64 would wrap.  Every cell sums `inner`
+    products, and each result may be dense (3 * products > cells)."""
+    a, b = _q_signed(3, inner, top, 0), _q_signed(inner, 3, other, 1)
+    bound = top * other * inner
+    assert matrix._product_bound(QQ, a.num_triplets()[2], b.num_triplets()[2],
+                                 inner) == bound
+    assert matrix._prefers_dense(3, 3, matrix._madds(a, b))
+    forms = _forms(monkeypatch)
+    got = matrix._expand_matmul(a, b, 1)
+    assert forms == [form]
+    assert got.to_dense().tolist() == _reference(a, b)
+    assert got[0, 0] == got[1, 1] == bound and got[0, 1] == got[1, 0] == -bound
+
+
+def test_expansion_bounds_by_the_terms_of_a_cell(monkeypatch):
+    """Inner dimension 64 but at most 2 products a cell: the bound with
+    the inner dimension, 2**24 * 2**25 * 64 = 2**55, passes _FLOAT_LIMIT;
+    with the 2 terms of a cell's sum it is 2**50, so the sums run in
+    float64."""
+    top = 1 << 24
+    inner = 64
+    a = np.zeros((3, inner), dtype=np.int64)
+    a[:, :2] = top
+    a[1, :2] = -top
+    b = np.zeros((inner, 3), dtype=np.int64)
+    b[:2, :] = 1 << 25
+    am = ExactMatrix(QQ, 3, inner, dense=a)
+    bm = ExactMatrix(QQ, inner, 3, dense=b)
+    sa = ExactMatrix(QQ, 3, inner, coo=am.num_triplets())
+    sb = ExactMatrix(QQ, inner, 3, coo=bm.num_triplets())
+    assert matrix._product_bound(QQ, a, b, inner) == 1 << 55
+    forms = _forms(monkeypatch)
+    got = matrix._expand_matmul(sa, sb, 1)
+    assert forms == ["float64"]
+    assert got.to_dense().tolist() == _reference(sa, sb)
+    assert got[0, 0] == 1 << 50 and got[1, 2] == -(1 << 50)
+
+
+@pytest.mark.parametrize("field", EXPAND_FIELDS, ids=lambda f: f.header)
+def test_expansion_runs_up_to_the_threshold(field, monkeypatch):
+    """A sparse x sparse product of _EXPAND_MADDS multiply-adds runs in
+    the expansion; one with one more runs the other paths.  Both equal
+    the reference."""
+    n = 256
+    rng = np.random.default_rng(3)
+    top = field.p if isinstance(field, PrimeField) else 1 << 20
+
+    def pair(madds):
+        k, extra = divmod(madds, n)
+        ri = np.concatenate([np.repeat(np.arange(n), k), np.zeros(extra, int)])
+        ci = np.concatenate([np.tile(np.arange(k), n), np.full(extra, k)])
+        rows = np.arange(k + extra)
+        return (ExactMatrix.from_coo(field, n, n, ri, ci,
+                                     rng.integers(1, top, len(ri))),
+                ExactMatrix.from_coo(field, n, n, rows, rng.integers(0, n, len(rows)),
+                                     rng.integers(1, top, len(rows))))
+    calls = []
+    real = matrix._expand_matmul
+    monkeypatch.setattr(matrix, "_expand_matmul",
+                        lambda *args: calls.append(1) or real(*args))
+    big = getattr(field, "p", 0) > 1 << 31
+    for madds, expanded in ((matrix._EXPAND_MADDS, True),
+                            (matrix._EXPAND_MADDS + 1, big)):
+        a, b = pair(madds)
+        assert matrix._madds(a, b) == madds and not (a.is_dense or b.is_dense)
+        calls.clear()
+        assert (a @ b).to_dense().tolist() == _reference(a, b)
+        assert calls == [1] * expanded  # Python ints always expand
