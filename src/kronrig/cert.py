@@ -36,6 +36,7 @@ from .matrix import (
     _bound,
     _lift,
     hstack,
+    kron_list,
     rank_of_product,
     vstack,
 )
@@ -238,9 +239,7 @@ def split_g_kron(field, vectors, offset, weights=None):
         count *= (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
     _guard_nnz(count, "kron of sparse unit pieces")
 
-    acc = v_matrix(field, vectors[0])
-    for vec in vectors[1:]:
-        acc = acc.kron(v_matrix(field, vec))
+    acc = kron_list([v_matrix(field, vec) for vec in vectors])
     high, low = threshold_masks(dims, weights, offset)
     col_idx = np.flatnonzero(high)
     row_idx = np.flatnonzero(low)

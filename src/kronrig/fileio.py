@@ -16,10 +16,13 @@ writer encodes a whole block in one uint8 array: digits by repeated
 division over each column, right-aligned in fixed-width rows whose
 padding is then dropped; only numbers past int64 take a per-value str().
 The reader takes the header keys line by line and each block as one
-byte range.  A block of exactly the tokens the writer emits is decoded
-there eight digits at a time (int() reads parts of more than 18 digits);
-anything else (comments, tabs, CRLF, '+3', ...) goes to the line loop,
-which names the first bad line as `str.splitlines` numbers it.
+byte range.  One scan of the whole text finds its non-digit bytes, so
+a block's lines and tokens are slices of that scan.  A block of exactly
+the tokens the writer emits is decoded there in the narrowest word its
+longest part fits: four digits at a time in a uint32 word, eight in a
+uint64 word, up to 18 in two or three, and int() past that; anything
+else (comments, tabs, CRLF, '+3', ...) goes to the line loop, which
+names the first bad line as `str.splitlines` numbers it.
 """
 
 import json
@@ -67,7 +70,7 @@ class _LineReader:
         self.data = data
         self.at = 0  # byte offset of the next unread line
         self.no = 0  # lines read so far
-        self._ends = None  # offset of every '\n', found on first use
+        self._text = None  # the _Text scan of data, made on first use
 
     def _skip(self):
         """The next content line, stripped, and the offset of its end, or
@@ -108,33 +111,18 @@ class _LineReader:
                 f"line {no}: '{name}' needs an integer, got {raw!r}") from None
 
     def bulk(self, count, decode):
-        """decode(the bytes of the next `count` lines, or of all the rest
-        when count is None, without the last line's newline), read past
-        those lines unless it returns None.  None without a call when
-        count < 1 or fewer lines remain."""
-        data = self.data
-        if count is None:
-            if self.at >= len(data):
-                return None
-            end = len(data) - data.endswith(b"\n")
-            count = data.count(b"\n", self.at, end) + 1
-        else:
-            if count < 1:
-                return None
-            if self._ends is None:
-                self._ends = np.flatnonzero(
-                    np.frombuffer(data, dtype=np.uint8) == ord("\n"))
-            last = self.no + count - 1  # the block's last line
-            if last < len(self._ends):
-                end = int(self._ends[last])
-            elif last == len(self._ends) and not data.endswith(b"\n"):
-                end = len(data)
-            else:
-                return None
-        got = decode(data[self.at:end])
+        """decode(the _Block of the next `count` lines, or of all the rest
+        when count is None), read past those lines unless it returns None.
+        None without a call when count < 1 or fewer lines remain."""
+        if count is not None and count < 1 or self.at >= len(self.data):
+            return None
+        if self._text is None:
+            self._text = _Text(self.data)
+        block = self._text.lines(self.no, count)
+        got = None if block is None else decode(block)
         if got is not None:
-            self.no += count
-            self.at = end + 1
+            self.no += block.count
+            self.at = block.end + 1
         return got
 
     def exhausted(self):
@@ -251,91 +239,151 @@ def _parse_value(field, tok, no):
 _BULK_DIGITS = 18
 
 
-def _words(buf):
-    """words[e], a little-endian uint64, holds the 8 bytes of buf that end
-    at offset e, with zero bytes before buf's start."""
-    pad = np.zeros(len(buf) + 8, dtype=np.uint8)
-    pad[8:] = buf
-    return np.ndarray((len(buf) + 1,), dtype="<u8", buffer=pad, strides=(1,))
+class _Text:
+    """The bytes of a text after one scan for every byte that is not an
+    ASCII digit.  buf is the text with a virtual non-digit byte (zero) on
+    either side, so the text is buf[1:-1]; offsets here are into buf.
+    `at` holds the offset of every non-digit byte, the two virtual ones
+    included, as int32 below 2**31 bytes, and `kind` the bytes
+    themselves; line k of the text ends at at[nl[k]].  words[4][e] and
+    words[8][e], little-endian uint32 and uint64, hold the 4 and 8 bytes
+    of buf before offset e, with zero bytes before its start."""
+
+    def __init__(self, data):
+        n = len(data)
+        pad = np.zeros(n + 10, dtype=np.uint8)
+        pad[9:-1] = np.frombuffer(data, dtype=np.uint8)
+        self.data, self.buf = data, pad[8:]
+        self.words = {size: np.ndarray((n + 2,), dtype=f"<u{size}", buffer=pad,
+                                       offset=8 - size, strides=(1,))
+                      for size in (4, 8)}
+        at = np.flatnonzero(np.subtract(self.buf, ord("0"), dtype=np.uint8) > 9)
+        self.kind = self.buf[at]
+        self.at = at.astype(np.int32) if n + 2 < 1 << 31 else at
+        self.nl = np.flatnonzero(self.kind == ord("\n"))
+
+    def lines(self, first, count):
+        """The _Block of `count` lines from line `first` (0-based), or of
+        all the rest when count is None; None if fewer lines remain."""
+        nl, tail = self.nl, not self.data.endswith(b"\n")
+        if count is None:
+            count = len(nl) + tail - first
+        last = first + count - 1
+        if last < len(nl):
+            hi = int(nl[last])
+        elif last == len(nl) and tail:
+            hi = len(self.at) - 1
+        else:
+            return None
+        return _Block(self, int(nl[first - 1]) if first else 0, hi, count)
+
+
+class _Block:
+    """`count` lines of a _Text, without the last line's newline.  Its
+    tokens lie between the non-digit bytes at text.at[lo] and
+    text.at[hi], which end the lines before and after it; `end` is the
+    text offset (not the buf offset) of the latter."""
+
+    def __init__(self, text, lo, hi, count):
+        self.text, self.count = text, count
+        self.bounds = text.at[lo:hi + 1]
+        self.kind = text.kind[lo + 1:hi]  # of the non-digit bytes inside
+        self.end = int(self.bounds[-1]) - 1
 
 
 def _swar(words, n):
-    """The numbers written by the last n[i] (1 to 8) ASCII digits of each
-    word, combined in pairs, fours and eights within the word (Lemire,
-    "Number parsing at a gigabyte per second", 2021).  Overwrites both
-    arrays."""
-    n *= -8
-    n += 64
-    shift = n.view(np.uint64)
+    """The numbers written by the last n[i] ASCII digits of each word (1
+    to its byte count), combined in pairs, fours and eights within the
+    word (Lemire, "Number parsing at a gigabyte per second", 2021).
+    Overwrites `words`, and `n` when its items are as wide as the words'."""
+    t, bits = words.dtype.type, 8 * words.itemsize
+    if n.itemsize == words.itemsize:
+        n *= -8
+        n += bits
+        shift = n.view(words.dtype)
+    else:
+        shift = (bits - 8 * n).astype(words.dtype)
     words >>= shift  # clear the bytes before the digits
     words <<= shift
-    words &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    words *= np.uint64(10 << 8 | 1)
-    words >>= np.uint64(8)
-    words &= np.uint64(0x00FF00FF00FF00FF)
-    words *= np.uint64(100 << 16 | 1)
-    words >>= np.uint64(16)
-    words &= np.uint64(0x0000FFFF0000FFFF)
-    words *= np.uint64(10000 << 32 | 1)
-    words >>= np.uint64(32)
-    return words
+    words &= t(int.from_bytes(b"\x0f" * (bits // 8), "little"))
+    s = 8
+    while True:
+        words *= t((10 ** (s // 8)) << s | 1)
+        words >>= t(s)
+        if 2 * s == bits:
+            return words
+        words &= t(int.from_bytes((b"\xff" * (s // 8) + b"\0" * (s // 8))
+                                  * (bits // (2 * s)), "little"))
+        s *= 2
 
 
-def _decode(words, buf, tails, lens):
-    """The numbers written in the lens[i] digits of buf that end at
-    tails[i], int64, or Python ints when one has more than 18 digits;
-    None if a run is empty.  `words` is _words(buf)."""
+def _decode(text, tails, lens):
+    """The numbers written in the lens[i] digits of the text that end
+    before offset tails[i]: int32 when no run has more than 4 digits,
+    else int64, or Python ints when one has more than 18; None if a run
+    is empty.  With no run past 4 digits each is read in one uint32
+    word, else in one uint64 word, two or three past 8 and 16 digits,
+    and by int() past 18.  Overwrites lens."""
     if not len(lens) or lens.min() < 1:
         return None
-    vals = _swar(words[tails], np.minimum(lens, 8))
     top = int(lens.max())
+    if top <= 4:
+        return _swar(text.words[4][tails], lens).view(np.int32)
+    vals = _swar(text.words[8][tails], np.minimum(lens, 8))
     for c in (8, 16):  # the digits before the last 8 and the last 16
         if top <= c:
             break
         at = np.flatnonzero((lens > c) & (lens <= _BULK_DIGITS))
-        vals[at] += _swar(words[tails[at] - c],
+        vals[at] += _swar(text.words[8][tails[at] - c],
                           np.minimum(lens[at] - c, 8)) * np.uint64(10**c)
     vals = vals.view(np.int64)
     if top > _BULK_DIGITS:
         vals = vals.astype(object)
         for i in np.flatnonzero(lens > _BULK_DIGITS).tolist():
-            vals[i] = int(buf[tails[i] - lens[i]:tails[i]].tobytes())
+            vals[i] = int(text.buf[tails[i] - lens[i]:tails[i]].tobytes())
     return vals
 
 
-def _marks(raw, buf, sep, byte):
-    """Offsets of `byte` in buf and the token each sits in."""
-    at = np.flatnonzero(buf == ord(byte)) if byte in raw else sep[:0]
-    return at, np.searchsorted(sep, at)
-
-
-def _bulk_values(raw, width, slash_cols=None):
-    """Arrays (nums, dens) of shape (lines, width) of the bytes `raw`, or
-    None unless raw is lines of exactly `width` tokens joined by single
+def _bulk_values(block, width, slash_cols=None):
+    """Arrays (nums, dens) of shape (lines, width) of the _Block `block`,
+    or None unless its lines are exactly `width` tokens joined by single
     spaces, each -?[0-9]+, or in the columns marked in `slash_cols` also
     -?[0-9]+/[0-9]+ with a nonzero denominator.  dens is None when no
-    token has a '/'.  The arrays are int64, or Python ints where a part
-    has more than 18 digits.  On such lines int() and Fraction() agree
-    with this parse; the renderer writes only such lines."""
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    sep = np.flatnonzero(buf <= ord(" "))
-    nl = sep[width - 1::width]  # where the newlines must be
-    if (len(sep) + 1) % width or raw.count(b"\n") != len(nl) \
-            or raw.count(b" ") != len(sep) - len(nl) \
-            or not (buf[nl] == ord("\n")).all():
+    token has a '/'.  The arrays are as _decode gives them: int32 or
+    int64, or Python ints where a part has more than 18 digits.  On such
+    lines int() and Fraction() agree with this parse; the renderer writes
+    only such lines."""
+    bounds, kind = block.bounds, block.kind
+    # the block's newlines are the count - 1 that end its lines; every
+    # other non-digit byte inside must be a space, a '-' or a '/'
+    seps = np.count_nonzero(kind == ord(" ")) + block.count - 1
+    if seps == len(kind):
+        sep_kind = kind
+        minus = slash = bounds[:0]
+    else:
+        is_sep = (kind == ord(" ")) | (kind == ord("\n"))
+        inside = bounds[1:-1]
+        minus, slash = inside[kind == ord("-")], inside[kind == ord("/")]
+        if seps + len(minus) + len(slash) != len(kind):
+            return None
+        sep_kind = kind[is_sep]
+        keep = np.ones(len(bounds), dtype=bool)
+        keep[1:-1] = is_sep
+        bounds = bounds[keep]
+    # and the newlines end every `width` tokens
+    if len(bounds) - 1 != width * block.count \
+            or not (sep_kind[width - 1::width] == ord("\n")).all():
         return None
-    ends = np.append(sep, len(buf))  # of each token
-    lens = np.empty_like(ends)  # then of its digits
-    lens[0] = ends[0]
-    np.subtract(ends[1:], ends[:-1], out=lens[1:])
-    lens[1:] -= 1
-    minus, neg = _marks(raw, buf, sep, b"-")
+    ends = bounds[1:]  # of each token
+    lens = np.subtract(ends, bounds[:-1])
+    lens -= 1  # then of its digits
+    neg = np.searchsorted(ends, minus)
     if (minus != ends[neg] - lens[neg]).any():  # each starts its token
         return None
     lens[neg] -= 1
     tails = ends
-    slash, tok = _marks(raw, buf, sep, b"/")
     if len(slash):
+        tok = np.searchsorted(ends, slash)
         if slash_cols is None or not slash_cols[tok % width].all() \
                 or (np.diff(tok) == 0).any():
             return None
@@ -343,18 +391,13 @@ def _bulk_values(raw, width, slash_cols=None):
         lens[tok] -= den_lens + 1
         tails = ends.copy()
         tails[tok] = slash
-    # every byte is a separator, a '-' that starts a token, a '/' or a digit
-    if (len(sep) + len(minus) + len(slash)
-            + np.count_nonzero(buf - ord("0") < 10)) != len(buf):
-        return None
-    words = _words(buf)
-    nums = _decode(words, buf, tails, lens)
+    nums = _decode(block.text, tails, lens)
     if nums is None:
         return None
     nums[neg] = -nums[neg]
     if not len(slash):
         return nums.reshape(-1, width), None
-    d = _decode(words, buf, ends[tok], den_lens)
+    d = _decode(block.text, ends[tok], den_lens)
     if d is None or not d.all():
         return None
     dens = np.ones(len(ends), dtype=d.dtype)
@@ -365,12 +408,12 @@ def _bulk_values(raw, width, slash_cols=None):
 _VALUE_COL = np.array([False, False, True])
 
 
-def _bulk_triplets(raw, rows, cols):
-    """Arrays (i, j, value) of the lines in `raw`, or None unless each
-    line is `i j value` as _bulk_values reads it and every index is in
-    range.  A value may be written n/d; then the value array holds (n, d)
-    rows."""
-    got = _bulk_values(raw, 3, _VALUE_COL)
+def _bulk_triplets(block, rows, cols):
+    """Arrays (i, j, value) of the lines of the _Block `block`, or None
+    unless each line is `i j value` as _bulk_values reads it and every
+    index is in range.  A value may be written n/d; then the value array
+    holds (n, d) rows."""
+    got = _bulk_values(block, 3, _VALUE_COL)
     if got is None:
         return None
     nums, dens = got
@@ -380,24 +423,31 @@ def _bulk_triplets(raw, rows, cols):
         return None
     if ri.min() < 0 or ri.max() >= rows or ci.min() < 0 or ci.max() >= cols:
         return None
-    vals = nums[:, 2].copy()
+    vals = _wide(nums[:, 2])
     return ri, ci, vals if dens is None else np.stack([vals, dens[:, 2]], axis=1)
+
+
+def _wide(a):
+    """The decoded numbers `a` as a contiguous int64 array, or of Python
+    ints."""
+    return np.ascontiguousarray(a, dtype=object if a.dtype == object else np.int64)
 
 
 def _bulk_nums(field, vals, dens):
     """(numerators, den) of bulk-decoded values and denominators (None
     for all ones), or None where a value written n/d is not in the field."""
     if isinstance(field, RationalField):
+        vals, dens = _wide(vals), dens if dens is None else _wide(dens)
         return (vals, 1) if dens is None else over_common_den(vals, dens)
     if dens is not None:
         return None
     return (vals % field.p if vals.dtype == object else vals), 1
 
 
-def _bulk_coo(field, rows, cols, raw):
-    """The matrix of the triplet lines `raw` if _bulk_triplets reads them
-    and every value is in the field, else None."""
-    bulk = _bulk_triplets(raw, rows, cols)
+def _bulk_coo(field, rows, cols, block):
+    """The matrix of the triplet lines of `block` if _bulk_triplets reads
+    them and every value is in the field, else None."""
+    bulk = _bulk_triplets(block, rows, cols)
     if bulk is None:
         return None
     ri, ci, vals = bulk
@@ -412,7 +462,7 @@ def _parse_triplets(rd, field, rows, cols, count=None, name=None):
     None, as a rows x cols matrix; `name` is the certificate block named in
     errors.  A block of canonical lines is decoded in bulk; the line loop
     parses everything else and names the first bad line."""
-    m = rd.bulk(count, lambda raw: _bulk_coo(field, rows, cols, raw))
+    m = rd.bulk(count, lambda b: _bulk_coo(field, rows, cols, b))
     if m is not None:
         return m
     block = f"block '{name}' " if name else ""
@@ -454,10 +504,10 @@ def render_matrix(m, fmt=None):
     return head + _text(_value_parts(nums, m.den), ends)
 
 
-def _bulk_dense(field, cols, raw):
-    """The matrix of the rows `raw` if _bulk_values reads them and every
-    value is in the field, else None."""
-    bulk = _bulk_values(raw, cols, np.ones(cols, dtype=bool))
+def _bulk_dense(field, cols, block):
+    """The matrix of the rows of `block` if _bulk_values reads them and
+    every value is in the field, else None."""
+    bulk = _bulk_values(block, cols, np.ones(cols, dtype=bool))
     nums = None if bulk is None else _bulk_nums(field, *bulk)
     return None if nums is None else ExactMatrix.from_num_dense(field, *nums)
 
@@ -468,7 +518,7 @@ def _parse_dense(rd, field, rows, cols):
     the first bad line."""
     if rows == 0 or cols == 0:
         return ExactMatrix.zeros(field, rows, cols)
-    m = rd.bulk(rows, lambda raw: _bulk_dense(field, cols, raw))
+    m = rd.bulk(rows, lambda b: _bulk_dense(field, cols, b))
     if m is not None:
         return m
     data = []

@@ -157,6 +157,42 @@ def test_split_deterministic():
     assert a.same_witness(b)
 
 
+def _left_fold(mats):
+    acc = mats[0]
+    for m in mats[1:]:
+        acc = acc.kron(m)
+    return acc
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=lambda f: f.header)
+def test_split_kron_in_halves_matches_left_fold(field, monkeypatch):
+    """The split forms kron G(x_1) ⊗ ⋯ ⊗ G(x_k) as two halves, so no
+    product but the last has more than the larger half's order; by
+    associativity the certificate is the one a left fold gives."""
+    rng = np.random.default_rng(23)
+    dims = (2, 3, 2, 4, 2)
+    vectors = [tuple(field.rand(rng) for _ in range(d)) for d in dims]
+    orders = []
+    real_kron = ExactMatrix.kron
+
+    def spy(a, b):
+        orders.append(a.rows * b.rows)
+        return real_kron(a, b)
+    for offset in (Fraction(1, 2), 1):
+        orders.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(ExactMatrix, "kron", spy)
+            halves = split_g_kron(field, vectors, offset)
+        assert orders[-1] == 96 and max(orders[:-1]) == 16
+        with monkeypatch.context() as mp:
+            mp.setattr(cert_module, "kron_list", _left_fold)
+            fold = split_g_kron(field, vectors, offset)
+        assert halves.same_witness(fold)
+        assert list(halves.support_rows) == list(fold.support_rows)
+        assert list(halves.support_cols) == list(fold.support_cols)
+        assert verify_cert(halves, dense_g_kron(field, vectors))["ok"]
+
+
 def test_split_refuses_oversized_orders():
     with pytest.raises(SizeCapError):
         split_g_kron(F5, [(1, 2)] * 17, 1)

@@ -1,6 +1,7 @@
 """Text formats: exact round trips and line-numbered rejection."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from kronrig.cert import Certificate, verify_cert
 from kronrig import fileio
 from kronrig.field import QQ, PrimeField, field_from_header
+from kronrig.hadamard import walsh_factors
 from kronrig.fileio import (
     FileFormatError,
     parse_cert,
@@ -382,7 +384,7 @@ def test_canonical_blocks_skip_line_loop(monkeypatch):
 
 def _lines(*lines):
     """A block of lines as the reader hands it to the bulk decoder."""
-    return "\n".join(lines).encode("utf-8")
+    return fileio._Text("\n".join(lines).encode("utf-8")).lines(0, None)
 
 
 @pytest.mark.parametrize("line,expected", [
@@ -587,6 +589,157 @@ def test_bulk_rejections_keep_line_loop_messages(text, message):
     with pytest.raises(FileFormatError) as e:
         parse_matrix(text)
     assert str(e.value) == message
+
+
+# ----------------------------------------------------------------------
+# the decoder's words: one file scan, the narrowest word a block needs
+
+
+def _spy_words(monkeypatch):
+    """The byte width of the word of every `_swar` call."""
+    sizes = []
+    real = fileio._swar
+
+    def spy(words, n):
+        sizes.append(words.itemsize)
+        return real(words, n)
+    monkeypatch.setattr(fileio, "_swar", spy)
+    return sizes
+
+
+def _no_line_loop(monkeypatch):
+    def no_line_loop(*args):
+        raise AssertionError("line loop used")
+    monkeypatch.setattr(fileio, "_parse_value", no_line_loop)
+
+
+def _number(rng, width):
+    """A number of exactly `width` digits."""
+    return rng.randrange(10 ** (width - 1) if width > 1 else 0, 10 ** width)
+
+
+def _mixed_tokens(rng, width, count):
+    """`count` tokens, -?n or -?n/d over Q, of 1 to `width` digits a part;
+    the first has exactly `width`."""
+    toks = []
+    for k in range(count):
+        sign = "-" if rng.random() < 0.4 else ""
+        n = _number(rng, width if k == 0 else rng.randint(1, width))
+        if rng.random() < 0.5:
+            d = _number(rng, rng.randint(1, width)) or 1
+            toks.append(f"{sign}{n}/{d}")
+        else:
+            toks.append(f"{sign}{n}")
+    return toks
+
+
+_WORD_EDGES = (1, 4, 5, 8, 9, 16, 17, 18, 19, 25)
+
+
+@pytest.mark.parametrize("width", _WORD_EDGES)
+def test_bulk_tokens_at_every_word_edge(width, monkeypatch):
+    """Sparse and dense Q files whose longest part has `width` digits,
+    with '-' and n/d tokens and the widths mixed within and across
+    columns, parse as the line loop parses them, without the line loop.
+    A block whose parts have at most 4 digits is read in uint32 words
+    only, any longer one in uint64 words only."""
+    rng = random.Random(width)
+    rows, cols = 10 ** min(width, 9), 10 ** min(width, 9) + 7
+    lines = []
+    for k in range(40):
+        i = _number(rng, min(width, 9) if k == 0 else rng.randint(1, min(width, 9)))
+        j = _number(rng, rng.randint(1, min(width, 9)))
+        lines.append(f"{i % rows} {j % cols} {_mixed_tokens(rng, width, 1)[0]}")
+    sparse = f"field: Q\nrows: {rows}\ncols: {cols}\nformat: sparse\n" \
+        + "\n".join(lines) + "\n"
+    dense = "field: Q\nrows: 6\ncols: 5\nformat: dense\n" + "".join(
+        " ".join(_mixed_tokens(rng, width, 5)) + "\n" for _ in range(6))
+    want = [_per_line(monkeypatch, parse_matrix, sparse),
+            _line_loop_only(monkeypatch, dense)]
+    sizes = _spy_words(monkeypatch)
+    _no_line_loop(monkeypatch)
+    assert [parse_matrix(sparse), parse_matrix(dense)] == want
+    assert set(sizes) == ({4} if width <= 4 else {8})
+
+
+@pytest.mark.parametrize("header", ["Fp 5", "Fp 2147483659", "Fp 2305843009213693951"])
+def test_bulk_residues_take_the_narrowest_word(header, monkeypatch):
+    """Residues below 10**4 take the uint32 word; those of a 10- or
+    19-digit prime the uint64 word, and int() past 18 digits."""
+    field = field_from_header(header)
+    rng = np.random.default_rng(2)
+    m = ExactMatrix.from_dense(field, [[field.p - 1 - int(rng.integers(0, 5))
+                                        for _ in range(7)] for _ in range(5)])
+    text = render_matrix(m, "sparse")
+    sizes = _spy_words(monkeypatch)
+    _no_line_loop(monkeypatch)
+    assert parse_matrix(text) == m
+    assert set(sizes) == ({4} if field.p < 10 ** 4 else {8})
+
+
+def test_fp_walsh_shaped_certificate_takes_the_uint32_word(monkeypatch):
+    """A certificate of `decompose --walsh 6 --random 2,2 --field "Fp 5"`
+    shape (every index below 10**4, every residue below 5) is read in
+    uint32 words only, without the line loop."""
+    facs = walsh_factors(PrimeField(5), 6) + [
+        random_invertible(F5, 2, np.random.default_rng(s)) for s in (1, 2)]
+    cert = decompose_kron_product(facs, "0.5")[0]
+    text = render_cert(cert)
+    sizes = _spy_words(monkeypatch)
+    _no_line_loop(monkeypatch)
+    back = parse_cert(text)
+    assert back.same_witness(cert) and render_cert(back) == text
+    assert sizes and set(sizes) == {4}
+
+
+def _cert_of_blocks(u, v, z):
+    f, n = F5, 12
+    return Certificate(f, n, ExactMatrix.from_triplets(f, n, 10, u),
+                       ExactMatrix.from_triplets(f, 10, n, v),
+                       ExactMatrix.from_triplets(f, n, n, z), 10, 3)
+
+
+_WIDE = [(11, 9, 4), (2, 0, 1), (0, 5, 3)]  # two-digit indices, then one-digit
+
+
+@pytest.mark.parametrize("blocks", [
+    (_WIDE, [(9, 11, 2), (0, 0, 1)], [(1, 2, 3)]),
+    ([], [], [(11, 11, 4), (0, 0, 1)]),
+    (_WIDE, [(3, 3, 3)], []),
+    (_WIDE, [], [(10, 0, 2)]),
+    ([], [], []),
+], ids=["all", "u and v empty", "z empty", "v empty", "none"])
+@pytest.mark.parametrize("trailing", ["\n", ""], ids=["newline", "no newline"])
+def test_blocks_sharing_one_scan(blocks, trailing, monkeypatch):
+    """u, v and z read from one file scan, with empty blocks between
+    them and with or without a newline after the last one, give the
+    line loop's certificate without the line loop."""
+    cert = _cert_of_blocks(*blocks)
+    text = render_cert(cert)
+    assert text.endswith("\n")
+    text = text[:-1] + trailing
+    want = _per_line(monkeypatch, parse_cert, text)
+    _no_line_loop(monkeypatch)
+    back = parse_cert(text)
+    assert back.same_witness(want) and back.same_witness(cert)
+
+
+def test_text_scan_offsets():
+    """The lines of a _Text: the non-digit bytes inside each block, and
+    the text offset where it ends, for blocks after a header, between
+    blank lines and at the end without a newline."""
+    data = b"h: 1\n12 3\n\n-4/56 7\n8"
+    text = fileio._Text(data)
+    assert text.buf[1:-1].tobytes() == data and text.buf[0] == text.buf[-1] == 0
+    assert text.kind.tobytes() == b"\0h: \n \n\n-/ \n\0"
+    got = []
+    for first, count in ((1, 1), (1, 2), (3, 1), (3, None), (0, None), (4, 1)):
+        b = text.lines(first, count)
+        got.append((b.kind.tobytes(), b.end, b.count))
+    assert got == [(b" ", 9, 1), (b" \n", 10, 2), (b"-/ ", 18, 1),
+                   (b"-/ \n", 20, 2), (b"h: \n \n\n-/ \n", 20, 5), (b"", 20, 1)]
+    assert text.lines(4, 2) is None and text.lines(5, 1) is None
+    assert fileio._Text(data + b"\n").lines(4, None).end == 20
 
 
 def test_report_rendering():

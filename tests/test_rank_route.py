@@ -8,20 +8,28 @@ cover keeps the dense route and its output bytes.
 """
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from sympy import GF
+from sympy import QQ as SYMPY_QQ
+from sympy.polys.matrices import DomainMatrix
 
 from kronrig import cli, matrix
+from kronrig.cert import Certificate, verify_cert
 from kronrig.field import QQ, PrimeField
 from kronrig.fileio import read_cert, read_matrix
 from kronrig.matrix import (
     ExactMatrix,
     KroneckerSpec,
+    hstack,
     random_invertible,
     rank_of_product,
+    vstack,
 )
+from kronrig.pipeline import decompose_kron_product
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 # 2**31 - 1 keeps int64 residues whose products need the reduction
@@ -106,6 +114,106 @@ def test_solve_linear_with_matrix_right_side():
         assert rank == 4
         assert m @ ExactMatrix.from_dense(f, x) == ExactMatrix.from_dense(f, b.tolist())
     assert matrix.solve_linear(QQ, [[1, 1], [2, 2]], [[1, 0], [2, 1]]) == (None, 1)
+
+
+# ----------------------------------------------------------------------
+# real certificates against an elimination that shares no code with the
+# route or with kronrig's own rank
+
+def _sympy_rank(m):
+    """rank(m) by sympy's DomainMatrix over GF(p) or QQ."""
+    if m.field == QQ:
+        dom = SYMPY_QQ
+
+        def conv(v):
+            v = Fraction(v)
+            return dom(v.numerator, v.denominator)
+    else:
+        dom = GF(m.field.p)
+
+        def conv(v):
+            return dom(int(v))
+    rows = [[conv(v) for v in row] for row in m.to_dense().tolist()]
+    return DomainMatrix(rows, m.shape, dom).rank()
+
+
+def _with_full_column_set(cert, rng):
+    """The certificate with P, one nonzero a column where Z has none,
+    moved from U·V into Z: U' = [U, P], V' = [V; -I] and Z' = Z + P, so
+    Z' has a nonzero in every column and U'·V' + Z' is still the target."""
+    f, n = cert.field, cert.n
+    z = cert.z.to_dense()
+    trips = []
+    for j in range(n):
+        i = int(rng.integers(n))
+        while z[i, j] != 0:
+            i = (i + 1) % n
+        trips.append((i, j, f.one))
+    p = ExactMatrix.from_triplets(f, n, n, trips)
+    u = hstack([cert.u, p])
+    v = vstack([cert.v, ExactMatrix.from_triplets(
+        f, n, n, [(j, j, f.canon(-1)) for j in range(n)])])
+    return Certificate(f, n, u, v, cert.z + p, cert.claimed_rank + n, n)
+
+
+_SMALL_FIELDS = [PrimeField(2), PrimeField(5)]
+_BIG_FIELDS = [PrimeField(2147483659), QQ]  # sympy is slower over these
+_REAL_CASES = (
+    # (fields, dims, mode, epsilon): n = 256, 256, 192; then 64, 48, 48
+    [(f, (2,) * 8, "equal", "0.5") for f in _SMALL_FIELDS]
+    + [(f, (4, 4, 4, 4), "hadamard", "0.5") for f in _SMALL_FIELDS]
+    + [(f, (2, 2, 3, 4, 4), "hadamard", "0.5") for f in _SMALL_FIELDS]
+    + [(f, (2,) * 6, "equal", "0.5") for f in _BIG_FIELDS]
+    + [(f, (2, 2, 3, 4), "hadamard", "0.5") for f in _BIG_FIELDS]
+    + [(f, (2, 3, 2, 4), "equal", "0.5") for f in _BIG_FIELDS]
+)
+
+
+def _real_certificate(field, dims, mode, eps):
+    rng = np.random.default_rng(len(dims))
+    facs = [random_invertible(field, d, rng) for d in dims]
+    return decompose_kron_product(facs, eps, mode=mode)[0], KroneckerSpec(facs), rng
+
+
+def _check_against_sympy(cert, spec, monkeypatch):
+    calls = _spy_route(monkeypatch)
+    report = verify_cert(cert, spec)
+    assert report["ok"]
+    assert report["rank_actual"] == calls[-1] == _sympy_rank(
+        spec.materialize() - cert.z)
+
+
+@pytest.mark.parametrize("field,dims,mode,eps", _REAL_CASES,
+                         ids=lambda x: getattr(x, "header", str(x)))
+def test_verified_rank_of_real_certificates_equals_sympy(
+        field, dims, mode, eps, monkeypatch):
+    """`verify_cert`'s rank_actual, taken by the route, is the rank of
+    A − Z by sympy's elimination, on certificates `decompose_kron_product`
+    builds."""
+    cert, spec, _ = _real_certificate(field, dims, mode, eps)
+    assert 0 < len(np.unique(cert.z.num_triplets()[1])) < cert.n
+    _check_against_sympy(cert, spec, monkeypatch)
+
+
+@pytest.mark.parametrize("field,dims,mode,eps",
+                         [c for c in _REAL_CASES if np.prod(c[1]) < 256],
+                         ids=lambda x: getattr(x, "header", str(x)))
+def test_verified_rank_with_full_column_set_equals_sympy(
+        field, dims, mode, eps, monkeypatch):
+    """The same with Z given a nonzero in every column (sympy's
+    elimination of those takes seconds at n = 256)."""
+    cert, spec, rng = _real_certificate(field, dims, mode, eps)
+    cert = _with_full_column_set(cert, rng)
+    assert len(np.unique(cert.z.num_triplets()[1])) == cert.n
+    _check_against_sympy(cert, spec, monkeypatch)
+
+
+@pytest.mark.parametrize("field", _SMALL_FIELDS + _BIG_FIELDS,
+                         ids=lambda f: f.header)
+def test_verified_rank_with_zero_sparse_part_equals_sympy(field, monkeypatch):
+    cert, spec, _ = _real_certificate(field, (2, 2, 2, 2), "hadamard", "0.5")
+    assert cert.z.nnz == 0
+    _check_against_sympy(cert, spec, monkeypatch)
 
 
 # ----------------------------------------------------------------------
