@@ -385,12 +385,14 @@ def _first_mismatch(uv, z, target):
     None if there is none.
 
     With uv and target dense, D = uv - target + z is formed a block of
-    rows at a time (_BLOCK_CELLS cells) over the common denominator,
-    lifted to Python ints as `__add__` lifts its sum, and the scan stops
-    at the first block that holds a mismatch.  Over F_p the entries of
-    D that hold an entry of z are reduced mod p; every other entry lies
-    in (-p, p), so a nonzero of D is a nonzero in the field.  With either
-    stored sparse the sparse sum runs, as `__add__` would run it.
+    rows at a time (_BLOCK_CELLS cells), and the scan stops at the first
+    block that holds a mismatch.  Over F_p D is formed in the stored
+    dtype: there uv - target wraps when it is unsigned, but is zero
+    exactly where the residues are equal, and the entries of D that hold
+    an entry of z are formed apart, lifted, and reduced mod p.  Over Q D
+    is formed over the common denominator, lifted to Python ints as
+    `__add__` lifts its sum.  With either stored sparse the sparse sum
+    runs, as `__add__` would run it.
     """
     if not (uv.is_dense and target.is_dense):
         ri, ci, _ = (uv + z - target).num_triplets()
@@ -398,9 +400,7 @@ def _first_mismatch(uv, z, target):
     f = uv.field
     a, b = uv.num_dense(), target.num_dense()
     zr, zc, zv = z.num_triplets()
-    if isinstance(f, PrimeField):
-        sa = sb = sz = bound = 1  # the residues' D fits int64 as it is
-    else:
+    if not isinstance(f, PrimeField):
         den = math.lcm(uv.den, target.den, z.den)
         sa, sb, sz = den // uv.den, den // target.den, den // z.den
         bound = (max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
@@ -408,12 +408,16 @@ def _first_mismatch(uv, z, target):
     step = max(1, _BLOCK_CELLS // max(uv.cols, 1))
     for lo in range(0, uv.rows, step):
         k0, k1 = np.searchsorted(zr, (lo, lo + step))
-        x, y, w = _lift(bound, a[lo:lo + step], b[lo:lo + step], zv[k0:k1])
-        d = x - y if sa == sb == 1 else x * sa - y * sb
         at = (zr[k0:k1] - lo, zc[k0:k1])
-        d[at] += w * sz
+        x, y = a[lo:lo + step], b[lo:lo + step]
         if isinstance(f, PrimeField):
-            d[at] %= f.p
+            d = x - y
+            xz, yz, w = _lift(2 * f.p, x[at], y[at], zv[k0:k1])
+            d[at] = (xz - yz + w) % f.p
+        else:
+            x, y, w = _lift(bound, x, y, zv[k0:k1])
+            d = x - y if sa == sb == 1 else x * sa - y * sb
+            d[at] += w * sz
         if d.any():
             i = int(np.flatnonzero(d)[0])
             return lo + i // uv.cols, i % uv.cols

@@ -53,10 +53,6 @@ class FileFormatError(ValueError):
     pass
 
 
-# bytes other than '\n' at which str.splitlines ends a line in ASCII text
-_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-
-
 class _LineReader:
     """Content lines of a text: lines that are neither blank nor '#'
     comments, numbered as `str.splitlines` counts them.  The text is kept
@@ -65,12 +61,19 @@ class _LineReader:
 
     def __init__(self, text):
         data = text.encode("utf-8") if isinstance(text, str) else text
-        if not data.isascii() or any(b in data for b in _OTHER_BREAKS):
+        self._text = _Text(data)
+        # the scan holds every byte past ASCII and every byte other than
+        # '\n' at which str.splitlines ends a line in ASCII text: '\x0b',
+        # '\x0c', '\r' and '\x1c' to '\x1e', the control bytes from
+        # '\x0b' to '\x1e' but for '\x0e' to '\x1b'
+        kind = self._text.kind
+        ctrl = kind[(kind >= 0x0b) & (kind <= 0x1e)]
+        if kind.max() >= 0x80 or ((ctrl <= 0x0d) | (ctrl >= 0x1c)).any():
             data = "\n".join(data.decode("utf-8").splitlines()).encode("utf-8")
+            self._text = _Text(data)
         self.data = data
         self.at = 0  # byte offset of the next unread line
         self.no = 0  # lines read so far
-        self._text = None  # the _Text scan of data, made on first use
 
     def _skip(self):
         """The next content line, stripped, and the offset of its end, or
@@ -116,8 +119,6 @@ class _LineReader:
         None without a call when count < 1 or fewer lines remain."""
         if count is not None and count < 1 or self.at >= len(self.data):
             return None
-        if self._text is None:
-            self._text = _Text(self.data)
         block = self._text.lines(self.no, count)
         got = None if block is None else decode(block)
         if got is not None:
@@ -156,9 +157,12 @@ def _decimal(x):
                                             dtype=np.uint8)
             return w, fill_texts
     neg = x < 0
-    a = np.abs(x).view(np.uint64)  # |-2**63| wraps to itself: 2**63 as uint64
+    if x.dtype.kind == "u":  # dense F_p storage: its own dtype divides fastest
+        a = x
+    else:  # |-2**63| wraps to itself: 2**63 as uint64
+        a = np.abs(x).view(np.uint64)
     top = int(a.max())
-    if top < 1 << 32:  # uint32 division is several times faster
+    if top < 1 << 32 and a.itemsize > 4:  # uint32 division is several times faster
         a = a.astype(np.uint32)
     sign = int(neg.any())
     w = sign + len(str(top))
@@ -454,7 +458,7 @@ def _bulk_coo(field, rows, cols, block):
     nums = _bulk_nums(field, *((vals, None) if vals.ndim == 1 else vals.T))
     if nums is None:
         return None
-    return ExactMatrix.from_num_coo(field, rows, cols, ri, ci, *nums)
+    return ExactMatrix.from_num_coo(field, rows, cols, ri, ci, *nums, in_range=True)
 
 
 def _parse_triplets(rd, field, rows, cols, count=None, name=None):

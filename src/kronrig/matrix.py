@@ -1,7 +1,12 @@
 """Exact matrices over F_p / Q with dense and sparse-triplet storage.
 
-Over F_p the stored values are residues: int64 for p < 2**31, Python
-ints in object arrays otherwise.  Over Q a matrix is stored as integer
+Over F_p the stored values are residues.  A dense array stores them in
+the narrowest dtype that holds p - 1 (_store_dtype): uint8 for
+p <= 2**8, uint16 for p <= 2**16, int64 below 2**31 and Python ints in
+object arrays beyond.  Triplets, `to_dense()` and indexing give them in
+`field.dtype` (int64 below 2**31, Python ints beyond) whatever the
+storage, and arithmetic lifts narrow arrays (_lift) before any value
+can pass their range.  Over Q a matrix is stored as integer
 numerators over one positive common denominator `den`, as FLINT's
 fmpq_mat does: the numerators are int64 when they all fit and Python
 ints otherwise, and the form is canonical (`den` is 1 for the zero
@@ -90,6 +95,17 @@ def _empty_vals(field):
     return np.empty(0, dtype=field.dtype)
 
 
+def _store_dtype(field, vals=None):
+    """The dtype of a dense array of stored values.  Over F_p it is the
+    narrowest that holds p - 1: uint8 for p <= 2**8, uint16 for p <= 2**16,
+    else field.dtype.  Over Q it is int64, or Python ints where `vals`,
+    the numerators to be stored, are."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else field.dtype
+    return object if vals is not None and vals.dtype == object else np.int64
+
+
 def _bound(a):
     """Largest absolute value in an integer array, as a Python int."""
     if a.size == 0:
@@ -105,11 +121,14 @@ def _fit(a):
 
 
 def _lift(bound, *arrays):
-    """The integer arrays, as Python ints unless `bound`, a bound on every
-    value to be formed from them, fits int64."""
+    """The integer arrays as int64, or as Python ints unless `bound`, a
+    bound on the magnitude of every value to be formed from them, fits
+    int64.  Narrow arrays (dense F_p storage) are widened: a sum or a
+    product of their residues may pass their range, and a difference is
+    negative."""
     if bound <= _INT64_MAX and all(x.dtype != object for x in arrays):
-        return arrays
-    return tuple(x.astype(object) for x in arrays)
+        return tuple(x.astype(np.int64, copy=False) for x in arrays)
+    return tuple(x.astype(object, copy=False) for x in arrays)
 
 
 def _times(a, k):
@@ -120,20 +139,21 @@ def _times(a, k):
 _to_int = np.frompyfunc(int, 1, 1)
 
 
-def _canon_vals(field, vals):
+def _canon_vals(field, vals, dtype=None):
     """Canonicalize a flat array of field values.  Over F_p the values are
     reduced mod p unless their minimum and maximum show them residues
-    already, as the file decoder reads them."""
+    already, as the file decoder reads them, and given in `dtype`
+    (field.dtype by default)."""
     if isinstance(field, PrimeField):
-        if field.dtype is np.int64:
-            arr = np.asarray(vals, dtype=np.int64)
-        else:  # to Python ints, of any size
-            arr = np.asarray(vals)
-            arr = (_to_int(arr) if arr.dtype == object
-                   else arr.astype(np.int64, copy=False))
+        arr = np.asarray(vals)
+        if arr.dtype == np.uint64:  # a list's ints past int64 would wrap
+            arr = arr.astype(object)
+        if arr.dtype == object:  # to Python ints of any size, or int64
+            arr = _to_int(arr) if field.dtype is object else arr.astype(np.int64)
         if arr.size and (arr.min() < 0 or arr.max() >= field.p):
-            arr = arr % field.p
-        return arr.astype(field.dtype, copy=False)
+            arr = (arr if arr.dtype == object
+                   else arr.astype(np.int64, copy=False)) % field.p
+        return arr.astype(dtype or field.dtype, copy=False)
     arr = np.empty(len(vals), dtype=object)
     arr[:] = [field.canon(v) for v in vals]
     return arr
@@ -237,7 +257,9 @@ class ExactMatrix:
 
     def __init__(self, field, rows, cols, dense=None, coo=None, den=1):
         """From canonical storage of values over `den`.  Over Q the
-        numerators and den are reduced to the canonical form here."""
+        numerators and den are reduced to the canonical form here; over
+        F_p a dense array is brought to _store_dtype and triplet values to
+        field.dtype, without a copy where they are in it already."""
         self.field = field
         self.rows = int(rows)
         self.cols = int(cols)
@@ -255,6 +277,10 @@ class ExactMatrix:
                 dense = nums
             else:
                 coo = (coo[0], coo[1], nums)
+        elif dense is not None:
+            dense = dense.astype(_store_dtype(field), copy=False)
+        else:
+            coo = (coo[0], coo[1], coo[2].astype(field.dtype, copy=False))
         self.den = den
         self._dense = dense
         self._coo = coo
@@ -276,7 +302,7 @@ class ExactMatrix:
         """From a 2-d array of integer values over `den` (residues over
         F_p, where den is 1)."""
         if isinstance(field, PrimeField):
-            arr = _canon_vals(field, arr.ravel()).reshape(arr.shape)
+            arr = _canon_vals(field, arr.ravel(), _store_dtype(field)).reshape(arr.shape)
         return cls(field, arr.shape[0], arr.shape[1], dense=arr, den=den)
 
     @classmethod
@@ -285,12 +311,13 @@ class ExactMatrix:
         return cls.from_num_coo(field, rows, cols, ri, ci, *_num_form(field, vals))
 
     @classmethod
-    def from_num_coo(cls, field, rows, cols, ri, ci, nums, den=1):
+    def from_num_coo(cls, field, rows, cols, ri, ci, nums, den=1, in_range=False):
         """From integer values over `den` (residues over F_p, where den is
-        1), with indices in any order; duplicates are summed."""
+        1), with indices in any order; duplicates are summed.  The indices
+        are range-checked unless `in_range` says the caller has."""
         if isinstance(field, PrimeField):
             nums = _canon_vals(field, nums)
-        coo = _canon_coo(field, (rows, cols), ri, ci, nums)
+        coo = _canon_coo(field, (rows, cols), ri, ci, nums, assume_clean=in_range)
         return cls(field, rows, cols, coo=coo, den=den)
 
     @classmethod
@@ -305,7 +332,8 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, field, rows, cols, dense=False):
         if dense:
-            return cls(field, rows, cols, dense=np.zeros((rows, cols), dtype=field.dtype))
+            return cls(field, rows, cols,
+                       dense=np.zeros((rows, cols), dtype=_store_dtype(field)))
         e = np.empty(0, dtype=np.int64)
         return cls(field, rows, cols, coo=(e, e.copy(), _empty_vals(field)))
 
@@ -344,8 +372,7 @@ class ExactMatrix:
     def _scatter(self):
         """A new dense array of the stored values, from the triplets."""
         ri, ci, vals = self._coo
-        arr = np.zeros((self.rows, self.cols),
-                       dtype=object if vals.dtype == object else np.int64)
+        arr = np.zeros((self.rows, self.cols), dtype=_store_dtype(self.field, vals))
         arr[ri, ci] = vals
         return arr
 
@@ -354,14 +381,20 @@ class ExactMatrix:
         if self._coo is None:
             arr = self._dense
             ri, ci = np.nonzero(arr)
-            self._coo = (ri.astype(np.int64), ci.astype(np.int64), arr[ri, ci])
+            vals = arr[ri, ci]
+            if isinstance(self.field, PrimeField):
+                vals = vals.astype(self.field.dtype, copy=False)
+            self._coo = (ri.astype(np.int64), ci.astype(np.int64), vals)
             _freeze(*self._coo)
         return self._coo
 
     def _values(self, nums):
-        """Field values of stored values: Fractions over Q."""
+        """Field values of stored values: field.dtype residues over F_p,
+        read-only as the storage they may be, and Fractions over Q."""
         if isinstance(self.field, PrimeField):
-            return nums
+            vals = nums.astype(self.field.dtype, copy=False)
+            _freeze(vals)
+            return vals
         out = np.empty(nums.size, dtype=object)
         out[:] = [Fraction(x, self.den) for x in nums.ravel().tolist()]
         return out.reshape(nums.shape)
@@ -397,7 +430,7 @@ class ExactMatrix:
             hit = np.flatnonzero((ri == i) & (ci == j))
             v = vals[hit[0]] if hit.size else 0
         if isinstance(self.field, PrimeField):
-            return v
+            return v if self.field.dtype is object else np.int64(v)
         return Fraction(int(v), self.den)
 
     def is_zero(self):
@@ -492,6 +525,7 @@ class ExactMatrix:
         if self.is_dense or other.is_dense:
             a, b = self.num_dense(), other.num_dense()
             if isinstance(f, PrimeField):
+                a, b = _lift(2 * (f.p - 1), a, b)
                 total = a + b
                 total %= f.p
             else:
@@ -510,8 +544,8 @@ class ExactMatrix:
     def __neg__(self):
         f = self.field
 
-        def neg(x):
-            return -x % f.p if isinstance(f, PrimeField) else -x
+        def neg(x):  # p - x, not -x: x may be unsigned
+            return (f.p - x) % f.p if isinstance(f, PrimeField) else -x
         if self._dense is not None:
             return self._like(self.rows, self.cols, dense=neg(self._dense))
         ri, ci, vals = self._coo
@@ -566,8 +600,8 @@ class ExactMatrix:
                     f"Kronecker output would hold {len(a) * len(b)} explicit "
                     f"entries, beyond the cap of {DENSE_CELL_CAP}")
         bound = _product_bound(f, a, b, 1)
-        # residue products in int16 where they fit, reduced there and
-        # widened once
+        # residue products in int16 where they fit, reduced there; the
+        # constructor stores them in _store_dtype (dense) or field.dtype
         narrow = isinstance(f, PrimeField) and _kernel_dtype(bound, a, b) is np.int16
         a, b = (a.astype(np.int16), b.astype(np.int16)) if narrow else _lift(bound, a, b)
         if dense:
@@ -586,10 +620,8 @@ class ExactMatrix:
             ri = np.arange(out_r).repeat(na_out * nb[j])
             ci = ac[pa] * other.cols + bc[pb]
             prod = a[pa] * b[pb]
-        if narrow:
-            prod = _reduce_int16(prod, f.p).astype(f.dtype)
-        elif isinstance(f, PrimeField):
-            prod %= f.p
+        if isinstance(f, PrimeField):
+            prod = _reduce(prod, f.p)
         if dense:
             return self._like(out_r, out_c, dense=prod, den=den)
         # the products are distinct cells and, a field having no zero
@@ -626,8 +658,7 @@ class ExactMatrix:
         rmap[rsel] = np.arange(len(rsel))
         cmap = np.empty(self.cols, dtype=np.int64)
         cmap[csel] = np.arange(len(csel))
-        arr = np.zeros((len(rsel), len(csel)),
-                       dtype=object if vals.dtype == object else np.int64)
+        arr = np.zeros((len(rsel), len(csel)), dtype=_store_dtype(self.field, vals))
         arr[rmap[ri], cmap[ci]] = vals
         return arr
 
@@ -666,7 +697,8 @@ def _dense_matmul(field, a, b):
     p = field.p
     if a.dtype == object or b.dtype == object or p >= _FLOAT_P:
         return _matmul_mod(a, b, p)
-    return _matmul_mod(a.astype(np.float64), b.astype(np.float64), p).astype(np.int64)
+    return _matmul_mod(a.astype(np.float64), b.astype(np.float64), p).astype(
+        _store_dtype(field))
 
 
 def _sparse_matmul(a, b, den):
@@ -709,6 +741,7 @@ def _sparse_matmul(a, b, den):
     # scipy's product holds no duplicate entries
     cm.eliminate_zeros()
     if _prefers_dense(a.rows, b.cols, cm.nnz):
+        cm = cm.astype(_store_dtype(f, cm.data), copy=False)
         return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
     cm.sort_indices()
     cm = cm.tocoo()
@@ -765,8 +798,8 @@ def _operand(m, dtype, dense):
 
 
 def _blocked_matmul(f, x, y):
-    """The stored values of x @ y as a new int64 array, for kernel operands
-    (_operand) of one dtype, at least one of them dense.
+    """The stored values of x @ y as a new array in _store_dtype, for
+    kernel operands (_operand) of one dtype, at least one of them dense.
 
     The product is formed a block of whole rows at a time (_BLOCK_CELLS
     result cells, _INT16_BLOCK_CELLS in int16) in the operands' dtype,
@@ -774,33 +807,19 @@ def _blocked_matmul(f, x, y):
     int16 only when the bound is at most 2**15 - 1, float32 at most
     2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is then an
     integer that the dtype holds exactly, so each block is exact.  Over
-    F_p an int16 block is reduced while it is int16 and then widened into
-    the int64 result; any other block is copied into the result and
-    reduced there, before the next is formed.
+    F_p each block is reduced in its own dtype (_reduce) and then copied
+    into the result, before the next is formed.
     """
     rows, cols = x.shape[0], y.shape[1]
-    out = np.empty((rows, cols), dtype=np.int64)
-    narrow = x.dtype == np.int16
-    step = max(1, (_INT16_BLOCK_CELLS if narrow else _BLOCK_CELLS) // max(cols, 1))
+    out = np.empty((rows, cols), dtype=_store_dtype(f))
+    step = max(1, (_INT16_BLOCK_CELLS if x.dtype == np.int16 else _BLOCK_CELLS)
+               // max(cols, 1))
     for lo in range(0, rows, step):
         blk = x[lo:lo + step] @ y
-        if narrow and isinstance(f, PrimeField):
-            _reduce_int16(blk, f.p)
-        res = out[lo:lo + step]
-        np.copyto(res, blk, casting="unsafe")
-        if not narrow and isinstance(f, PrimeField):
-            np.remainder(res, f.p, out=res)
+        if isinstance(f, PrimeField):
+            blk = _reduce(blk, f.p)
+        np.copyto(out[lo:lo + step], blk, casting="unsafe")
     return out
-
-
-def _reduce_int16(x, p):
-    """x mod p in place for a nonnegative int16 array, as x - (x // p) * p:
-    numpy vectorizes int16 floor division by a scalar, not its remainder
-    (0.8 against 3.9 ms a million cells, 2-core x86-64 VM)."""
-    q = x // p
-    q *= p
-    x -= q
-    return x
 
 
 def _densify(a, b):
@@ -888,11 +907,9 @@ def _expand_matmul(a, b, den):
     if dense:
         if isinstance(f, PrimeField):
             _reduce(acc, f.p)
-        return _product_of_array(a, b, den, acc.astype(np.int64).reshape(
+        return _product_of_array(a, b, den, acc.astype(_store_dtype(f)).reshape(
             a.rows, b.cols))
     ri, ci, vals = (np.concatenate(part) for part in zip(*pieces))
-    if isinstance(f, PrimeField):
-        vals = vals.astype(f.dtype, copy=False)
     out = a._like(a.rows, b.cols, coo=(ri, ci, vals), den=den)
     # a Python-int product of sparse operands stays sparse: dense arrays
     # of Python ints are slow to work with
@@ -948,16 +965,27 @@ def _inverse_up(p):
 
 
 def _reduce(x, p):
-    """x mod p for a nonnegative kernel array; overwrites a float x.
+    """x mod p for a nonnegative kernel array, in its dtype (float32 as
+    int32); overwrites x unless it is int64 or of Python ints.
 
-    x - p*floor(x * pinv) with pinv = 1/p rounded up is exact for x up to
-    _FLOAT_LIMIT: the quotient is never too small, and x * pinv errs by
-    less than 1/p, so it is never too large.
+    Over float64, x - p*floor(x * pinv) with pinv = 1/p rounded up is
+    exact for x up to _FLOAT_LIMIT: the quotient is never too small, and
+    x * pinv errs by less than 1/p, so it is never too large.  A float32
+    x holds integers up to 2**24, which int32 holds exactly.  Narrower
+    integers are reduced as x - (x // p) * p: numpy vectorizes their
+    floor division by a scalar, not their remainder (int16: 0.8 against
+    3.9 ms a million cells; int32 a quarter-million: 0.33 against 0.81 ms,
+    2-core x86-64 VM); int64 and Python ints take the remainder.
     """
-    if x.dtype != np.float64:
-        return x % p
-    q = x * _inverse_up(p)
-    np.floor(q, out=q)
+    if x.dtype == np.float64:
+        q = x * _inverse_up(p)
+        np.floor(q, out=q)
+    else:
+        if x.dtype == np.float32:
+            x = x.astype(np.int32)
+        if x.dtype == object or x.itemsize == 8:
+            return x % p
+        q = x // p
     q *= p
     x -= q
     return x

@@ -3,7 +3,7 @@
 `_blocked_matmul` forms a @ b against a dense operand in the narrowest of
 int16, float32, float64 and int64 that `_kernel_dtype` proves exact for
 the product's bound, a block of rows at a time, and reduces each block
-into the int64 result.  These tests compare it with an object-dtype
+into the result, stored as dense matrices store it.  These tests compare it with an object-dtype
 reference in every field, at the int16 and float32 bounds and one past
 each, and pin where `_densify` sends a sparse-by-sparse product.  The
 dense Kronecker product over F_p runs in int16 by the same bound.
@@ -204,7 +204,8 @@ def test_f5_at_the_int16_bound_and_one_past(inner, dtype, monkeypatch):
 def test_dense_kron_over_fp_in_int16_and_past_it(p, narrow, monkeypatch):
     """180**2 = 32400 fits int16 and 190**2 = 36100 does not: the dense
     Kronecker product over F_181 runs in int16 and over F_191 in int64,
-    each equal to the object-dtype product, extreme residues included."""
+    each reduced in that dtype, stored in uint8 and equal to the
+    object-dtype product, extreme residues included."""
     f = PrimeField(p)
     rng = np.random.default_rng(p)
     a, b = rng.integers(0, p, (7, 5)), rng.integers(0, p, (6, 9))
@@ -212,14 +213,14 @@ def test_dense_kron_over_fp_in_int16_and_past_it(p, narrow, monkeypatch):
     am, bm = ExactMatrix.from_dense(f, a.tolist()), ExactMatrix.from_dense(f, b.tolist())
     assert am.is_dense and bm.is_dense
     reduced = []
-    real = matrix._reduce_int16
-    monkeypatch.setattr(matrix, "_reduce_int16",
+    real = matrix._reduce
+    monkeypatch.setattr(matrix, "_reduce",
                         lambda x, q: reduced.append(x.dtype) or real(x, q))
     got = am.kron(bm)
-    assert got.is_dense and got.num_dense().dtype == f.dtype
+    assert got.is_dense and got.num_dense().dtype == np.uint8
     want = np.kron(a.astype(object), b.astype(object)) % p
     assert got.num_dense().tolist() == want.tolist()
-    assert reduced == ([np.dtype(np.int16)] if narrow else [])
+    assert reduced == [np.dtype(np.int16 if narrow else np.int64)]
 
 
 # ----------------------------------------------------------------------
