@@ -247,12 +247,10 @@ def cmd_oracle(args):
 def cmd_generate(args):
     _, flat = _build_entries(args)
     m = KroneckerSpec(flat).materialize() if len(flat) > 1 else flat[0]
-    text = render_matrix(m, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_matrix(args.out, m, args.format)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(render_matrix(m, args.format))
     return EXIT_OK
 
 

@@ -12,9 +12,12 @@ provenance and is deliberately not persisted.  Reports are "key: value"
 lines followed by a single machine-readable JSON line.
 
 Triplet blocks and dense rows are written and read as byte arrays.  The
-writer encodes a whole block in one uint8 array: digits by repeated
-division over each column, right-aligned in fixed-width rows whose
-padding is then dropped; only numbers past int64 take a per-value str().
+writer lays a whole block out in one uint8 array of fixed-width fields,
+zero bytes before each number's digits, and drops the zeros in one pass;
+numbers below 10**5 (every index under the order cap, every residue of
+p < 10**5) are one lookup in a table of digit words, larger ones take
+repeated division and numbers past int64 their str().  Files are
+written as bytes.
 The reader takes the header keys line by line and each block as one
 byte range.  One scan of the whole text finds its non-digit bytes, so
 a block's lines and tokens are slices of that scan.  A block of exactly
@@ -25,6 +28,7 @@ else (comments, tabs, CRLF, '+3', ...) goes to the line loop, which
 names the first bad line as `str.splitlines` numbers it.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -138,48 +142,78 @@ class _LineReader:
 # ----------------------------------------------------------------------
 # the writer: a whole block of integers to ASCII in one byte array
 
+# nonnegative integers below 10**_TABLE_DIGITS are written from a table
+# of words of up to 4 digits, with a fifth digit put before them
+_TABLE_DIGITS = 5
+
+
+@functools.cache
+def _digit_words(w):
+    """The integers below 10**w, w at most 4, in decimal, each a read-only
+    word of the fewest bytes (1, 2 or 4) that hold w: little-endian, so
+    the digits end the word, and every byte before them zero."""
+    size = 1 << (w - 1).bit_length()
+    x = np.arange(10**w)
+    chars = np.zeros((len(x), size), dtype=np.uint8)
+    for k in range(w):  # the digit of 10**k, written where x has one
+        chars[:, size - 1 - k] = np.where(x >= 10**k, x // 10**k % 10 + ord("0"), 0)
+    chars[0, -1] = ord("0")
+    words = chars.view(f"<u{size}").ravel()
+    words.flags.writeable = False
+    return words
+
+
+def _table_words(a, w):
+    """The integers a, below 10**_TABLE_DIGITS and at most w digits wide,
+    as _digit_words writes them; past 4 digits as uint64 words whose
+    last four bytes are the word of a % 10**4, filled with '0' where a
+    leading digit comes before it: a cached table of 10**5 words would
+    hold 0.8 MB for the life of the process."""
+    if w <= 4:
+        return _digit_words(w).take(a)
+    lead, rest = np.divmod(a, 10**4)
+    words = _digit_words(4).take(rest).astype(np.uint64)
+    words <<= np.uint64(32)
+    fill = int.from_bytes(bytes(4) + b"0000", "little")
+    heads = np.array([0] + [(ord("0") + d) << 24 | fill for d in range(1, 10)],
+                     dtype=np.uint64)  # by leading digit, none for 0
+    words |= heads.take(lead)
+    return words
+
+
 def _decimal(x):
-    """(w, fill): the width of the integers x written in decimal, and a
-    function fill(chars, keep) that writes them right-aligned into
-    (len(x), w) uint8 and bool arrays, so that chars[i][keep[i]] is
-    str(x[i]) in ASCII."""
+    """(neg, w, cells) for the integers x: neg marks the negative ones, or
+    is None when none is, and cells holds |x| in decimal, right-aligned
+    in w bytes after zero bytes.  Below 10**_TABLE_DIGITS cells are the
+    _table_words of |x|, one per number; else a (len(x), w) uint8 array,
+    by repeated division up to int64 and by each value's str() past it."""
     if x.dtype == object:
         try:
             x = x.astype(np.int64)
-        except OverflowError:  # past int64: each value's own str()
-            texts = [str(v) for v in x.tolist()]
-            lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-            w = int(lens.max())
-
-            def fill_texts(chars, keep):
-                keep[:] = np.arange(w) >= (w - lens)[:, None]
-                chars[keep] = np.frombuffer("".join(texts).encode("ascii"),
-                                            dtype=np.uint8)
-            return w, fill_texts
-    neg = x < 0
-    if x.dtype.kind == "u":  # dense F_p storage: its own dtype divides fastest
-        a = x
-    else:  # |-2**63| wraps to itself: 2**63 as uint64
-        a = np.abs(x).view(np.uint64)
+        except OverflowError:
+            neg = x < 0
+            texts = [str(abs(v)) for v in x.tolist()]
+            w = max(map(len, texts))
+            cells = np.frombuffer("".join(t.rjust(w, "\0") for t in texts)
+                                  .encode("ascii"), dtype=np.uint8)
+            return (neg if neg.any() else None), w, cells.reshape(-1, w)
+    neg = None if x.dtype.kind == "u" or x.min() >= 0 else x < 0
+    # |-2**63| wraps to itself: 2**63 as uint64
+    a = x if neg is None else np.abs(x).view(np.uint64)
     top = int(a.max())
+    w = len(str(top))
+    if top < 10**_TABLE_DIGITS:
+        return neg, w, _table_words(a, w)
     if top < 1 << 32 and a.itemsize > 4:  # uint32 division is several times faster
         a = a.astype(np.uint32)
-    sign = int(neg.any())
-    w = sign + len(str(top))
-
-    def fill(chars, keep):
-        rest = a
-        for k in range(w - 1, sign - 1, -1):
-            keep[:, k] = rest != 0  # a digit is written while digits are left
-            q = rest // 10
-            chars[:, k] = rest - q * 10
-            rest = q
-        chars[:, sign:] += ord("0")
-        keep[:, w - 1] = True
-        if sign:
-            chars[:, 0] = ord("-")
-            keep[:, 0] = neg
-    return w, fill
+    cells = np.empty((len(a), w), dtype=np.uint8)
+    rest = a
+    for k in range(w - 1, -1, -1):
+        q = rest // 10
+        cells[:, k] = (rest - q * 10 + ord("0")) * (rest != 0)
+        rest = q
+    cells[a == 0, -1] = ord("0")
+    return neg, w, cells
 
 
 def _value_parts(nums, den, lead=None):
@@ -196,34 +230,57 @@ def _value_parts(nums, den, lead=None):
 
 
 def _text(parts, ends):
-    """ASCII lines, each the parts in order and then its byte of `ends`
-    (one byte, or an array of a byte per line).  A part (x, lead, show)
-    writes the integers x, each after the byte `lead` unless lead is
-    None, and leaves both out where the bool array `show` is False."""
+    """ASCII bytes of lines, each the parts in order and then its byte of
+    `ends` (one byte, or an array of a byte per line).  A part (x, lead,
+    show) writes the integers x, each after the byte `lead` unless lead
+    is None, and leaves both out where the bool array `show` is False.
+
+    Every line is laid out as the same fixed-width fields, one for each
+    lead, sign and number, each as wide as the widest in its column.  A
+    field's bytes before its digits, a hidden part and the sign of a
+    nonnegative number are zero bytes, and dropping the zeros of all
+    lines in one pass leaves the text."""
     n = len(parts[0][0])
-    cols = [(lead, show, *_decimal(x)) for x, lead, show in parts]
-    total = sum((lead is not None) + w for lead, _, w, _ in cols) + 1
-    chars = np.empty((n, total), dtype=np.uint8)
-    keep = np.ones((n, total), dtype=bool)
+    fields = []  # (offset in the line, width, cells: one item per line or one for all)
     at = 0
-    for lead, show, w, fill in cols:
-        start = at
-        if lead is not None:
-            chars[:, at] = lead
-            at += 1
-        fill(chars[:, at:at + w], keep[:, at:at + w])
-        at += w
+    for x, lead, show in parts:
+        neg, w, cells = _decimal(x)
         if show is not None:
-            keep[:, start:at] &= show[:, None]
-    chars[:, at] = ends
-    return chars[keep].tobytes().decode("ascii")
+            cells = cells * (show if cells.ndim == 1 else show[:, None])
+        if lead is not None:
+            lead = np.uint8(lead)
+            fields.append((at, 1, lead if show is None else show * lead))
+            at += 1
+        if neg is not None:
+            fields.append((at, 1, neg * np.uint8(ord("-"))))
+            at += 1
+        fields.append((at, w, cells))
+        at += w
+    fields.append((at, 1, np.asarray(ends, dtype=np.uint8)))
+    # A field of one item per line (or one for all) is written as words
+    # of its dtype that end where the field ends.  A word's zero bytes
+    # before the field fall on the fields to its left, which are written
+    # after it, or on the `pad` zero bytes that begin each line.
+    pad = max(0, max(c.itemsize - w - start for start, w, c in fields if c.ndim < 2))
+    stride = pad + at + 1
+    buf = np.zeros(n * stride, dtype=np.uint8)
+    for start, w, cells in reversed(fields):
+        end = pad + start + w
+        if cells.ndim == 2:
+            buf.reshape(n, stride)[:, end - w:end] = cells
+        else:
+            np.ndarray((n,), dtype=cells.dtype, buffer=buf,
+                       offset=end - cells.itemsize, strides=(stride,))[...] = cells
+    data = buf.tobytes()
+    return data.translate(None, b"\0") if b"\0" in data else data
 
 
 def _triplet_text(m):
-    """m's canonical triplet lines 'i j value', each ending in a newline."""
+    """m's canonical triplet lines 'i j value', each ending in a newline,
+    as ASCII bytes."""
     ri, ci, vals = m.num_triplets()
     if not len(ri):
-        return ""
+        return b""
     return _text([(ri, None, None), (ci, ord(" "), None),
                   *_value_parts(vals, m.den, ord(" "))], ord("\n"))
 
@@ -491,21 +548,23 @@ def _parse_triplets(rd, field, rows, cols, count=None, name=None):
 # matrices
 
 
-def render_matrix(m, fmt=None):
+def render_matrix(m, fmt=None, as_bytes=False):
+    """The text of m's matrix file, or its ASCII bytes if `as_bytes`;
+    `fmt` is dense or sparse, by m's storage when None."""
     if fmt is None:
         fmt = "dense" if m.is_dense else "sparse"
     if fmt not in ("dense", "sparse"):
         raise ValueError(f"format must be dense or sparse, got {fmt!r}")
-    head = (f"field: {m.field.header}\nrows: {m.rows}\ncols: {m.cols}\n"
-            f"format: {fmt}\n")
+    data = (f"field: {m.field.header}\nrows: {m.rows}\ncols: {m.cols}\n"
+            f"format: {fmt}\n").encode("ascii")
     if fmt == "sparse":
-        return head + _triplet_text(m)
-    if m.rows == 0 or m.cols == 0:  # zero-width rows would render as blank lines
-        return head
-    nums = m.num_dense().ravel()
-    ends = np.full(len(nums), ord(" "), dtype=np.uint8)
-    ends[m.cols - 1::m.cols] = ord("\n")
-    return head + _text(_value_parts(nums, m.den), ends)
+        data += _triplet_text(m)
+    elif m.rows and m.cols:  # zero-width rows would render as blank lines
+        nums = m.num_dense().ravel()
+        ends = np.full(len(nums), ord(" "), dtype=np.uint8)
+        ends[m.cols - 1::m.cols] = ord("\n")
+        data += _text(_value_parts(nums, m.den), ends)
+    return data if as_bytes else data.decode("ascii")
 
 
 def _bulk_dense(field, cols, block):
@@ -564,8 +623,9 @@ def read_matrix(path):
 
 
 def write_matrix(path, m, fmt=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_matrix(m, fmt))
+    data = render_matrix(m, fmt, as_bytes=True)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +639,9 @@ def _render_support(name, idx):
     return f"{name}: {vals}" if vals else f"{name}:"
 
 
-def render_cert(cert):
+def render_cert(cert, as_bytes=False):
+    """The text of cert's certificate file, or its ASCII bytes if
+    `as_bytes`."""
     out = ["kind: certificate",
            f"field: {cert.field.header}",
            f"order: {cert.n}",
@@ -587,10 +649,12 @@ def render_cert(cert):
            f"claimed_rank: {cert.claimed_rank}",
            f"claimed_sparsity: {cert.claimed_sparsity}",
            _render_support("support_rows", cert.support_rows),
-           _render_support("support_cols", cert.support_cols)]
-    blocks = [f"{name}: {m.nnz}\n" + _triplet_text(m)
-              for name, m in (("u", cert.u), ("v", cert.v), ("z", cert.z))]
-    return "\n".join(out) + "\n" + "".join(blocks)
+           _render_support("support_cols", cert.support_cols), ""]
+    chunks = ["\n".join(out).encode("ascii")]
+    for name, m in (("u", cert.u), ("v", cert.v), ("z", cert.z)):
+        chunks += [f"{name}: {m.nnz}\n".encode("ascii"), _triplet_text(m)]
+    data = b"".join(chunks)
+    return data if as_bytes else data.decode("ascii")
 
 
 def _parse_block(rd, name, field, rows, cols):
@@ -642,8 +706,9 @@ def read_cert(path):
 
 
 def write_cert(path, cert):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_cert(cert))
+    data = render_cert(cert, as_bytes=True)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,14 @@ the narrowest dtype that holds p - 1 (_store_dtype): uint8 for
 p <= 2**8, uint16 for p <= 2**16, int64 below 2**31 and Python ints in
 object arrays beyond.  Triplets, `to_dense()` and indexing give them in
 `field.dtype` (int64 below 2**31, Python ints beyond) whatever the
-storage, and arithmetic lifts narrow arrays (_lift) before any value
-can pass their range.  Over Q a matrix is stored as integer
-numerators over one positive common denominator `den`, as FLINT's
-fmpq_mat does: the numerators are int64 when they all fit and Python
-ints otherwise, and the form is canonical (`den` is 1 for the zero
-matrix, else gcd(den, numerators) = 1).  Dense storage is a numpy
+storage, and arithmetic widens narrow arrays before any value can pass
+their range: a sum to the narrowest unsigned dtype that holds 2(p - 1),
+a Kronecker product to int16 or uint32, the rest to int64 (_lift).
+Over Q a matrix is stored as integer numerators over one positive
+common denominator `den`, as FLINT's fmpq_mat does: the numerators are
+int64 when they all fit and Python ints otherwise, and the form is
+canonical (`den` is 1 for the zero matrix, else gcd(den, numerators) =
+1).  Dense storage is a numpy
 array; sparse storage is a canonical COO triple: row-major sorted,
 duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
 paths (float64 BLAS, int16, float32, float64 and int64 numpy and scipy
@@ -524,7 +526,13 @@ class ExactMatrix:
         sa, sb = den // self.den, den // other.den
         if self.is_dense or other.is_dense:
             a, b = self.num_dense(), other.num_dense()
-            if isinstance(f, PrimeField):
+            if a.dtype.kind == b.dtype.kind == "u":
+                # residues in uint8/uint16: summed in the narrowest
+                # unsigned dtype that holds 2(p - 1)
+                total = a.astype(np.min_scalar_type(2 * (f.p - 1)))
+                total += b
+                np.subtract(total, f.p, out=total, where=total >= f.p)
+            elif isinstance(f, PrimeField):
                 a, b = _lift(2 * (f.p - 1), a, b)
                 total = a + b
                 total %= f.p
@@ -600,10 +608,13 @@ class ExactMatrix:
                     f"Kronecker output would hold {len(a) * len(b)} explicit "
                     f"entries, beyond the cap of {DENSE_CELL_CAP}")
         bound = _product_bound(f, a, b, 1)
-        # residue products in int16 where they fit, reduced there; the
-        # constructor stores them in _store_dtype (dense) or field.dtype
-        narrow = isinstance(f, PrimeField) and _kernel_dtype(bound, a, b) is np.int16
-        a, b = (a.astype(np.int16), b.astype(np.int16)) if narrow else _lift(bound, a, b)
+        # residue products in int16, or else uint32, where they fit,
+        # reduced there; the constructor stores them in _store_dtype
+        # (dense) or field.dtype
+        narrow = None
+        if isinstance(f, PrimeField) and bound < 1 << 32:
+            narrow = np.int16 if bound < 1 << 15 else np.uint32
+        a, b = (a.astype(narrow), b.astype(narrow)) if narrow else _lift(bound, a, b)
         if dense:
             prod = np.kron(a, b)
         else:
@@ -719,7 +730,8 @@ def _sparse_matmul(a, b, den):
         return _product_of_array(a, b, den, _dense_matmul(
             f, a._dense if a.is_dense else a._scatter(),
             b._dense if b.is_dense else b._scatter()))
-    if not (a.is_dense or b.is_dense) and _madds(a, b) <= _EXPAND_MADDS:
+    madds = None if a.is_dense or b.is_dense else _madds(a, b)
+    if madds is not None and madds <= _EXPAND_MADDS:
         return _expand_matmul(a, b, den)
     x = a._dense if a.is_dense else a._coo[2]
     y = b._dense if b.is_dense else b._coo[2]
@@ -730,7 +742,7 @@ def _sparse_matmul(a, b, den):
         return _expand_matmul(a, b, den)
     dense_a, dense_b = a.is_dense, b.is_dense
     if not (dense_a or dense_b) and dtype in (np.int16, np.float32):
-        side = _densify(a, b)
+        side = _densify(a, b, madds)
         dense_a, dense_b = side == "a", side == "b"
     if dense_a or dense_b:
         return _product_of_array(a, b, den, _blocked_matmul(
@@ -822,21 +834,20 @@ def _blocked_matmul(f, x, y):
     return out
 
 
-def _densify(a, b):
+def _densify(a, b, sparse):
     """Which of the sparse operands of a @ b to densify for
-    _blocked_matmul, "a" or "b", or None to keep scipy's sparse product.
+    _blocked_matmul, "a" or "b", or None to keep scipy's sparse product;
+    `sparse` is the sparse product's multiply-adds, _madds(a, b).
 
     Against a dense b the kernel does nnz(a) * b.cols multiply-adds, and
     against a dense a nnz(b) * a.rows; the cheaper side is densified
     when that count plus _CELL_COST per result cell is at most
-    _SPARSE_COST times the sparse product's count, sum over k of
-    nnz(a[:, k]) * nnz(b[k, :]), and the result and the densified
-    operand stay within the cell cap.
+    _SPARSE_COST times the sparse product's count, and the result and
+    the densified operand stay within the cell cap.
     """
     cells = a.rows * b.cols
     if cells > DENSE_CELL_CAP:
         return None
-    sparse = _madds(a, b)
     cost, side, m = min((len(a._coo[0]) * b.cols, "b", b),
                         (len(b._coo[0]) * a.rows, "a", a), key=lambda c: c[0])
     if (cost + _CELL_COST * cells > _SPARSE_COST * sparse

@@ -19,6 +19,8 @@ from kronrig.fileio import (
     render_cert,
     render_matrix,
     render_report,
+    write_cert,
+    write_matrix,
 )
 from kronrig.matrix import ExactMatrix, KroneckerSpec, random_dense, random_invertible
 from kronrig.pipeline import decompose_kron_product
@@ -62,6 +64,7 @@ def test_degenerate_shapes_round_trip():
 # the writer against a reference formatter
 
 F2, FBIG = PrimeField(2), PrimeField(2147483659)  # FBIG: object residues
+F61 = PrimeField(2**61 - 1)  # residues past 2**32
 _MAX = 2**63 - 1
 
 
@@ -118,7 +121,8 @@ _Q_CASES = {
 def _writer_matrices():
     rng = np.random.default_rng(5)
     mats = dict(_Q_CASES)
-    for f in (F2, F5, FBIG, QQ):
+
+    def field_cases(f):
         h = f.header
         mats[f"{h} random"] = random_dense(f, 4, 6, rng)
         mats[f"{h} sparse"] = ExactMatrix.from_triplets(
@@ -127,17 +131,29 @@ def _writer_matrices():
         mats[f"{h} zero"] = ExactMatrix.zeros(f, 2, 2)
         for shape in ((0, 3), (3, 0), (0, 0)):
             mats[f"{h} {shape}"] = ExactMatrix.zeros(f, *shape)
+    for f in (F2, F5, FBIG, QQ):
+        field_cases(f)
     mats["Fp 2147483659 top residues"] = ExactMatrix.from_dense(
         FBIG, [[FBIG.p - 1, 1], [0, FBIG.p - 2]])
+    field_cases(F61)
+    for f in (FBIG, F61):
+        mats[f"{f.header} residues about 2**32"] = ExactMatrix.from_dense(
+            f, [[f.p - 1, 2**32 - 1], [2**32, f.p - 2]])
+    mats["Q signs, n/d and n, past int64"] = _q(
+        [[Fraction(-9, 10), 10, Fraction(-99999, 100000)],
+         [-(10**19), Fraction(7, 10**20 + 3), -1]])
     return mats
 
 
 @pytest.mark.parametrize("name,m", list(_writer_matrices().items()))
-def test_render_matrix_matches_reference(name, m):
+def test_render_matrix_matches_reference(name, m, tmp_path):
     for fmt in ("dense", "sparse"):
         text = render_matrix(m, fmt)
         assert text == _ref_matrix(m, fmt)
         assert parse_matrix(text) == m
+        assert render_matrix(m, fmt, as_bytes=True) == text.encode()
+        write_matrix(tmp_path / fmt, m, fmt)
+        assert (tmp_path / fmt).read_bytes() == text.encode()
 
 
 def _writer_certs(field):
@@ -164,16 +180,88 @@ def _writer_certs(field):
     return certs
 
 
-@pytest.mark.parametrize("header", ["Fp 2", "Fp 5", "Fp 2147483659", "Q"])
-def test_render_cert_matches_reference(header):
+@pytest.mark.parametrize("header", ["Fp 2", "Fp 5", "Fp 2147483659",
+                                    "Fp 2305843009213693951", "Q"])
+def test_render_cert_matches_reference(header, tmp_path):
     field = field_from_header(header)
     for cert in _writer_certs(field) + [_cert(header)]:
         text = render_cert(cert)
         assert text == _ref_cert(cert)
+        assert render_cert(cert, as_bytes=True) == text.encode()
+        write_cert(tmp_path / "c", cert)
+        assert (tmp_path / "c").read_bytes() == text.encode()
         back = parse_cert(text)
         assert back.same_witness(cert)
         assert _same_support(back.support_rows, cert.support_rows)
         assert _same_support(back.support_cols, cert.support_cols)
+
+
+def _spy_cells(monkeypatch):
+    """(w, ndim) of every _decimal call: the digits of its widest number,
+    and 1 where it wrote the table's words, 2 where the division loop's
+    or str()'s bytes."""
+    seen = []
+    real = fileio._decimal
+
+    def spy(x):
+        neg, w, cells = real(x)
+        seen.append((w, cells.ndim))
+        return neg, w, cells
+    monkeypatch.setattr(fileio, "_decimal", spy)
+    return seen
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+def test_table_words_hold_every_number_zero_padded(w):
+    """Every number below 10**w in its word: the table's up to 4 digits,
+    the fifth digit put before them."""
+    words = fileio._table_words(np.arange(10**w), w)
+    assert words.itemsize == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8}[w]
+    assert not fileio._digit_words(min(w, 4)).flags.writeable
+    assert words.view(np.uint8).tobytes() == b"".join(
+        str(x).rjust(words.itemsize, "\0").encode() for x in range(10**w))
+
+
+_WIDTH_EDGES = (0, 9, 10, 99, 100, 9999, 10000, 99999, 100000)
+
+
+@pytest.mark.parametrize("top", _WIDTH_EDGES)
+def test_writer_width_edges(top, monkeypatch):
+    """Columns whose widest number is `top`, mixed with every narrower
+    edge: indices, signed Q values with and without a denominator, and
+    residues of F_100003, sparse and dense.  Equal to the reference
+    formatter; numbers below 10**5 come from the table, 100000 from the
+    division loop."""
+    edges = [e for e in _WIDTH_EDGES if e <= top]
+    n = top + 1
+    fp = PrimeField(100003)
+    q_vals = [Fraction(-e if k % 2 else e, 1 + e % 7 if k % 3 else 1)
+              for k, e in enumerate(edges)]
+    mats = [
+        ExactMatrix.from_triplets(fp, n, n, [(e, top - e, e or 1) for e in edges]),
+        ExactMatrix.from_triplets(QQ, n, n, [(top - e, e, v or 1)
+                                             for e, v in zip(edges, q_vals)]),
+        ExactMatrix.from_dense(fp, [edges, edges[::-1]]),
+        ExactMatrix.from_dense(QQ, [q_vals, [-v for v in q_vals]]),
+    ]
+    seen = _spy_cells(monkeypatch)
+    for m in mats:
+        for fmt in ("dense", "sparse") if m.rows * m.cols < 10**6 else ("sparse",):
+            assert render_matrix(m, fmt) == _ref_matrix(m, fmt)
+    assert seen and all(ndim == (2 if w > 5 else 1) for w, ndim in seen)
+    assert (6, 2) in seen if top == 100000 else (len(str(top)), 1) in seen
+
+
+def test_writer_fp_walsh_certificate_takes_only_the_table(monkeypatch):
+    """The certificate of `decompose --walsh 8 --random 2,2 --field "Fp 5"`
+    (every index below 10**4, every residue below 5) never enters the
+    division loop."""
+    facs = walsh_factors(PrimeField(5), 8) + [
+        random_invertible(F5, 2, np.random.default_rng(s)) for s in (1, 2)]
+    cert = decompose_kron_product(facs, "0.5")[0]
+    seen = _spy_cells(monkeypatch)
+    assert render_cert(cert) == _ref_cert(cert)
+    assert len(seen) == 9 and {ndim for _, ndim in seen} == {1}
 
 
 def test_comments_and_blanks_ignored():

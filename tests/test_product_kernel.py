@@ -27,6 +27,7 @@ from kronrig.matrix import ExactMatrix
 # 65537 and 33554467 run the float64 and int64 kernels, and the Q
 # numerators of _random float64; the bounds of 2**31 - 1 and 2147483659
 # pass int64 at every inner dimension above 1, so they take Python ints
+F5 = PrimeField(5)
 FIELDS = [PrimeField(2), PrimeField(5), PrimeField(65537), PrimeField(33554467),
           PrimeField(2**31 - 1), PrimeField(2147483659), QQ]
 KERNEL_DTYPE = {2: np.int16, 5: np.int16, 65537: np.float64,
@@ -92,7 +93,7 @@ def test_kernel_matches_reference_in_every_order(field, monkeypatch):
         monkeypatch.setattr(matrix, "_BLOCK_CELLS", block)
         monkeypatch.setattr(matrix, "_INT16_BLOCK_CELLS", block)
         for side in ("a", "b"):
-            monkeypatch.setattr(matrix, "_densify", lambda a, b, side=side: side)
+            monkeypatch.setattr(matrix, "_densify", lambda a, b, madds, side=side: side)
             for x, y in ((a, _dense(b)), (_dense(a), b), (a, b)):
                 assert (x @ y).to_dense().tolist() == want
     assert not a.is_dense and not b.is_dense
@@ -200,12 +201,14 @@ def test_f5_at_the_int16_bound_and_one_past(inner, dtype, monkeypatch):
         == (inner == 2048)
 
 
-@pytest.mark.parametrize("p,narrow", [(181, True), (191, False)])
+@pytest.mark.parametrize("p,narrow", [(181, True), (191, False), (251, False),
+                                      (257, False), (65521, False), (65537, False)])
 def test_dense_kron_over_fp_in_int16_and_past_it(p, narrow, monkeypatch):
-    """180**2 = 32400 fits int16 and 190**2 = 36100 does not: the dense
-    Kronecker product over F_181 runs in int16 and over F_191 in int64,
-    each reduced in that dtype, stored in uint8 and equal to the
-    object-dtype product, extreme residues included."""
+    """180**2 = 32400 fits int16 and 190**2 = 36100 does not, and 65520**2
+    fits uint32 and 65536**2 does not: the dense Kronecker product over
+    F_181 runs in int16, from F_191 to F_65521 in uint32 and over F_65537
+    in int64, each reduced in that dtype, stored in its storage dtype and
+    equal to the object-dtype product, extreme residues included."""
     f = PrimeField(p)
     rng = np.random.default_rng(p)
     a, b = rng.integers(0, p, (7, 5)), rng.integers(0, p, (6, 9))
@@ -217,10 +220,11 @@ def test_dense_kron_over_fp_in_int16_and_past_it(p, narrow, monkeypatch):
     monkeypatch.setattr(matrix, "_reduce",
                         lambda x, q: reduced.append(x.dtype) or real(x, q))
     got = am.kron(bm)
-    assert got.is_dense and got.num_dense().dtype == np.uint8
+    assert got.is_dense and got.num_dense().dtype == matrix._store_dtype(f)
     want = np.kron(a.astype(object), b.astype(object)) % p
     assert got.num_dense().tolist() == want.tolist()
-    assert reduced == [np.dtype(np.int16 if narrow else np.int64)]
+    wide = np.uint32 if (p - 1) ** 2 < 1 << 32 else np.int64
+    assert reduced == [np.dtype(np.int16 if narrow else wide)]
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +237,39 @@ def test_cost_rule_densifies_the_fp_walsh_product(fp_walsh_cert):
     cert = read_cert(fp_walsh_cert[0])
     u, v = cert.u, cert.v
     assert (u.rows, u.cols) == (1024, 1544) and not u.is_dense and not v.is_dense
-    assert matrix._densify(u, v) == "b"
+    assert matrix._densify(u, v, matrix._madds(u, v)) == "b"
+
+
+def test_madds_counted_once_per_sparse_product(monkeypatch):
+    """A sparse-by-sparse product counts its multiply-adds once, for the
+    expansion test and for _densify alike, and is unchanged: expanded,
+    densified, and left to scipy (_CELL_COST too high to densify)."""
+    rng = np.random.default_rng(43)
+    a, b = _random(F5, rng, 45, 300, 0.2), _random(F5, rng, 300, 50, 0.2)
+    want = _reference(a, b)
+    madds = matrix._madds(a, b)
+    calls, paths = [], []
+
+    def spy(name, into):
+        real = getattr(matrix, name)
+
+        def wrapped(*args):
+            into.append(name)
+            return real(*args)
+        monkeypatch.setattr(matrix, name, wrapped)
+    spy("_madds", calls)
+    spy("_expand_matmul", paths)
+    spy("_blocked_matmul", paths)
+    for limit, cell_cost, path in ((madds, 16, ["_expand_matmul"]),
+                                   (madds - 1, 16, ["_blocked_matmul"]),
+                                   (madds - 1, 1 << 40, [])):
+        monkeypatch.setattr(matrix, "_EXPAND_MADDS", limit)
+        monkeypatch.setattr(matrix, "_CELL_COST", cell_cost)
+        calls.clear()
+        paths.clear()
+        assert (a @ b).to_dense().tolist() == want
+        assert calls == ["_madds"] and paths == path
+    assert not a.is_dense and not b.is_dense
 
 
 def test_cost_rule_declines_a_permutation_like_product(fp_walsh_cert):
@@ -247,7 +283,7 @@ def test_cost_rule_declines_a_permutation_like_product(fp_walsh_cert):
     ri = np.concatenate([np.arange(n), np.arange(0, n, 64)])
     ci = np.concatenate([cols, np.roll(cols, 1)[:len(ri) - n]])
     b = ExactMatrix.from_coo(v.field, n, n, ri, ci, np.ones(len(ri), dtype=np.int64))
-    assert matrix._densify(v, b) is None
+    assert matrix._densify(v, b, matrix._madds(v, b)) is None
     got = v @ b
     assert not got.is_dense
     assert got == matrix._expand_matmul(v, b, 1)

@@ -114,6 +114,60 @@ def test_add_neg_sub_scale_against_python_ints(p):
                 assert _ref(got) == want
 
 
+def _spy_sums(monkeypatch):
+    """The dtype of every dense array that a sum of matrices hands the
+    constructor."""
+    seen, inside = [], []
+    init, add = ExactMatrix.__init__, ExactMatrix.__add__
+
+    def spy_init(self, *args, dense=None, **kwargs):
+        if inside and dense is not None:
+            seen.append(dense.dtype)
+        init(self, *args, dense=dense, **kwargs)
+
+    def spy_add(self, other):
+        inside.append(1)
+        try:
+            return add(self, other)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(ExactMatrix, "__init__", spy_init)
+    monkeypatch.setattr(ExactMatrix, "__add__", spy_add)
+    return seen
+
+
+@pytest.mark.parametrize("p,dtype", [(127, np.uint8), (131, np.uint16),
+                                     (251, np.uint16), (257, np.uint16),
+                                     (32749, np.uint16), (32771, np.uint32),
+                                     (65521, np.uint32)])
+def test_dense_sum_in_the_narrowest_unsigned_dtype(p, dtype, monkeypatch):
+    """A dense sum of residues is formed in the narrowest unsigned dtype
+    that holds 2(p - 1), and equals the Python-int sum, (p - 1) + (p - 1)
+    included; so is the routed rank's identity - inv_cr @ z_rc."""
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    a, b = _cells(p, 6, 8, rng), _cells(p, 6, 8, rng, 0.5)
+    b[2][3] = a[2][3] = p - 1
+    want = [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(a, b)]
+    seen = _spy_sums(monkeypatch)
+    for am in _matrices(f, a):
+        for bm in _matrices(f, b):
+            got = am + bm
+            assert _ref(got) == want
+            assert not got.is_dense or got.num_dense().dtype == matrix._store_dtype(f)
+    assert seen and set(seen) == {np.dtype(dtype)}
+    spec = KroneckerSpec([random_invertible(f, d, rng) for d in (2, 3, 2)])
+    n = spec.n
+    z = [[0] * n for _ in range(n)]
+    for j in range(0, n, 2):
+        z[int(rng.integers(n))][j] = int(rng.integers(1, p))
+    full = _ref(spec.materialize())
+    seen.clear()
+    assert matrix._rank_of_difference(spec, ExactMatrix.from_dense(f, z)) == _rank_mod_p(
+        [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(full, z)], p)
+    assert seen == [np.dtype(dtype)]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_matmul_against_python_ints(p):
     """Dense and sparse operands in every pairing, small (numpy) and above
