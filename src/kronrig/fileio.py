@@ -142,10 +142,6 @@ class _LineReader:
 # ----------------------------------------------------------------------
 # the writer: a whole block of integers to ASCII in one byte array
 
-# nonnegative integers below 10**_TABLE_DIGITS are written from a table
-# of words of up to 4 digits, with a fifth digit put before them
-_TABLE_DIGITS = 5
-
 
 @functools.cache
 def _digit_words(w):
@@ -163,30 +159,12 @@ def _digit_words(w):
     return words
 
 
-def _table_words(a, w):
-    """The integers a, below 10**_TABLE_DIGITS and at most w digits wide,
-    as _digit_words writes them; past 4 digits as uint64 words whose
-    last four bytes are the word of a % 10**4, filled with '0' where a
-    leading digit comes before it: a cached table of 10**5 words would
-    hold 0.8 MB for the life of the process."""
-    if w <= 4:
-        return _digit_words(w).take(a)
-    lead, rest = np.divmod(a, 10**4)
-    words = _digit_words(4).take(rest).astype(np.uint64)
-    words <<= np.uint64(32)
-    fill = int.from_bytes(bytes(4) + b"0000", "little")
-    heads = np.array([0] + [(ord("0") + d) << 24 | fill for d in range(1, 10)],
-                     dtype=np.uint64)  # by leading digit, none for 0
-    words |= heads.take(lead)
-    return words
-
-
 def _decimal(x):
     """(neg, w, cells) for the integers x: neg marks the negative ones, or
     is None when none is, and cells holds |x| in decimal, right-aligned
-    in w bytes after zero bytes.  Below 10**_TABLE_DIGITS cells are the
-    _table_words of |x|, one per number; else a (len(x), w) uint8 array,
-    by repeated division up to int64 and by each value's str() past it."""
+    in w bytes after zero bytes.  Below 10**4 cells are the _digit_words
+    of |x|, one per number; else a (len(x), w) uint8 array, by repeated
+    division up to int64 and by each value's str() past it."""
     if x.dtype == object:
         try:
             x = x.astype(np.int64)
@@ -202,8 +180,8 @@ def _decimal(x):
     a = x if neg is None else np.abs(x).view(np.uint64)
     top = int(a.max())
     w = len(str(top))
-    if top < 10**_TABLE_DIGITS:
-        return neg, w, _table_words(a, w)
+    if w <= 4:
+        return neg, w, _digit_words(w).take(a)
     if top < 1 << 32 and a.itemsize > 4:  # uint32 division is several times faster
         a = a.astype(np.uint32)
     cells = np.empty((len(a), w), dtype=np.uint8)
@@ -706,6 +684,8 @@ def read_cert(path):
 
 
 def write_cert(path, cert):
+    # through render_cert, not a private renderer, so that a trace of
+    # render_cert also times the certificates written to files
     data = render_cert(cert, as_bytes=True)
     with open(path, "wb") as fh:
         fh.write(data)

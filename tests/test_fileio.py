@@ -211,13 +211,12 @@ def _spy_cells(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
-def test_table_words_hold_every_number_zero_padded(w):
-    """Every number below 10**w in its word: the table's up to 4 digits,
-    the fifth digit put before them."""
-    words = fileio._table_words(np.arange(10**w), w)
-    assert words.itemsize == {1: 1, 2: 2, 3: 4, 4: 4, 5: 8}[w]
-    assert not fileio._digit_words(min(w, 4)).flags.writeable
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_digit_words_hold_every_number_zero_padded(w):
+    """Every number below 10**w in its word of the table."""
+    words = fileio._digit_words(w)
+    assert words.itemsize == {1: 1, 2: 2, 3: 4, 4: 4}[w]
+    assert not words.flags.writeable
     assert words.view(np.uint8).tobytes() == b"".join(
         str(x).rjust(words.itemsize, "\0").encode() for x in range(10**w))
 
@@ -230,8 +229,8 @@ def test_writer_width_edges(top, monkeypatch):
     """Columns whose widest number is `top`, mixed with every narrower
     edge: indices, signed Q values with and without a denominator, and
     residues of F_100003, sparse and dense.  Equal to the reference
-    formatter; numbers below 10**5 come from the table, 100000 from the
-    division loop."""
+    formatter; numbers below 10**4 come from the table, 10000 and up
+    from the division loop."""
     edges = [e for e in _WIDTH_EDGES if e <= top]
     n = top + 1
     fp = PrimeField(100003)
@@ -248,8 +247,9 @@ def test_writer_width_edges(top, monkeypatch):
     for m in mats:
         for fmt in ("dense", "sparse") if m.rows * m.cols < 10**6 else ("sparse",):
             assert render_matrix(m, fmt) == _ref_matrix(m, fmt)
-    assert seen and all(ndim == (2 if w > 5 else 1) for w, ndim in seen)
-    assert (6, 2) in seen if top == 100000 else (len(str(top)), 1) in seen
+    w = len(str(top))
+    assert seen and all(ndim == (2 if w > 4 else 1) for w, ndim in seen)
+    assert (w, 2 if w > 4 else 1) in seen
 
 
 def test_writer_fp_walsh_certificate_takes_only_the_table(monkeypatch):
