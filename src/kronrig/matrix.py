@@ -133,6 +133,18 @@ def _lift(bound, *arrays):
     return tuple(x.astype(object, copy=False) for x in arrays)
 
 
+def _product_operands(f, a, b):
+    """a and b in the dtype that their entrywise products are formed in:
+    over F_p int16, or else uint32, where (p - 1)**2 fits, so that the
+    residue products are reduced there (_reduce); else as _lift gives
+    them for the products' bound."""
+    bound = _product_bound(f, a, b, 1)
+    if isinstance(f, PrimeField) and bound < 1 << 32:
+        narrow = np.int16 if bound < 1 << 15 else np.uint32
+        return a.astype(narrow), b.astype(narrow)
+    return _lift(bound, a, b)
+
+
 def _times(a, k):
     """a * k for an integer k, in Python ints when int64 could overflow."""
     return a if k == 1 else _lift(max(_bound(a), 1) * abs(k), a)[0] * k
@@ -607,14 +619,9 @@ class ExactMatrix:
                 raise SizeCapError(
                     f"Kronecker output would hold {len(a) * len(b)} explicit "
                     f"entries, beyond the cap of {DENSE_CELL_CAP}")
-        bound = _product_bound(f, a, b, 1)
-        # residue products in int16, or else uint32, where they fit,
-        # reduced there; the constructor stores them in _store_dtype
-        # (dense) or field.dtype
-        narrow = None
-        if isinstance(f, PrimeField) and bound < 1 << 32:
-            narrow = np.int16 if bound < 1 << 15 else np.uint32
-        a, b = (a.astype(narrow), b.astype(narrow)) if narrow else _lift(bound, a, b)
+        # the constructor stores the products in _store_dtype (dense) or
+        # field.dtype
+        a, b = _product_operands(f, a, b)
         if dense:
             prod = np.kron(a, b)
         else:
@@ -819,7 +826,8 @@ def _blocked_matmul(f, x, y):
     int16 only when the bound is at most 2**15 - 1, float32 at most
     2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is then an
     integer that the dtype holds exactly, so each block is exact.  Over
-    F_p each block is reduced in its own dtype (_reduce) and then copied
+    F_p each block is reduced in its own dtype (_reduce; a float32 block
+    as int32, which holds its sums up to 2**24 exactly) and then copied
     into the result, before the next is formed.
     """
     rows, cols = x.shape[0], y.shape[1]
@@ -829,7 +837,7 @@ def _blocked_matmul(f, x, y):
     for lo in range(0, rows, step):
         blk = x[lo:lo + step] @ y
         if isinstance(f, PrimeField):
-            blk = _reduce(blk, f.p)
+            blk = _reduce(blk.astype(np.int32) if blk.dtype == np.float32 else blk, f.p)
         np.copyto(out[lo:lo + step], blk, casting="unsafe")
     return out
 
@@ -953,49 +961,70 @@ def _merge_products(f, cols, ri, flat, vals):
 # ----------------------------------------------------------------------
 # exact rank: one elimination kernel for every field
 #
-# Over F_p the kernel holds residues as float64 when p < _FLOAT_P, so
-# block products run in BLAS.  Every float it forms is a nonnegative
-# integer of at most _FLOAT_LIMIT: p**2 at most outside block products,
-# whose inner dimension is chunked to stay below it.  Residues are int64
-# below 2**31 and Python ints above.  Over Q the rank is the largest rank
+# Over F_p the kernel holds residues in the narrowest dtype of
+# _ELIMINATION_LIMITS whose limit holds p(p - 1), a residue plus the
+# product of two: float32 for p <= 2039, float64 for p < _FLOAT_P, int64
+# below about 3.04e9 and Python ints beyond.  Entries are left unreduced
+# until the next update could pass that limit, and the float kernels'
+# block products run in BLAS.  Over Q the rank is the largest rank
 # modulo enough primes.
 
 _FLOAT_P = 1 << 25
-# columns (and triangular-solve rows) eliminated one at a time.  On
-# random F_5 matrices (medians of 9-90 runs, 2-core x86-64 VM) 4 -> 16
-# takes 64^2 from 4.3 to 3.1 ms and 252^2 from 24.0 to 19.6 ms, and
-# leaves 1024^2 and 600 x 1000 within their spread; 24, 32 and 48 are no
-# faster than 16, and 48 is slower on 600 x 1000
-_LEAF = 16
+# (dtype, largest integer an entry of the elimination may reach in it):
+# float32 stops at 2**22, below which _reduce's floor-multiply is exact,
+# and float64 at _FLOAT_LIMIT; Python ints have no limit
+_ELIMINATION_LIMITS = ((np.float32, 1 << 22), (np.float64, _FLOAT_LIMIT),
+                       (np.int64, _INT64_MAX))
+# columns eliminated a panel at a time.  On an fp_walsh route core
+# (252^2 over F_5, rank 203) and a random 1024^2 F_5 matrix, panels of
+# 16, 24, 32, 48 and 64 took 7.2, 6.5, 6.3, 7.3 and 7.0 ms and 83, 78,
+# 72, 70 and 80 ms (medians of interleaved runs, 2-core x86-64 VM, one
+# BLAS thread)
+_PANEL = 32
+# _reduce takes float arrays of at most this many values by np.remainder:
+# against the floor-multiply, medians of interleaved runs (2-core x86-64
+# VM) took the ranks of 2x2 and 4x4 F_5 matrices 0.040 -> 0.028 and
+# 0.086 -> 0.061 ms, the fp_walsh core 9.35 -> 8.92 ms and a 96^2 matrix
+# mod 131071 4.19 -> 3.32 ms; 32 and 128 gave about the same
+_SMALL_REDUCE = 64
 
 
 @functools.lru_cache(maxsize=64)
-def _inverse_up(p):
-    """1/p rounded up to the next float64."""
-    return math.nextafter(1.0 / p, 1.0)
+def _inverse_up(p, dtype):
+    """The nearest float of `dtype` at or above 1/p."""
+    x = dtype(1 / p)
+    if Fraction(float(x)) * p < 1:
+        x = np.nextafter(x, dtype(1))
+    return x
 
 
 def _reduce(x, p):
-    """x mod p for a nonnegative kernel array, in its dtype (float32 as
-    int32); overwrites x unless it is int64 or of Python ints.
+    """x mod p for a nonnegative kernel array, in its dtype, in place;
+    returns x.
 
-    Over float64, x - p*floor(x * pinv) with pinv = 1/p rounded up is
-    exact for x up to _FLOAT_LIMIT: the quotient is never too small, and
-    x * pinv errs by less than 1/p, so it is never too large.  A float32
-    x holds integers up to 2**24, which int32 holds exactly.  Narrower
-    integers are reduced as x - (x // p) * p: numpy vectorizes their
-    floor division by a scalar, not their remainder (int16: 0.8 against
-    3.9 ms a million cells; int32 a quarter-million: 0.33 against 0.81 ms,
-    2-core x86-64 VM); int64 and Python ints take the remainder.
+    A float x is reduced as x - p*floor(x * pinv), pinv the nearest float
+    at or above 1/p.  The quotient is never too small, and x * pinv errs
+    by less than 1.5 * 2**-m relative (m = 23 for float32, 52 for
+    float64), which keeps it below the next integer while x < 2**m / 1.5:
+    so the reduction is exact for float64 x up to _FLOAT_LIMIT and for
+    float32 x up to 2**22 (tests check every quotient of every float32
+    prime at both ends).  Those are four vectorized passes; a float x of
+    at most _SMALL_REDUCE values takes numpy's remainder instead, one
+    call, exact for any float (it is fmod) but not vectorized.  Integers
+    narrower than int64 are reduced as x - (x // p) * p: numpy
+    vectorizes their floor division by a scalar, not their remainder
+    (int16: 0.8 against 3.9 ms a million cells; int32 a quarter-million:
+    0.33 against 0.81 ms, 2-core x86-64 VM); int64 and Python ints take
+    the remainder.
     """
-    if x.dtype == np.float64:
-        q = x * _inverse_up(p)
+    if x.dtype.kind == "f":
+        if x.size <= _SMALL_REDUCE:
+            return np.remainder(x, p, out=x)
+        q = x * _inverse_up(p, x.dtype.type)
         np.floor(q, out=q)
+    elif x.dtype == object or x.itemsize == 8:
+        return np.remainder(x, p, out=x)
     else:
-        if x.dtype == np.float32:
-            x = x.astype(np.int32)
-        if x.dtype == object or x.itemsize == 8:
-            return x % p
         q = x // p
     q *= p
     x -= q
@@ -1003,104 +1032,157 @@ def _reduce(x, p):
 
 
 def _matmul_mod(a, b, p, c=None):
-    """(c + a @ b) mod p for kernel arrays of one dtype, c defaulting to 0.
-    The inner dimension is cut into chunks whose sums stay exact."""
-    if a.dtype == object or b.dtype == object:
-        prod = np.dot(a, b)
-        return (prod if c is None else c + prod) % p
-    limit = _FLOAT_LIMIT if a.dtype == np.float64 else (1 << 63) - 1
-    step = max(1, (limit - p) // (p - 1) ** 2)
+    """(c + a @ b) mod p for kernel arrays of one dtype, c reduced or
+    None.  The inner dimension is cut into chunks whose sums stay within
+    the dtype's limit in _ELIMINATION_LIMITS; Python ints need no cut."""
+    limit = dict(_ELIMINATION_LIMITS).get(a.dtype.type)
+    step = max(1, a.shape[-1] if limit is None else (limit - p) // (p - 1) ** 2)
     for s in range(0, a.shape[-1] or 1, step):
-        prod = a[..., s:s + step] @ b[s:s + step]
+        prod = np.dot(a[..., s:s + step], b[s:s + step])
         if c is not None:
             prod += c
         c = _reduce(prod, p)
     return c
 
 
-def _solve_unit_lower(nl, x, p):
-    """Overwrite x with L^-1 @ x mod p, where the strictly lower part of nl
-    is -L and L is unit lower triangular.  Splits the rows in half, as the
-    kernel splits columns."""
-    q = len(nl)
-    if q <= _LEAF:
-        for j in range(1, q):
-            x[j] = _matmul_mod(nl[j, :j], x[:j], p, x[j])
-        return
-    h = q // 2
-    _solve_unit_lower(nl[:h, :h], x[:h], p)
-    x[h:] = _matmul_mod(nl[h:, :h], x[:h], p, x[h:])
-    _solve_unit_lower(nl[h:, h:], x[h:], p)
-
-
-def _eliminate(w, p, r0, c0, c1):
-    """Eliminate columns c0:c1 of the residue array w below row r0, in place.
-
-    Returns the pivot columns.  Whole rows of w are swapped so that pivot
-    j sits in row r0 + j, and below it column pivots[j] holds the
-    negated multipliers: the strictly lower part of w[r0:, pivots] is -L
-    in the factorization P w[r0:, c0:c1] = L E with E in echelon form.
-    The left half of the columns is eliminated first; one triangular
-    solve and one block product then leave the Schur complement in the
-    right half, which is eliminated in turn.
-    """
-    m = len(w)
-    if c1 - c0 > _LEAF:
-        mid = (c0 + c1) // 2
-        pivots = _eliminate(w, p, r0, c0, mid)
-        r1 = r0 + len(pivots)
-        if r1 == m:
-            return pivots
-        if pivots:
-            nl = w[r0:, pivots]
-            top = w[r0:r1, mid:c1]
-            _solve_unit_lower(nl[:len(pivots)], top, p)
-            w[r1:, mid:c1] = _matmul_mod(nl[len(pivots):], top, p, w[r1:, mid:c1])
-        return pivots + _eliminate(w, p, r1, mid, c1)
-    pivots = []
-    r = r0
-    for c in range(c0, c1):
-        if r == m:
-            break
-        nz = np.flatnonzero(w[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            w[[r, i]] = w[[i, r]]
-        neg_inv = p - pow(int(w[r, c]), p - 2, p)
-        g = _reduce(w[r + 1:, c] * neg_inv, p)
-        w[r + 1:, c + 1:c1] = _reduce(
-            w[r + 1:, c + 1:c1] + np.multiply.outer(g, w[r, c + 1:c1]), p)
-        w[r + 1:, c] = g
-        pivots.append(c)
-        r += 1
-    return pivots
+def _elimination_dtype(p):
+    """(dtype, limit) of the kernel modulo p: the narrowest entry of
+    _ELIMINATION_LIMITS whose limit holds p(p - 1), the bound rule of
+    _kernel_dtype for one residue plus the product of two, or (object,
+    None) for Python ints."""
+    for dtype, limit in _ELIMINATION_LIMITS:
+        if p * (p - 1) <= limit:
+            return dtype, limit
+    return object, None
 
 
 def _basis_rows_mod_p(a, p):
     """Indices, ascending, of rows of the integer array a that form a basis
     of its row space modulo the prime p; their number is the rank.
 
-    The leaves loop over columns, so a wide a is eliminated as its
-    transpose, whose pivot columns are those rows.  A tall a carries its
-    row indices in one more column, which only the row swaps move: with
-    P a = L E and L unit lower triangular, the first rank rows of P a span
-    the row space.  The wide array gets a spare column too, so that a
-    power-of-two order does not give the kernel a power-of-two row stride,
-    which slows it.
+    The kernel (_echelon) eliminates the columns of a tall a, whose rows
+    it tracks through the row swaps: with P a = L E and L unit lower
+    triangular, the first rank rows of P a span the row space.  A wide a
+    is eliminated as its transpose, whose pivot columns are those rows.
+    Either way the kernel works on the transpose of the matrix it
+    eliminates, a copy of a itself when a is wide.  The copy gets a
+    spare column, so that a power-of-two order does not give it a
+    power-of-two row stride, which slows it.
     """
     m, n = a.shape
-    dtype = np.float64 if p < _FLOAT_P else np.int64 if p < 1 << 31 else object
-    if n > m:
-        w = np.empty((n, m + 1), dtype=dtype)
-        np.remainder(a.T, p, out=w[:, :m], casting="unsafe")
-        return _eliminate(w, p, 0, 0, m)
-    w = np.empty((m, n + 1), dtype=dtype)
-    np.remainder(a, p, out=w[:, :n], casting="unsafe")
-    w[:, n] = np.arange(m)
-    rank = len(_eliminate(w, p, 0, 0, n))
-    return sorted(w[:rank, n].astype(np.int64).tolist())
+    dtype, limit = _elimination_dtype(p)
+    src = a.T if m >= n else a
+    t = np.empty((src.shape[0], src.shape[1] + 1), dtype=dtype)[:, :-1]
+    np.remainder(src, p, out=t, casting="unsafe")
+    pivots, labels = _echelon(t, p, limit)
+    return sorted(labels[:len(pivots)]) if m >= n else pivots
+
+
+def _echelon(t, p, limit):
+    """Gaussian elimination modulo p of w = t.T, on t in place.
+
+    Returns (pivots, labels): the columns of w that take a pivot, and
+    for each place of w's rows the row of w that ends there.  The pivot
+    of column c is the first nonzero at or below row r, r the pivots
+    found so far, and whole rows of w are swapped to bring it to row r.
+    Column c of w is row c of t, so pivot searches, multipliers and
+    updates run along contiguous rows of t.
+
+    Columns go in panels of _PANEL.  Within a panel each pivot's update
+    of the panel's later columns is one outer product, with the
+    multipliers -x/pivot folded into the short side.  The panel's k
+    pivots then reach the later columns at once.  With H the pivots'
+    columns of t from the panel's first pivot row (k x rest), D the
+    diagonal of -1/pivot and S the strictly upper part of D H[:, :k], a
+    later column x becomes x[k:] + x[:k] (I - S)^-1 D H[:, k:], where
+    (I - S)^-1 = (I + S)(I + S^2)(I + S^4)... as S is nilpotent: a few
+    k x k products and two block products.  Entries are held unreduced
+    while a running bound (`held` in the panel, `bound` after it) shows
+    that the next update stays within `limit`, and reduced before it
+    otherwise; _matmul_mod cuts a product that would pass it alone.
+    """
+    cols, rows = t.shape
+    labels = list(range(rows))
+    pivots = []
+    r = 0
+    top, step = p - 1, (p - 1) ** 2
+    lim = math.inf if limit is None else limit
+    bound = top
+    for c0 in range(0, cols, _PANEL):
+        if r == rows:
+            break
+        r0 = r
+        panel = t[c0:c0 + _PANEL]
+        if bound > top:
+            _reduce(panel[:, r:], p)
+        held = top
+        found, moved, scale = [], [], []
+        for c in range(len(panel)):
+            if r == rows:
+                break
+            row = panel[c, r:]
+            if held > top:
+                _reduce(row, p)
+            nz = row.nonzero()[0]
+            if not len(nz):
+                continue
+            i = r + int(nz[0])
+            if i != r:
+                col = panel[:, r].copy()
+                panel[:, r] = panel[:, i]
+                panel[:, i] = col
+                labels[r], labels[i] = labels[i], labels[r]
+            neg = p - pow(int(row[0]), p - 2, p)
+            if c + 1 < len(panel) and r + 1 < rows:
+                x = panel[c + 1:, r]
+                if held * top > lim:
+                    x = _reduce(x.copy(), p)
+                mult = _reduce(x * neg, p)
+                later = panel[c + 1:, r + 1:]
+                if held + step > lim:
+                    _reduce(later, p)
+                    held = top
+                later += mult[:, None] * row[1:]
+                held += step
+            found.append(c0 + c)
+            moved.append(i)
+            scale.append(neg)
+            r += 1
+        pivots += found
+        k = len(found)
+        rest = t[c0 + len(panel):]
+        if k == 0 or len(rest) == 0 or r == rows:
+            continue
+        if moved != list(range(r0, r)):
+            # the panel's row swaps, in order
+            order = list(range(max(moved) + 1 - r0))
+            for j, i in enumerate(moved):
+                order[j], order[i - r0] = order[i - r0], order[j]
+            swapped = rest[:, r0:r0 + len(order)]
+            swapped[...] = swapped[:, order]
+        h = t[found, r0:]
+        d = np.array(scale, dtype=t.dtype)
+        s = _reduce(np.triu(h[:, :k], 1) * d[:, None], p)
+        inv = s.copy()
+        np.fill_diagonal(inv, 1)
+        power, span = s, 2
+        while span < k:
+            power = _matmul_mod(power, power, p)
+            inv = _matmul_mod(inv, power, p, inv)
+            span *= 2
+        inv = _reduce(inv * d, p)
+        x = rest[:, r0:r]
+        coef = _matmul_mod(x if bound == top else _reduce(x.copy(), p), inv, p)
+        x = rest[:, r:]
+        if bound + k * step > lim:
+            _reduce(x, p)
+            bound = top
+        if bound + k * step > lim:
+            x[...] = _matmul_mod(coef, h[:, k:], p, x)
+        else:
+            x += np.dot(coef, h[:, k:])
+            bound += k * step
+    return pivots, labels
 
 
 def _rank_primes():
@@ -1187,11 +1269,12 @@ def _rank_of_difference(spec, z):
     A^-1 is the Kronecker product of the factors' inverses.  Split into
     a first half of the factors and the rest, A^-1 = L (x) M with M of
     order n2, so A^-1[c, r] = L[c // n2, r // n2] * M[c % n2, r % n2]:
-    A^-1[C, R] is the product of one gather from each half.  The split
-    puts the fewest cells in L and M together, about n each when the
-    orders balance.  The route needs every factor of full rank, |C| * |R| within
-    the cell cap, and the factors' solves (about sum d^3 integer
-    operations) within the n^2 cells of A.
+    A^-1[C, R] is the product of one gather from each half, and the core
+    is I + A^-1[C, R] (-z[R, C]).  The split puts the fewest cells in L
+    and M together, about n each when the orders balance.  The route
+    needs every factor of full rank, |C| * |R| within the cell cap, and
+    the factors' solves (about sum d^3 integer operations) within the n^2
+    cells of A.  Each distinct factor is ranked and solved once.
     """
     n, dims = spec.n, spec.dims
     if sum(d ** 3 for d in dims) > n * n:
@@ -1200,30 +1283,35 @@ def _rank_of_difference(spec, z):
     rsel, csel = _occupied(ri, n), _occupied(ci, n)
     if len(rsel) * len(csel) > DENSE_CELL_CAP:
         return None
-    if any(m.exact_rank() < m.rows for m in spec.factors):
+    distinct, which = [], []  # which[i]: the index of factor i in distinct
+    for m in spec.factors:
+        j = next((j for j, d in enumerate(distinct) if d is m or d == m), len(distinct))
+        if j == len(distinct):
+            distinct.append(m)
+        which.append(j)
+    if any(m.exact_rank() < m.rows for m in distinct):
         return None
     if len(csel) == 0:
         return n
     f = spec.field
     inv = []
-    for m in spec.factors:
+    for m in distinct:
         x, _ = solve_linear(f, m.num_dense(), np.diag([m.den] * m.rows))
         inv.append(ExactMatrix.from_dense(f, x))
+    inv = [inv[j] for j in which]
     h = min(range(1, len(dims)),
             key=lambda i: math.prod(dims[:i]) ** 2 + math.prod(dims[i:]) ** 2)
     left, right = kron_list(inv[:h]), kron_list(inv[h:])
     n2 = right.rows
-    acc = left.num_dense()[np.ix_(csel // n2, rsel // n2)]
-    part = right.num_dense()[np.ix_(csel % n2, rsel % n2)]
-    acc, part = _lift(_product_bound(f, acc, part, 1), acc, part)
-    acc = acc * part
+    a, b = _product_operands(f, left.num_dense(), right.num_dense())
+    acc = a[csel // n2][:, rsel // n2] * b[csel % n2][:, rsel % n2]
     if isinstance(f, PrimeField):
-        acc %= f.p
-    den = left.den * right.den
-    inv_cr = ExactMatrix(f, len(csel), len(rsel), dense=acc, den=den)
+        acc = _reduce(acc, f.p)
+    inv_cr = ExactMatrix(f, len(csel), len(rsel), dense=acc, den=left.den * right.den)
     z_rc = ExactMatrix(f, len(rsel), len(csel), den=z.den, coo=(
         np.searchsorted(rsel, ri), np.searchsorted(csel, ci), vals))
-    core = ExactMatrix.identity(f, len(csel)) - inv_cr @ z_rc
+    # -z[R, C] is negated, not the dense product
+    core = ExactMatrix.identity(f, len(csel)) + inv_cr @ -z_rc
     return n - len(csel) + core.exact_rank()
 
 

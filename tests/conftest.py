@@ -10,6 +10,8 @@ the same code as the test process.
 
 `fp_walsh_cert` is the certificate of the fp_walsh benchmark workload's
 full instance (n = 1024), built once for the tests that need its shape.
+`reference_basis_rows` is a plain-Python elimination to check the rank
+kernel against.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import io
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kronrig
@@ -45,3 +48,41 @@ def fp_walsh_cert(tmp_path_factory):
         assert cli.main(decompose) == 0
     assert decompose[-2] == "--out"
     return decompose[-1], decompose, verify
+
+
+def _reference_basis_rows(a, p):
+    """The kernel's contract in plain Python: the pivot of each column is
+    its first nonzero at or below the pivots found so far, brought up by a
+    whole-row swap (the rule of oracle._rank_mod_tiny), and the row
+    indices ride along.  A tall or square a gives the rows that end in the
+    first rank places, sorted; a wide a is eliminated as its transpose and
+    gives its pivot columns."""
+    m, n = np.shape(a)
+    rows = [[int(x) % p for x in r] for r in np.asarray(a).tolist()]
+    if m < n:
+        rows = [list(c) for c in zip(*rows)] if m else [[] for _ in range(n)]
+    labels = list(range(len(rows)))
+    pivots = []
+    for c in range(min(m, n)):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i], labels[r], labels[i] = rows[i], rows[r], labels[i], labels[r]
+        top = rows[r]
+        inv = pow(top[c], p - 2, p)
+        for j in range(r + 1, len(rows)):
+            f = rows[j][c] * inv % p
+            if f:
+                rows[j][c:] = [(x - f * y) % p for x, y in zip(rows[j][c:], top[c:])]
+        pivots.append(c)
+    return sorted(labels[:len(pivots)]) if m >= n else pivots
+
+
+@pytest.fixture(scope="session")
+def reference_basis_rows():
+    """_reference_basis_rows(a, p): what matrix._basis_rows_mod_p(a, p)
+    must return."""
+    return _reference_basis_rows

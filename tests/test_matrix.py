@@ -358,7 +358,7 @@ def test_rank_kernel_known_ranks_fp(p, shapes):
 
 
 def test_rank_kernel_brute_force_recursing_sizes():
-    # more columns than one leaf of the kernel, few enough to enumerate
+    # the largest sizes the brute-force oracle can enumerate
     rng = np.random.default_rng(53)
     for f, p, shape in [(F2, 2, (14, 11)), (F2, 2, (11, 14)), (F3, 3, (10, 9))]:
         for _ in range(3):
@@ -370,6 +370,152 @@ def test_rank_kernel_brute_force_recursing_sizes():
             cols = [list(c) for c in zip(*rows)]
             want = brute_rank_mod_p(rows if shape[1] <= shape[0] else cols, p)
             assert ExactMatrix.from_dense(f, rows).exact_rank() == want
+
+
+# ----------------------------------------------------------------------
+# the elimination kernel against the reference elimination
+# (`reference_basis_rows` in conftest.py)
+
+
+def _deficient(rng, p, shape, rank):
+    """A `shape` array of rank at most `rank` mod p (Python ints for
+    p >= 2**31, as dense storage holds them), with a zero row, a zero
+    column and a repeated row where the shape has room for them, so that
+    pivots skip rows and columns and rows swap."""
+    m, n = shape
+    x = rng.integers(0, p, size=(m, rank)).astype(object)
+    y = rng.integers(0, p, size=(rank, n)).astype(object)
+    a = x.dot(y) % p if rank else np.zeros(shape, dtype=object)
+    if m > 3 and n > 3:
+        a[int(rng.integers(m))] = 0
+        a[:, int(rng.integers(n))] = 0
+        a[m - 1] = a[0]
+    return a if p >= 1 << 31 else a.astype(np.int64)
+
+
+# the primes on each side of every switch of the kernel's dtype: p(p - 1)
+# around 2**22 (float32), 2**50 (float64, p around _FLOAT_P = 2**25) and
+# 2**63 (int64), and around 2**31, where storage turns to Python ints
+DTYPE_SWITCH_PRIMES = [
+    (2039, np.float32), (2053, np.float64),
+    (33554393, np.float64), (33554467, np.int64),
+    (2147483647, np.int64), (2147483659, np.int64),
+    (3037000493, np.int64), (3037000507, object),
+]
+
+
+@pytest.mark.parametrize("p,dtype", DTYPE_SWITCH_PRIMES)
+def test_kernel_matches_reference_at_dtype_switches(p, dtype, reference_basis_rows):
+    assert matrix._elimination_dtype(p)[0] is dtype
+    rng = np.random.default_rng(p % 1009)
+    b = matrix._PANEL
+    for shape, rank in [((b + 30, b + 8), b + 2), ((b + 8, b + 30), b + 2),
+                        ((b + 9, b + 9), b + 9), ((5, 80), 5), ((80, 5), 3)]:
+        a = _deficient(rng, p, shape, rank)
+        want = reference_basis_rows(a, p)
+        assert matrix._basis_rows_mod_p(a, p) == want, (p, shape)
+        m = ExactMatrix.from_dense(PrimeField(p), a.tolist())
+        assert m.exact_rank() == len(want)
+
+
+@pytest.mark.parametrize("p", [2, 5, 251, 2039, 65521])
+@pytest.mark.parametrize("offset", [-1, 0, 1, matrix._PANEL + 1])
+def test_kernel_matches_reference_around_the_panel_width(p, offset, reference_basis_rows):
+    """b - 1, b, b + 1 and 2b + 1 columns eliminated, b = _PANEL: a
+    panel short of full, one full panel, one full and a second of one
+    column, two and one; tall, wide and square, of full and lower rank."""
+    width = matrix._PANEL + offset
+    rng = np.random.default_rng(width * p)
+    for shape in [(width + 7, width), (width, width + 7), (width, width)]:
+        for rank in (width, width - 3, 1):
+            a = _deficient(rng, p, shape, rank)
+            assert matrix._basis_rows_mod_p(a, p) == reference_basis_rows(a, p)
+
+
+def test_kernel_zero_and_degenerate_shapes(reference_basis_rows):
+    rng = np.random.default_rng(67)
+    for p in [2, 5, 65521, 2147483659, (1 << 61) - 1]:
+        for shape in [(0, 0), (0, 7), (7, 0), (1, 1), (1, 9), (9, 1), (6, 6), (40, 50)]:
+            zero = np.zeros(shape, dtype=np.int64)
+            assert matrix._basis_rows_mod_p(zero, p) == []
+            a = _deficient(rng, p, shape, min(shape))
+            assert matrix._basis_rows_mod_p(a, p) == reference_basis_rows(a, p)
+        # zero columns ahead of and between the pivots; a wide matrix whose
+        # first rows vanish
+        a = _deficient(rng, p, (50, 45), 20)
+        a[:, :10] = 0
+        a[:, 20:30] = 0
+        assert matrix._basis_rows_mod_p(a, p) == reference_basis_rows(a, p)
+        a = _deficient(rng, p, (45, 50), 20)
+        a[:12] = 0
+        assert matrix._basis_rows_mod_p(a, p) == reference_basis_rows(a, p)
+
+
+def _limits_at(monkeypatch, limit):
+    """The kernel's float32 limit set to `limit`."""
+    monkeypatch.setattr(matrix, "_ELIMINATION_LIMITS",
+                        ((np.float32, limit),) + matrix._ELIMINATION_LIMITS[1:])
+
+
+def test_delayed_reduction_flushes_exactly_at_the_limit(monkeypatch, reference_basis_rows):
+    """With the float32 limit at 4 + 3 * 16 over F_5 (a residue and three
+    products of residues) a bound that reaches the limit takes no flush
+    and the next update does: one below it the kernel flushes more often.
+    Every array reduced holds values within the limit, and the basis
+    rows are the reference's in both."""
+    p = 5
+    rng = np.random.default_rng(71)
+    b = matrix._PANEL
+    cases = [_deficient(rng, p, shape, rank) for shape, rank in
+             [((2 * b + 5, 2 * b + 3), 2 * b), ((b + 3, 3 * b), b + 3), ((80, 80), 80)]]
+    wants = [reference_basis_rows(a, p) for a in cases]
+    real = matrix._reduce
+    calls = {}
+    for limit in (4 + 3 * 16, 4 + 3 * 16 - 1, 4 + 16):
+        _limits_at(monkeypatch, limit)
+        assert matrix._elimination_dtype(p) == (np.float32, limit)
+        seen = []
+
+        def spy(x, q):
+            if x.dtype == np.float32:
+                assert x.size == 0 or x.max() <= limit
+                seen.append(x.size)
+            return real(x, q)
+        monkeypatch.setattr(matrix, "_reduce", spy)
+        for a, want in zip(cases, wants):
+            assert matrix._basis_rows_mod_p(a, p) == want
+        calls[limit] = len(seen)
+    assert calls[4 + 16] > calls[4 + 3 * 16 - 1] > calls[4 + 3 * 16]
+    # below p(p - 1) = 20 float32 cannot hold one update: float64 takes over
+    _limits_at(monkeypatch, 19)
+    assert matrix._elimination_dtype(p)[0] is np.float64
+
+
+def test_rank_q_multimodular_basis_rows_are_the_reference_mod_each_prime(
+        monkeypatch, reference_basis_rows):
+    """Over Q every prime's basis rows are the reference elimination's of
+    the numerators (divided by their row content) mod that prime, and the
+    rows returned are those of the first prime that reaches the rank."""
+    rng = np.random.default_rng(73)
+    cases = []
+    for shape, rank in [((12, 9), 5), ((9, 30), 9), ((40, 35), 34)]:
+        x = rng.integers(-2**20, 2**20, size=(shape[0], rank))
+        y = rng.integers(-2**10, 2**10, size=(rank, shape[1]))
+        cases.append((x.astype(object).dot(y.astype(object)), rank))
+    # 131071, the first prime tried, divides the only 2x2 minor
+    cases.append((np.array([[1, 0], [0, 131071]], dtype=object), 2))
+    cases.append((np.array([[1, 1], [1, 131072], [2, 2]], dtype=object), 2))
+    real = matrix._basis_rows_mod_p
+    for nums, rank in cases:
+        seen = []
+        monkeypatch.setattr(matrix, "_basis_rows_mod_p",
+                            lambda a, q: seen.append((a, q, real(a, q))) or seen[-1][2])
+        m = ExactMatrix.from_num_dense(QQ, nums)
+        rows = matrix._basis_rows(QQ, m.num_dense())
+        assert len(rows) == rank == m.exact_rank()
+        for a, q, got in seen:
+            assert got == reference_basis_rows(a, q)
+        assert rows == next(got for _, _, got in seen if len(got) == rank)
 
 
 def test_rank_q_multimodular_against_sympy(monkeypatch):

@@ -8,6 +8,7 @@ cover keeps the dense route and its output bytes.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,3 +307,80 @@ def test_corrupted_and_target_file_verifies_keep_the_dense_route(
     assert cli.main(["verify", "--cert", "c.cert", "--target", "a.mat"]) == 0
     assert _sha(capsys.readouterr().out) == DENSE_ROUTE_SHA256["target_verify"]
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the route's factors, the fp_walsh core and the float32 reduction
+
+def test_route_ranks_and_inverts_each_distinct_factor_once(monkeypatch):
+    """Factors that repeat, as one object or as equal matrices, are ranked
+    and solved once each; the rank is unchanged."""
+    rng = np.random.default_rng(79)
+    for f in [PrimeField(5), QQ]:
+        w = ExactMatrix.from_dense(f, [[1, 1], [1, -1]])
+        a = random_invertible(f, 3, rng)
+        spec = KroneckerSpec([w, a, ExactMatrix.from_dense(f, [[1, 1], [1, -1]]), w, a])
+        n = spec.n
+        z = ExactMatrix.from_triplets(f, n, n, [(int(i), int(j), f.one) for i, j in
+                                                 rng.integers(0, n, size=(9, 2))])
+        want = (spec.materialize() - z).exact_rank()
+        ranked, solved = [], []
+        real_rank, real_solve = ExactMatrix.exact_rank, matrix.solve_linear
+        monkeypatch.setattr(ExactMatrix, "exact_rank",
+                            lambda m: ranked.append(m.shape) or real_rank(m))
+        monkeypatch.setattr(matrix, "solve_linear",
+                            lambda *args: solved.append(len(args[1])) or real_solve(*args))
+        assert matrix._rank_of_difference(spec, z) == want
+        monkeypatch.undo()
+        assert ranked[:2] == [(2, 2), (3, 3)] and len(ranked) == 3  # and the core
+        assert sorted(solved) == [2, 3]
+
+
+def test_fp_walsh_route_core_is_pinned(fp_walsh_cert, monkeypatch, capsys,
+                                       reference_basis_rows):
+    """The route core of the fp_walsh benchmark's instance of seed 1
+    (--walsh 8 and two random 2x2 factors over F_5, n = 1024): Z has 252
+    nonzero columns, so the core is 252 x 252; its rank is 201, so
+    rank(U·V) = 1024 - 252 + 201 = 973; its basis rows are the reference
+    elimination's.  The only other ranks are those of the three distinct
+    factors, and every float32 array the kernel reduces stays within
+    its limit."""
+    ranked = []
+    real_rows, real_reduce = matrix._basis_rows, matrix._reduce
+    limit = dict(matrix._ELIMINATION_LIMITS)[np.float32]
+
+    def rows_spy(field, arr):
+        ranked.append((arr, real_rows(field, arr)))
+        return ranked[-1][1]
+
+    def reduce_spy(x, p):
+        assert x.dtype != np.float32 or x.size == 0 or x.max() <= limit
+        return real_reduce(x, p)
+    monkeypatch.setattr(matrix, "_basis_rows", rows_spy)
+    monkeypatch.setattr(matrix, "_reduce", reduce_spy)
+    assert cli.main(fp_walsh_cert[2]) == 0
+    assert "rank_actual: 973\n" in capsys.readouterr().out
+    assert sorted(arr.shape for arr, _ in ranked) == [(2, 2)] * 3 + [(252, 252)]
+    core, basis = ranked[-1]
+    assert core.shape == (252, 252) and len(basis) == 201
+    assert basis == reference_basis_rows(core, 5)
+
+
+def test_float32_reduction_is_exact_up_to_its_limit():
+    """_reduce takes a float32 x to x - p*floor(x * pinv), pinv the
+    nearest float32 at or above 1/p.  The quotient is never too small,
+    and it stays below the next integer while x < 2**23 / 1.5: the
+    kernel's float32 limit, 2**22, is within that for every prime of the
+    float32 kernel (p(p - 1) <= 2**22, so p <= 2039).  floor(x * pinv)
+    does not decrease as x grows, so exact results at both ends of every
+    quotient, up to the limit, make every x in between exact."""
+    limit = dict(matrix._ELIMINATION_LIMITS)[np.float32]
+    assert limit == 1 << 22
+    assert matrix._elimination_dtype(2039)[0] is np.float32
+    assert matrix._elimination_dtype(2053)[0] is np.float64
+    for p in (q for q in range(2, 2040) if all(q % d for d in range(2, math.isqrt(q) + 1))):
+        starts = np.arange(0, limit + 1, p, dtype=np.int64)
+        x = np.concatenate([starts, np.minimum(starts + p - 1, limit), [limit]])
+        got = matrix._reduce(x.astype(np.float32), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.astype(np.int64), x % p), p
