@@ -25,16 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import PrimeField
 from .matrix import (
     ExactMatrix,
     KRON_ORDER_CAP,
     KroneckerSpec,
     MonomialMatrix,
     SizeCapError,
-    _BLOCK_CELLS,
-    _bound,
-    _lift,
+    exact_dtype,
+    first_mismatch,
     hstack,
     kron_list,
     rank_of_product,
@@ -259,7 +257,7 @@ def split_g_kron(field, vectors, offset, weights=None):
     # then a unit row per high-score column.  Over Q a unit is den/den.
     r_cnt, c_cnt = len(row_idx), len(col_idx)
     inner = r_cnt + c_cnt
-    ones = np.full(inner, acc.den, dtype=np.int64 if acc.den < 1 << 63 else object)
+    ones = np.full(inner, acc.den, dtype=exact_dtype(acc.den, (np.int64,)))
     um = in_high_col & ~in_low_row
     u = ExactMatrix.from_num_coo(
         field, n, inner,
@@ -380,57 +378,13 @@ def subset_expand_combine(certs, matrices, eps):
 # verification
 
 
-def _first_mismatch(uv, z, target):
-    """The row-major first (i, j) with (uv + z)[i, j] != target[i, j], or
-    None if there is none.
-
-    With uv and target dense, D = uv - target + z is formed a block of
-    rows at a time (_BLOCK_CELLS cells), and the scan stops at the first
-    block that holds a mismatch.  Over F_p D is formed in the stored
-    dtype: there uv - target wraps when it is unsigned, but is zero
-    exactly where the residues are equal, and the entries of D that hold
-    an entry of z are formed apart, lifted, and reduced mod p.  Over Q D
-    is formed over the common denominator, lifted to Python ints as
-    `__add__` lifts its sum.  With either stored sparse the sparse sum
-    runs, as `__add__` would run it.
-    """
-    if not (uv.is_dense and target.is_dense):
-        ri, ci, _ = (uv + z - target).num_triplets()
-        return (int(ri[0]), int(ci[0])) if len(ri) else None
-    f = uv.field
-    a, b = uv.num_dense(), target.num_dense()
-    zr, zc, zv = z.num_triplets()
-    if not isinstance(f, PrimeField):
-        den = math.lcm(uv.den, target.den, z.den)
-        sa, sb, sz = den // uv.den, den // target.den, den // z.den
-        bound = (max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
-                 + max(_bound(zv), 1) * sz)
-    step = max(1, _BLOCK_CELLS // max(uv.cols, 1))
-    for lo in range(0, uv.rows, step):
-        k0, k1 = np.searchsorted(zr, (lo, lo + step))
-        at = (zr[k0:k1] - lo, zc[k0:k1])
-        x, y = a[lo:lo + step], b[lo:lo + step]
-        if isinstance(f, PrimeField):
-            d = x - y
-            xz, yz, w = _lift(2 * f.p, x[at], y[at], zv[k0:k1])
-            d[at] = (xz - yz + w) % f.p
-        else:
-            x, y, w = _lift(bound, x, y, zv[k0:k1])
-            d = x - y if sa == sb == 1 else x * sa - y * sb
-            d[at] += w * sz
-        if d.any():
-            i = int(np.flatnonzero(d)[0])
-            return lo + i // uv.cols, i % uv.cols
-    return None
-
-
 def verify_cert(cert, target):
     """Recompute everything and report; claim failures are reported, not raised.
 
     `target` is a matrix or a KroneckerSpec, materialized here once, in
     the storage its fill calls for.  The reconstruction U @ V + Z = target
     is checked entry by entry; with U @ V and the target dense, a block
-    of rows at a time (`_first_mismatch`).  The rank of U @ V is exact:
+    of rows at a time (`first_mismatch`).  The rank of U @ V is exact:
     once that check holds and the target is a KroneckerSpec,
     `rank_of_product` may take it from the nonzero rows and columns of Z
     and the factors' inverses; otherwise from U @ V itself.
@@ -443,7 +397,7 @@ def verify_cert(cert, target):
     if target.field != cert.field:
         raise ValueError("field mismatch between certificate and target")
     uv = cert.e_matrix()
-    mismatch = _first_mismatch(uv, cert.z, target)
+    mismatch = first_mismatch(uv, cert.z, target)
     recon_ok = mismatch is None
     rank_actual = rank_of_product(
         cert.u, cert.v, uv,

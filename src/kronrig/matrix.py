@@ -1,29 +1,33 @@
 """Exact matrices over F_p / Q with dense and sparse-triplet storage.
 
-Over F_p the stored values are residues.  A dense array stores them in
-the narrowest dtype that holds p - 1 (_store_dtype): uint8 for
-p <= 2**8, uint16 for p <= 2**16, int64 below 2**31 and Python ints in
-object arrays beyond.  Triplets, `to_dense()` and indexing give them in
-`field.dtype` (int64 below 2**31, Python ints beyond) whatever the
-storage, and arithmetic widens narrow arrays before any value can pass
-their range: a sum to the narrowest unsigned dtype that holds 2(p - 1),
-a Kronecker product to int16 or uint32, the rest to int64 (_lift).
-Over Q a matrix is stored as integer numerators over one positive
-common denominator `den`, as FLINT's fmpq_mat does: the numerators are
-int64 when they all fit and Python ints otherwise, and the form is
-canonical (`den` is 1 for the zero matrix, else gcd(den, numerators) =
-1).  Dense storage is a numpy
+Over F_p the stored values are residues; over Q a matrix is stored as
+integer numerators over one positive common denominator `den`, as
+FLINT's fmpq_mat does, in canonical form (`den` is 1 for the zero
+matrix, else gcd(den, numerators) = 1).  Dense storage is a numpy
 array; sparse storage is a canonical COO triple: row-major sorted,
-duplicate-free, no explicit zeros.  All arithmetic is exact.  Fast
-paths (float64 BLAS, int16, float32, float64 and int64 numpy and scipy
-kernels) are engaged only when a bound on the result proves it fits the
-intermediate type; the Python-int route takes over beyond.  Products
-with a sparse operand of at most _SMALL_CELLS cells, and products of two
-sparse operands with at most _EXPAND_MADDS multiply-adds, run in numpy
-alone; scipy.sparse serves the rest and is imported on the first of
-them, so a run on a small instance never pays its import.
-`triplets()`, `to_dense()` and indexing give Q values as `Fraction`s,
-built on demand.
+duplicate-free, no explicit zeros.  All arithmetic is exact.
+
+Every array is in the first dtype its site accepts that holds a bound
+on its values (exact_dtype, from the one table _EXACT), else in Python
+ints:
+
+    site                      accepts, in table order        bound
+    F_p storage               uint8, uint16, field.dtype     p - 1
+    F_p dense sum             uint8, uint16, uint32          2(p - 1)
+    entrywise product         int16, uint32, int64 (Q int64) B
+    dense product             float64, int64                 p(p - 1); Q B inner
+    product, sparse operand   int16, float32, float64, int64 B inner
+    sparse x sparse expansion float64 (dense result), int64  B inner
+    elimination mod p         float32, float64, int64        p(p - 1)
+    other (_lift)             int64                          the caller's
+
+B is (p - 1)**2 over F_p and max|a| * max|b| over Q.  Products run in
+one kernel, _matmul, except that sparse x sparse products of at most
+_EXPAND_MADDS multiply-adds run in _expand_matmul and some others in
+scipy's sparse product; scipy.sparse is imported on first use, so a
+small instance never pays its import.  Triplets, `to_dense()` and
+indexing give F_p values in `field.dtype` whatever the storage, and Q
+values as `Fraction`s, built on demand.
 """
 
 import functools
@@ -45,14 +49,8 @@ _INT64_MAX = (1 << 63) - 1
 # times its inner dimension is at most this: scipy's set-up (0.1-0.2 ms a
 # product) costs more than the dense product up to about 2**13 cells
 _SMALL_CELLS = 1 << 13
-# float64 holds every integer of magnitude up to 2**53; the kernels stop
-# at _FLOAT_LIMIT, which leaves _reduce its margin
-_FLOAT_LIMIT = 1 << 50
-# (dtype, largest bound whose sums it holds exactly) for _kernel_dtype
-_KERNEL_LIMITS = ((np.int16, (1 << 15) - 1), (np.float32, 1 << 24),
-                  (np.float64, _FLOAT_LIMIT), (np.int64, _INT64_MAX))
-# result cells _blocked_matmul forms at a time: 256 rows of 1024, whose
-# float32 block and int64 rows stay in cache
+# result cells _matmul forms at a time: 256 rows of 1024, whose float32
+# block and int64 rows stay in cache
 _BLOCK_CELLS = 1 << 18
 # int16 blocks are larger: 2**20 cells, a 2 MiB block and as much for its
 # reduction.  Scipy's row slicing is a fixed cost a block: the fp_walsh
@@ -60,7 +58,7 @@ _BLOCK_CELLS = 1 << 18
 # and a 4096 x 2000 x 4096 F_5 product 3-4% less at each doubling from
 # 2**17 to 2**21 (medians, 2-core x86-64 VM)
 _INT16_BLOCK_CELLS = 1 << 20
-# _densify's costs, in multiply-adds of _blocked_matmul's float32 kernel:
+# _densify's costs, in multiply-adds of _matmul's float32 kernel:
 # a result cell (its reduction, with the scatter and scan that come with
 # a densified operand) costs about 16, and a multiply-add of scipy's
 # sparse product, with the building of its result, about 32.  Fitted on
@@ -87,6 +85,101 @@ class SizeCapError(ValueError):
     """Requested materialization exceeds the configured size caps."""
 
 
+# ----------------------------------------------------------------------
+# exact dtypes and reduction mod p
+
+# _reduce's margin: its floor-multiply reduces a float array exactly
+# while every value is at most this (see _reduce), short of the 2**24
+# and 2**53 that float32 and float64 hold
+_REDUCE_MARGIN = {np.float32: 1 << 22, np.float64: 1 << 50}
+# The one table: each dtype exact arithmetic runs in, narrowest first,
+# with the largest integer it holds exactly along with every integer of
+# smaller magnitude (unsigned ones hold nonnegative values only).
+# float64 is used only up to _reduce's margin, so that a float64 sum can
+# always be reduced mod p.
+_EXACT = {np.uint8: (1 << 8) - 1, np.int16: (1 << 15) - 1,
+          np.uint16: (1 << 16) - 1, np.float32: 1 << 24,
+          np.uint32: (1 << 32) - 1, np.float64: _REDUCE_MARGIN[np.float64],
+          np.int64: _INT64_MAX}
+
+
+def exact_dtype(bound, accepts, *arrays, p=None):
+    """The first dtype of `accepts`, given in the order of _EXACT, that
+    holds every integer of magnitude at most `bound`; object (Python
+    ints) beyond them all, or where one of `arrays` holds Python ints
+    already.
+
+    With a prime `p` the dtype must also hold a residue plus the product
+    of two, p(p - 1), within _reduce's margin: the sums of a _matmul
+    reduced mod p then stay within it, its inner dimension cut where
+    the bound passes it.
+    """
+    for x in arrays:
+        if x.dtype == object:
+            return object
+    for dtype in accepts:
+        limit = _EXACT.get(dtype)
+        if limit is not None and bound <= limit and (
+                p is None or p * (p - 1) <= _reduce_limit(dtype)):
+            return dtype
+    return object
+
+
+def _reduce_limit(dtype):
+    """The largest value _reduce takes exactly in `dtype`, a numpy scalar
+    type, or None for Python ints."""
+    return _REDUCE_MARGIN.get(dtype, _EXACT.get(dtype))
+
+
+# _reduce takes float arrays of at most this many values by np.remainder:
+# against the floor-multiply, medians of interleaved runs (2-core x86-64
+# VM) took the ranks of 2x2 and 4x4 F_5 matrices 0.040 -> 0.028 and
+# 0.086 -> 0.061 ms, the fp_walsh core 9.35 -> 8.92 ms and a 96^2 matrix
+# mod 131071 4.19 -> 3.32 ms; 32 and 128 gave about the same
+_SMALL_REDUCE = 64
+
+
+@functools.lru_cache(maxsize=64)
+def _inverse_up(p, dtype):
+    """The nearest float of `dtype` at or above 1/p."""
+    x = dtype(1 / p)
+    if Fraction(float(x)) * p < 1:
+        x = np.nextafter(x, dtype(1))
+    return x
+
+
+def _reduce(x, p):
+    """x mod p for a nonnegative kernel array, in its dtype, in place;
+    returns x.
+
+    A float x is reduced as x - p*floor(x * pinv), pinv the nearest float
+    at or above 1/p.  The quotient is never too small, and x * pinv errs
+    by less than 1.5 * 2**-m relative (m = 23 for float32, 52 for
+    float64), which keeps it below the next integer while x < 2**m / 1.5:
+    so the reduction is exact for x up to _REDUCE_MARGIN (tests check
+    every quotient of every float32 prime at both ends).  Those are four
+    vectorized passes; a float x of at most _SMALL_REDUCE values takes
+    numpy's remainder instead, one call, exact for any float (it is fmod)
+    but not vectorized.  Integers narrower than int64 are reduced as
+    x - (x // p) * p: numpy vectorizes their floor division by a scalar,
+    not their remainder (int16: 0.8 against 3.9 ms a million cells;
+    int32 a quarter-million: 0.33 against 0.81 ms, 2-core x86-64 VM);
+    int64 and Python ints take the remainder.
+    """
+    if x.dtype.kind == "f":
+        if x.size <= _SMALL_REDUCE:
+            return np.remainder(x, p, out=x)
+        q = x * _inverse_up(p, x.dtype.type)
+        np.floor(q, out=q)
+    elif x.dtype == object or x.itemsize == 8:
+        return np.remainder(x, p, out=x)
+    else:
+        q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _prefers_dense(rows, cols, nnz):
     """Whether a rows x cols matrix with nnz nonzeros is stored dense."""
     cells = rows * cols
@@ -99,12 +192,11 @@ def _empty_vals(field):
 
 def _store_dtype(field, vals=None):
     """The dtype of a dense array of stored values.  Over F_p it is the
-    narrowest that holds p - 1: uint8 for p <= 2**8, uint16 for p <= 2**16,
-    else field.dtype.  Over Q it is int64, or Python ints where `vals`,
-    the numerators to be stored, are."""
+    first of uint8, uint16 and field.dtype that holds p - 1.  Over Q it
+    is int64, or Python ints where `vals`, the numerators to be stored,
+    are."""
     if isinstance(field, PrimeField):
-        p = field.p
-        return np.uint8 if p <= 1 << 8 else np.uint16 if p <= 1 << 16 else field.dtype
+        return exact_dtype(field.p - 1, (np.uint8, np.uint16, field.dtype))
     return object if vals is not None and vals.dtype == object else np.int64
 
 
@@ -118,7 +210,7 @@ def _bound(a):
 def _fit(a):
     """An integer array as int64 when every value fits, else as Python ints."""
     if a.dtype == object:
-        return a.astype(np.int64) if _bound(a) <= _INT64_MAX else a
+        return a.astype(exact_dtype(_bound(a), (np.int64,)), copy=False)
     return a
 
 
@@ -128,21 +220,18 @@ def _lift(bound, *arrays):
     int64.  Narrow arrays (dense F_p storage) are widened: a sum or a
     product of their residues may pass their range, and a difference is
     negative."""
-    if bound <= _INT64_MAX and all(x.dtype != object for x in arrays):
-        return tuple(x.astype(np.int64, copy=False) for x in arrays)
-    return tuple(x.astype(object, copy=False) for x in arrays)
+    dtype = exact_dtype(bound, (np.int64,), *arrays)
+    return tuple(x.astype(dtype, copy=False) for x in arrays)
 
 
 def _product_operands(f, a, b):
     """a and b in the dtype that their entrywise products are formed in:
-    over F_p int16, or else uint32, where (p - 1)**2 fits, so that the
-    residue products are reduced there (_reduce); else as _lift gives
-    them for the products' bound."""
-    bound = _product_bound(f, a, b, 1)
-    if isinstance(f, PrimeField) and bound < 1 << 32:
-        narrow = np.int16 if bound < 1 << 15 else np.uint32
-        return a.astype(narrow), b.astype(narrow)
-    return _lift(bound, a, b)
+    over F_p the first of int16, uint32 and int64 that holds (p - 1)**2,
+    so that the residue products are reduced there (_reduce); else as
+    _lift gives them for the products' bound."""
+    accepts = (np.int16, np.uint32, np.int64) if isinstance(f, PrimeField) else (np.int64,)
+    dtype = exact_dtype(_product_bound(f, a, b, 1), accepts, a, b)
+    return a.astype(dtype, copy=False), b.astype(dtype, copy=False)
 
 
 def _times(a, k):
@@ -202,11 +291,9 @@ def over_common_den(nums, dens):
     den = math.lcm(*s[:1].tolist(), *s[1:][s[1:] != s[:-1]].tolist())
     if den == 1:
         return nums, 1
-    if den <= _INT64_MAX:
-        scale = den // dens
-        if _bound(nums) * _bound(scale) <= _INT64_MAX:
-            return nums * scale, den
-    return nums.astype(object) * (den // dens.astype(object)), den
+    scale = den // dens.astype(exact_dtype(den, (np.int64,), dens), copy=False)
+    nums, scale = _lift(_bound(nums) * _bound(scale), nums, scale)
+    return nums * scale, den
 
 
 def _freeze(*arrays):
@@ -383,10 +470,11 @@ class ExactMatrix:
             _freeze(self._dense)
         return self._dense
 
-    def _scatter(self):
-        """A new dense array of the stored values, from the triplets."""
+    def _scatter(self, dtype=None):
+        """A new dense array of the stored values, from the triplets, in
+        `dtype` (_store_dtype by default)."""
         ri, ci, vals = self._coo
-        arr = np.zeros((self.rows, self.cols), dtype=_store_dtype(self.field, vals))
+        arr = np.zeros((self.rows, self.cols), dtype=dtype or _store_dtype(self.field, vals))
         arr[ri, ci] = vals
         return arr
 
@@ -541,7 +629,8 @@ class ExactMatrix:
             if a.dtype.kind == b.dtype.kind == "u":
                 # residues in uint8/uint16: summed in the narrowest
                 # unsigned dtype that holds 2(p - 1)
-                total = a.astype(np.min_scalar_type(2 * (f.p - 1)))
+                total = a.astype(exact_dtype(2 * (f.p - 1),
+                                             (np.uint8, np.uint16, np.uint32)))
                 total += b
                 np.subtract(total, f.p, out=total, where=total >= f.p)
             elif isinstance(f, PrimeField):
@@ -596,11 +685,7 @@ class ExactMatrix:
         f = self.field
         if self.cols == 0:
             return ExactMatrix.zeros(f, self.rows, other.cols)
-        den = self.den * other.den
-        if self.is_dense and other.is_dense:
-            return self._like(self.rows, other.cols, den=den,
-                              dense=_dense_matmul(f, self._dense, other._dense))
-        return _sparse_matmul(self, other, den)
+        return _product(self, other, self.den * other.den)
 
     def kron(self, other):
         self._check_field(other)
@@ -688,10 +773,8 @@ class ExactMatrix:
 # ----------------------------------------------------------------------
 # products
 #
-# Over Q the kernels multiply numerators and the denominators multiply.
-# Each integer product runs in int16, float32, float64 or int64 only when a
-# bound on its sums (max|a| * max|b| * inner, (p-1)**2 * inner over F_p)
-# proves them exact in that type; Python ints carry everything beyond.
+# Over Q the kernels multiply numerators and the denominators multiply;
+# each product's dtype follows the module docstring's table.
 
 
 def _product_bound(field, a, b, inner):
@@ -702,70 +785,97 @@ def _product_bound(field, a, b, inner):
     return _bound(a) * _bound(b) * inner
 
 
-def _dense_matmul(field, a, b):
-    """a @ b for dense stored values.  Over Q it runs in float64 BLAS when
-    max|a| * max|b| * inner <= _FLOAT_LIMIT, so every partial sum is an
-    integer float64 holds; over F_p with p < _FLOAT_P, _matmul_mod cuts
-    the inner dimension so that no sum passes _FLOAT_LIMIT."""
-    if isinstance(field, RationalField):
-        bound = _product_bound(field, a, b, a.shape[1])
-        if a.dtype != object and b.dtype != object and bound <= _FLOAT_LIMIT:
-            return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return np.dot(*_lift(bound, a, b))
-    p = field.p
-    if a.dtype == object or b.dtype == object or p >= _FLOAT_P:
-        return _matmul_mod(a, b, p)
-    return _matmul_mod(a.astype(np.float64), b.astype(np.float64), p).astype(
-        _store_dtype(field))
+def _product(a, b, den):
+    """a @ b, den the product's denominator.
 
-
-def _sparse_matmul(a, b, den):
-    """a @ b with at least one sparse operand.
-
-    A product of at most _SMALL_CELLS cells (max(rows, cols) times the
-    inner dimension) runs dense in numpy.  Above that, a product of two
-    sparse operands with at most _EXPAND_MADDS multiply-adds (_madds)
-    runs in _expand_matmul, and so does every Python-int product.  The
-    rest run in scipy: against a dense operand in _blocked_matmul when
-    one is dense, or when int16 or float32 is exact and _densify picks
-    one to densify (its costs were measured in float32, and int16 is
-    faster still); else as scipy's int64 sparse product (Gustavson's
-    algorithm).
+    Dense operands, and any product of at most _SMALL_CELLS cells
+    (max(rows, cols) times the inner dimension), run in _matmul on dense
+    arrays: in float64 BLAS where exact_dtype allows it (over F_p where
+    p(p - 1) is within _reduce's margin, the kernel cutting the inner
+    dimension), else in int64 or Python ints.  Above that, a product of
+    two sparse operands with at most _EXPAND_MADDS multiply-adds
+    (_madds) runs in _expand_matmul, and so does every Python-int
+    product.  The rest run in the first of int16, float32, float64 and
+    int64 that holds the product's bound: in _matmul against a dense
+    operand when one is dense, or when int16 or float32 is exact and
+    _densify picks one to densify (its costs were measured in float32,
+    and int16 is faster still); else as scipy's int64 sparse product
+    (Gustavson's algorithm).
     """
     f = a.field
-    if max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
-        return _product_of_array(a, b, den, _dense_matmul(
-            f, a._dense if a.is_dense else a._scatter(),
-            b._dense if b.is_dense else b._scatter()))
-    madds = None if a.is_dense or b.is_dense else _madds(a, b)
-    if madds is not None and madds <= _EXPAND_MADDS:
-        return _expand_matmul(a, b, den)
-    x = a._dense if a.is_dense else a._coo[2]
-    y = b._dense if b.is_dense else b._coo[2]
-    if len(x) == 0 or len(y) == 0:
-        return ExactMatrix.zeros(f, a.rows, b.cols)
-    dtype = _kernel_dtype(_product_bound(f, x, y, a.cols), x, y)
-    if dtype is None:
-        return _expand_matmul(a, b, den)
-    dense_a, dense_b = a.is_dense, b.is_dense
-    if not (dense_a or dense_b) and dtype in (np.int16, np.float32):
-        side = _densify(a, b, madds)
-        dense_a, dense_b = side == "a", side == "b"
-    if dense_a or dense_b:
-        return _product_of_array(a, b, den, _blocked_matmul(
-            f, _operand(a, dtype, dense_a), _operand(b, dtype, dense_b)))
-    cm = _operand(a, np.int64, False) @ _operand(b, np.int64, False)
-    if isinstance(f, PrimeField):
-        cm.data %= f.p
-    # scipy's product holds no duplicate entries
-    cm.eliminate_zeros()
-    if _prefers_dense(a.rows, b.cols, cm.nnz):
-        cm = cm.astype(_store_dtype(f, cm.data), copy=False)
-        return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
-    cm.sort_indices()
-    cm = cm.tocoo()
-    return a._like(a.rows, b.cols, den=den, coo=(
-        cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+    p = f.p if isinstance(f, PrimeField) else None
+    dense_a, dense_b = a._dense is not None, b._dense is not None
+    x = a._dense if dense_a else a._coo[2]
+    y = b._dense if dense_b else b._coo[2]
+    if (dense_a and dense_b) or max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
+        dtype = exact_dtype(_product_bound(f, x, y, 1 if p else a.cols),
+                            (np.float64, np.int64), x, y, p=p)
+        x = x.astype(dtype, copy=False) if dense_a else a._scatter(dtype)
+        y = y.astype(dtype, copy=False) if dense_b else b._scatter(dtype)
+    else:
+        madds = None if dense_a or dense_b else _madds(a, b)
+        if madds is not None and madds <= _EXPAND_MADDS:
+            return _expand_matmul(a, b, den)
+        if len(x) == 0 or len(y) == 0:
+            return ExactMatrix.zeros(f, a.rows, b.cols)
+        dtype = exact_dtype(_product_bound(f, x, y, a.cols),
+                            (np.int16, np.float32, np.float64, np.int64), x, y, p=p)
+        if dtype is object:
+            return _expand_matmul(a, b, den)
+        if not (dense_a or dense_b) and dtype in (np.int16, np.float32):
+            side = _densify(a, b, madds)
+            dense_a, dense_b = side == "a", side == "b"
+        if not (dense_a or dense_b):
+            cm = _operand(a, np.int64, False) @ _operand(b, np.int64, False)
+            if p:
+                cm.data %= p
+            # scipy's product holds no duplicate entries
+            cm.eliminate_zeros()
+            if _prefers_dense(a.rows, b.cols, cm.nnz):
+                cm = cm.astype(_store_dtype(f, cm.data), copy=False)
+                return a._like(a.rows, b.cols, dense=cm.toarray(), den=den)
+            cm.sort_indices()
+            cm = cm.tocoo()
+            return a._like(a.rows, b.cols, den=den, coo=(
+                cm.row.astype(np.int64), cm.col.astype(np.int64), cm.data))
+        x, y = _operand(a, dtype, dense_a), _operand(b, dtype, dense_b)
+    out = np.empty((a.rows, b.cols), dtype=_store_dtype(f, x))
+    return _product_of_array(a, b, den, _matmul(x, y, p, out=out))
+
+
+def _matmul(x, y, p=None, c=None, out=None):
+    """c + x @ y, reduced mod p unless p is None, written into `out` (a
+    new array in x's dtype by default) and returned.  x and y are kernel
+    operands of one dtype, dense arrays or, one of them, a scipy CSR
+    matrix (_operand); c, if given, is reduced, and may be `out` itself.
+
+    The product is formed a block of whole rows at a time (_BLOCK_CELLS
+    result cells, _INT16_BLOCK_CELLS in int16) in the operands' dtype,
+    which the caller has chosen by exact_dtype, so every partial sum is
+    an integer that the dtype holds exactly.  Mod p each block is reduced
+    in its dtype (_reduce), and its inner dimension is cut where a
+    residue plus the sums of all of it could pass _reduce_limit, with a
+    reduction after each cut.  A block is written to `out` only once all
+    its cuts are done, so `out` may be c, and c may be x.
+    """
+    rows, inner = x.shape
+    if out is None:
+        out = np.empty((rows, y.shape[1]), dtype=x.dtype)
+    limit = None if p is None else _reduce_limit(x.dtype.type)
+    step = inner if limit is None else max(1, (limit - p) // (p - 1) ** 2)
+    cuts = range(0, inner, step) if step < inner else (None,)
+    block = max(1, (_INT16_BLOCK_CELLS if x.dtype.type is np.int16 else _BLOCK_CELLS)
+                // max(out.shape[1], 1))
+    for lo in range(0, rows, block):
+        rs = slice(lo, lo + block)
+        acc = None if c is None else c[rs]
+        for s in cuts:
+            prod = x[rs] @ y if s is None else x[rs, s:s + step] @ y[s:s + step]
+            if acc is not None:
+                prod += acc
+            acc = prod if p is None else _reduce(prod, p)
+        out[rs] = acc
+    return out
 
 
 def _product_of_array(a, b, den, arr):
@@ -786,66 +896,20 @@ def _madds(a, b):
                       np.bincount(b._coo[0], minlength=b.rows)))
 
 
-def _kernel_dtype(bound, *arrays):
-    """The narrowest of int16, float32, float64 and int64 that holds every
-    integer of magnitude at most `bound` exactly, or None (Python ints)
-    beyond int64 or for object arrays.  With `bound` a _product_bound,
-    every partial sum of the product, in any order, is such an integer,
-    so the product is exact in that dtype: int16 holds every integer up
-    to 2**15 - 1, float32 up to 2**24, float64 up to 2**53 (the kernels
-    stop at _FLOAT_LIMIT) and int64 up to its maximum."""
-    if any(x.dtype == object for x in arrays):
-        return None
-    for dtype, limit in _KERNEL_LIMITS:
-        if bound <= limit:
-            return dtype
-    return None
-
-
 def _operand(m, dtype, dense):
     """m's stored values in `dtype`: a dense array, or a scipy CSR matrix."""
-    if dense and m.is_dense:
-        return m._dense.astype(dtype, copy=False)
-    ri, ci, vals = m._coo
     if dense:
-        arr = np.zeros(m.shape, dtype=dtype)
-        arr[ri, ci] = vals
-        return arr
+        return m._dense.astype(dtype, copy=False) if m.is_dense else m._scatter(dtype)
+    ri, ci, vals = m._coo
     import scipy.sparse as sp  # on first use: see the module docstring
     indptr = np.searchsorted(ri, np.arange(m.rows + 1))
     return sp.csr_matrix((vals.astype(dtype), ci, indptr), shape=m.shape)
 
 
-def _blocked_matmul(f, x, y):
-    """The stored values of x @ y as a new array in _store_dtype, for
-    kernel operands (_operand) of one dtype, at least one of them dense.
-
-    The product is formed a block of whole rows at a time (_BLOCK_CELLS
-    result cells, _INT16_BLOCK_CELLS in int16) in the operands' dtype,
-    which the caller has chosen by _kernel_dtype for the product's bound:
-    int16 only when the bound is at most 2**15 - 1, float32 at most
-    2**24, float64 at most _FLOAT_LIMIT.  Every partial sum is then an
-    integer that the dtype holds exactly, so each block is exact.  Over
-    F_p each block is reduced in its own dtype (_reduce; a float32 block
-    as int32, which holds its sums up to 2**24 exactly) and then copied
-    into the result, before the next is formed.
-    """
-    rows, cols = x.shape[0], y.shape[1]
-    out = np.empty((rows, cols), dtype=_store_dtype(f))
-    step = max(1, (_INT16_BLOCK_CELLS if x.dtype == np.int16 else _BLOCK_CELLS)
-               // max(cols, 1))
-    for lo in range(0, rows, step):
-        blk = x[lo:lo + step] @ y
-        if isinstance(f, PrimeField):
-            blk = _reduce(blk.astype(np.int32) if blk.dtype == np.float32 else blk, f.p)
-        np.copyto(out[lo:lo + step], blk, casting="unsafe")
-    return out
-
-
 def _densify(a, b, sparse):
-    """Which of the sparse operands of a @ b to densify for
-    _blocked_matmul, "a" or "b", or None to keep scipy's sparse product;
-    `sparse` is the sparse product's multiply-adds, _madds(a, b).
+    """Which of the sparse operands of a @ b to densify for _matmul, "a"
+    or "b", or None to keep scipy's sparse product; `sparse` is the
+    sparse product's multiply-adds, _madds(a, b).
 
     Against a dense b the kernel does nnz(a) * b.cols multiply-adds, and
     against a dense a nnz(b) * a.rows; the cheaper side is densified
@@ -869,19 +933,19 @@ _EXPAND_BLOCK = 1 << 20  # products that _expand_matmul holds at once
 
 def _expand_matmul(a, b, den):
     """a @ b by expansion: every product a[i, k] * b[k, j] is formed, and
-    the products of each cell are summed in the narrowest form that their
-    _product_bound proves exact.  The bound's inner dimension is a.cols,
-    or where that passes _FLOAT_LIMIT the most terms a cell's sum can
-    have, min(max row nnz of a, max column nnz of b).
+    the products of each cell are summed in the first dtype exact_dtype
+    accepts for their _product_bound.  The bound's inner dimension is
+    a.cols, or where that bound needs more than the first dtype the most
+    terms a cell's sum can have, min(max row nnz of a, max column nnz of
+    b).
 
     Where the result may be stored dense (_prefers_dense, with as many
-    nonzeros as products) and the bound is at most _FLOAT_LIMIT, a
-    float64 bincount over the flat cell indices sums them into the dense
-    result: every partial sum is an integer within the bound.  Otherwise
-    _merge_products sorts and merges them, in int64 when the bound is at
-    most 2**63 - 1 and in Python ints beyond.  The rows of a go in blocks
-    of about _EXPAND_BLOCK products, so memory follows the size of the
-    result.
+    nonzeros as products), float64 comes first: a float64 bincount over
+    the flat cell indices sums them into the dense result, every partial
+    sum an integer within the bound.  Otherwise, or past float64,
+    _merge_products sorts and merges them, in int64 or in Python ints.
+    The rows of a go in blocks of about _EXPAND_BLOCK products, so
+    memory follows the size of the result.
     """
     f = a.field
     ar, ac, av = a.num_triplets()
@@ -891,14 +955,15 @@ def _expand_matmul(a, b, den):
     starts = np.searchsorted(br, np.arange(b.rows + 1))
     counts = np.diff(starts)[ac]  # products of each entry of a
     done = np.cumsum(counts)  # products up to each entry's last
-    bound = _product_bound(f, av, bv, a.cols)
-    if bound > _FLOAT_LIMIT:
-        bound = _product_bound(f, av, bv, min(
+    accepts = ((np.float64, np.int64) if _prefers_dense(a.rows, b.cols, int(done[-1]))
+               else (np.int64,))
+    dtype = exact_dtype(_product_bound(f, av, bv, a.cols), accepts)
+    if dtype is not accepts[0]:
+        dtype = exact_dtype(_product_bound(f, av, bv, min(
             int(np.bincount(ar, minlength=a.rows).max()),
-            int(np.bincount(bc, minlength=b.cols).max())))
+            int(np.bincount(bc, minlength=b.cols).max()))), accepts)
     cells = a.rows * b.cols
-    dense = bound <= _FLOAT_LIMIT and _prefers_dense(a.rows, b.cols, int(done[-1]))
-    dtype = np.float64 if dense else np.int64 if bound <= _INT64_MAX else object
+    dense = dtype is np.float64
     av, bv = av.astype(dtype, copy=False), bv.astype(dtype, copy=False)
     row_base = ar * b.cols  # flat cell indices
     acc, pieces = None, []
@@ -958,127 +1023,92 @@ def _merge_products(f, cols, ri, flat, vals):
     return ri, flat - ri * cols, vals
 
 
+def first_mismatch(uv, z, target):
+    """The row-major first (i, j) with (uv + z)[i, j] != target[i, j], or
+    None if there is none.
+
+    With uv and target dense, D = uv - target + z is formed a block of
+    rows at a time (_BLOCK_CELLS cells), and the scan stops at the first
+    block that holds a mismatch.  Over F_p D is formed in the stored
+    dtype: there uv - target wraps when it is unsigned, but is zero
+    exactly where the residues are equal, and the entries of D that hold
+    an entry of z are formed apart, lifted, and reduced mod p.  Over Q D
+    is formed over the common denominator, lifted to Python ints as
+    `__add__` lifts its sum.  With either stored sparse the sparse sum
+    runs, as `__add__` would run it.
+    """
+    if not (uv.is_dense and target.is_dense):
+        ri, ci, _ = (uv + z - target).num_triplets()
+        return (int(ri[0]), int(ci[0])) if len(ri) else None
+    f = uv.field
+    a, b = uv.num_dense(), target.num_dense()
+    zr, zc, zv = z.num_triplets()
+    if not isinstance(f, PrimeField):
+        den = math.lcm(uv.den, target.den, z.den)
+        sa, sb, sz = den // uv.den, den // target.den, den // z.den
+        bound = (max(_bound(a), 1) * sa + max(_bound(b), 1) * sb
+                 + max(_bound(zv), 1) * sz)
+    step = max(1, _BLOCK_CELLS // max(uv.cols, 1))
+    for lo in range(0, uv.rows, step):
+        k0, k1 = np.searchsorted(zr, (lo, lo + step))
+        at = (zr[k0:k1] - lo, zc[k0:k1])
+        x, y = a[lo:lo + step], b[lo:lo + step]
+        if isinstance(f, PrimeField):
+            d = x - y
+            xz, yz, w = _lift(2 * f.p, x[at], y[at], zv[k0:k1])
+            d[at] = (xz - yz + w) % f.p
+        else:
+            x, y, w = _lift(bound, x, y, zv[k0:k1])
+            d = x - y if sa == sb == 1 else x * sa - y * sb
+            d[at] += w * sz
+        if d.any():
+            i = int(np.flatnonzero(d)[0])
+            return lo + i // uv.cols, i % uv.cols
+    return None
+
+
 # ----------------------------------------------------------------------
 # exact rank: one elimination kernel for every field
 #
-# Over F_p the kernel holds residues in the narrowest dtype of
-# _ELIMINATION_LIMITS whose limit holds p(p - 1), a residue plus the
-# product of two: float32 for p <= 2039, float64 for p < _FLOAT_P, int64
-# below about 3.04e9 and Python ints beyond.  Entries are left unreduced
-# until the next update could pass that limit, and the float kernels'
-# block products run in BLAS.  Over Q the rank is the largest rank
-# modulo enough primes.
+# Over F_p the kernel holds residues in the first of float32, float64 and
+# int64 whose _reduce_limit holds p(p - 1), a residue plus the product of
+# two (exact_dtype): float32 for p <= 2039, float64 for p <= 33554393,
+# int64 up to 3037000493 and Python ints beyond.  Entries are left
+# unreduced until the next update could pass that limit, and the float
+# kernels' block products run in BLAS.  Over Q the rank is the largest
+# rank modulo enough primes.
 
-_FLOAT_P = 1 << 25
-# (dtype, largest integer an entry of the elimination may reach in it):
-# float32 stops at 2**22, below which _reduce's floor-multiply is exact,
-# and float64 at _FLOAT_LIMIT; Python ints have no limit
-_ELIMINATION_LIMITS = ((np.float32, 1 << 22), (np.float64, _FLOAT_LIMIT),
-                       (np.int64, _INT64_MAX))
 # columns eliminated a panel at a time.  On an fp_walsh route core
 # (252^2 over F_5, rank 203) and a random 1024^2 F_5 matrix, panels of
 # 16, 24, 32, 48 and 64 took 7.2, 6.5, 6.3, 7.3 and 7.0 ms and 83, 78,
 # 72, 70 and 80 ms (medians of interleaved runs, 2-core x86-64 VM, one
 # BLAS thread)
 _PANEL = 32
-# _reduce takes float arrays of at most this many values by np.remainder:
-# against the floor-multiply, medians of interleaved runs (2-core x86-64
-# VM) took the ranks of 2x2 and 4x4 F_5 matrices 0.040 -> 0.028 and
-# 0.086 -> 0.061 ms, the fp_walsh core 9.35 -> 8.92 ms and a 96^2 matrix
-# mod 131071 4.19 -> 3.32 ms; 32 and 128 gave about the same
-_SMALL_REDUCE = 64
-
-
-@functools.lru_cache(maxsize=64)
-def _inverse_up(p, dtype):
-    """The nearest float of `dtype` at or above 1/p."""
-    x = dtype(1 / p)
-    if Fraction(float(x)) * p < 1:
-        x = np.nextafter(x, dtype(1))
-    return x
-
-
-def _reduce(x, p):
-    """x mod p for a nonnegative kernel array, in its dtype, in place;
-    returns x.
-
-    A float x is reduced as x - p*floor(x * pinv), pinv the nearest float
-    at or above 1/p.  The quotient is never too small, and x * pinv errs
-    by less than 1.5 * 2**-m relative (m = 23 for float32, 52 for
-    float64), which keeps it below the next integer while x < 2**m / 1.5:
-    so the reduction is exact for float64 x up to _FLOAT_LIMIT and for
-    float32 x up to 2**22 (tests check every quotient of every float32
-    prime at both ends).  Those are four vectorized passes; a float x of
-    at most _SMALL_REDUCE values takes numpy's remainder instead, one
-    call, exact for any float (it is fmod) but not vectorized.  Integers
-    narrower than int64 are reduced as x - (x // p) * p: numpy
-    vectorizes their floor division by a scalar, not their remainder
-    (int16: 0.8 against 3.9 ms a million cells; int32 a quarter-million:
-    0.33 against 0.81 ms, 2-core x86-64 VM); int64 and Python ints take
-    the remainder.
-    """
-    if x.dtype.kind == "f":
-        if x.size <= _SMALL_REDUCE:
-            return np.remainder(x, p, out=x)
-        q = x * _inverse_up(p, x.dtype.type)
-        np.floor(q, out=q)
-    elif x.dtype == object or x.itemsize == 8:
-        return np.remainder(x, p, out=x)
-    else:
-        q = x // p
-    q *= p
-    x -= q
-    return x
-
-
-def _matmul_mod(a, b, p, c=None):
-    """(c + a @ b) mod p for kernel arrays of one dtype, c reduced or
-    None.  The inner dimension is cut into chunks whose sums stay within
-    the dtype's limit in _ELIMINATION_LIMITS; Python ints need no cut."""
-    limit = dict(_ELIMINATION_LIMITS).get(a.dtype.type)
-    step = max(1, a.shape[-1] if limit is None else (limit - p) // (p - 1) ** 2)
-    for s in range(0, a.shape[-1] or 1, step):
-        prod = np.dot(a[..., s:s + step], b[s:s + step])
-        if c is not None:
-            prod += c
-        c = _reduce(prod, p)
-    return c
-
-
-def _elimination_dtype(p):
-    """(dtype, limit) of the kernel modulo p: the narrowest entry of
-    _ELIMINATION_LIMITS whose limit holds p(p - 1), the bound rule of
-    _kernel_dtype for one residue plus the product of two, or (object,
-    None) for Python ints."""
-    for dtype, limit in _ELIMINATION_LIMITS:
-        if p * (p - 1) <= limit:
-            return dtype, limit
-    return object, None
 
 
 def _basis_rows_mod_p(a, p):
-    """Indices, ascending, of rows of the integer array a that form a basis
-    of its row space modulo the prime p; their number is the rank.
+    """Indices, ascending, of rows of the array a of residues mod the
+    prime p that form a basis of its row space; their number is the rank.
 
     The kernel (_echelon) eliminates the columns of a tall a, whose rows
     it tracks through the row swaps: with P a = L E and L unit lower
     triangular, the first rank rows of P a span the row space.  A wide a
     is eliminated as its transpose, whose pivot columns are those rows.
     Either way the kernel works on the transpose of the matrix it
-    eliminates, a copy of a itself when a is wide.  The copy gets a
-    spare column, so that a power-of-two order does not give it a
-    power-of-two row stride, which slows it.
+    eliminates, a copy of a itself when a is wide, cast into the
+    kernel's dtype.  The copy gets a spare column, so that a power-of-two
+    order does not give it a power-of-two row stride, which slows it.
     """
     m, n = a.shape
-    dtype, limit = _elimination_dtype(p)
+    dtype = exact_dtype((p - 1) ** 2, (np.float32, np.float64, np.int64), p=p)
     src = a.T if m >= n else a
     t = np.empty((src.shape[0], src.shape[1] + 1), dtype=dtype)[:, :-1]
-    np.remainder(src, p, out=t, casting="unsafe")
-    pivots, labels = _echelon(t, p, limit)
+    np.copyto(t, src, casting="unsafe")
+    pivots, labels = _echelon(t, p)
     return sorted(labels[:len(pivots)]) if m >= n else pivots
 
 
-def _echelon(t, p, limit):
+def _echelon(t, p):
     """Gaussian elimination modulo p of w = t.T, on t in place.
 
     Returns (pivots, labels): the columns of w that take a pivot, and
@@ -1098,14 +1128,16 @@ def _echelon(t, p, limit):
     (I - S)^-1 = (I + S)(I + S^2)(I + S^4)... as S is nilpotent: a few
     k x k products and two block products.  Entries are held unreduced
     while a running bound (`held` in the panel, `bound` after it) shows
-    that the next update stays within `limit`, and reduced before it
-    otherwise; _matmul_mod cuts a product that would pass it alone.
+    that the next update stays within _reduce_limit of t's dtype, and
+    reduced before it otherwise; _matmul cuts a product that would pass
+    it alone.
     """
     cols, rows = t.shape
     labels = list(range(rows))
     pivots = []
     r = 0
     top, step = p - 1, (p - 1) ** 2
+    limit = _reduce_limit(t.dtype.type)
     lim = math.inf if limit is None else limit
     bound = top
     for c0 in range(0, cols, _PANEL):
@@ -1167,20 +1199,20 @@ def _echelon(t, p, limit):
         np.fill_diagonal(inv, 1)
         power, span = s, 2
         while span < k:
-            power = _matmul_mod(power, power, p)
-            inv = _matmul_mod(inv, power, p, inv)
+            power = _matmul(power, power, p)
+            _matmul(inv, power, p, inv, inv)
             span *= 2
         inv = _reduce(inv * d, p)
         x = rest[:, r0:r]
-        coef = _matmul_mod(x if bound == top else _reduce(x.copy(), p), inv, p)
+        coef = _matmul(x if bound == top else _reduce(x.copy(), p), inv, p)
         x = rest[:, r:]
         if bound + k * step > lim:
             _reduce(x, p)
             bound = top
         if bound + k * step > lim:
-            x[...] = _matmul_mod(coef, h[:, k:], p, x)
+            _matmul(coef, h[:, k:], p, x, x)
         else:
-            x += np.dot(coef, h[:, k:])
+            _matmul(coef, h[:, k:], None, x, x)
             bound += k * step
     return pivots, labels
 
@@ -1209,16 +1241,14 @@ def _basis_rows_rational(a):
     g = np.gcd.reduce(a, axis=1)
     g[g == 0] = 1
     a = _fit(a // g[:, None])
-    if a.dtype == object or _bound(a) ** 2 * n > _INT64_MAX:
-        sq = (a.astype(object) ** 2).sum(axis=1)
-    else:
-        sq = (a * a).sum(axis=1)
+    (x,) = _lift(_bound(a) ** 2 * n, a)
+    sq = (x * x).sum(axis=1)
     norms = sorted((math.isqrt(s - 1) + 1 if s else 1 for s in sq.tolist()),
                    reverse=True)
     rows = []
     modulus = 1
     for q in _rank_primes():
-        rows = max(rows, _basis_rows_mod_p(a, q), key=len)
+        rows = max(rows, _basis_rows_mod_p(a % q, q), key=len)
         modulus *= q
         if len(rows) == min(m, n) or modulus > math.prod(norms[:len(rows) + 1]):
             return rows

@@ -11,7 +11,8 @@ the same code as the test process.
 `fp_walsh_cert` is the certificate of the fp_walsh benchmark workload's
 full instance (n = 1024), built once for the tests that need its shape.
 `reference_basis_rows` is a plain-Python elimination to check the rank
-kernel against.
+kernel against, and `elimination_dtype` reads the dtype the kernel
+eliminates in.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import kronrig
-from kronrig import cli
+from kronrig import cli, matrix
 
 KRONRIG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(kronrig.__file__)))
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -86,3 +87,18 @@ def reference_basis_rows():
     """_reference_basis_rows(a, p): what matrix._basis_rows_mod_p(a, p)
     must return."""
     return _reference_basis_rows
+
+
+@pytest.fixture
+def elimination_dtype(monkeypatch):
+    """A function of a prime p: the dtype of the array _basis_rows_mod_p
+    hands to the kernel modulo p, object for Python ints."""
+    def dtype_of(p):
+        seen = []
+        real = matrix._echelon
+        monkeypatch.setattr(matrix, "_echelon",
+                            lambda t, q: seen.append(t.dtype) or real(t, q))
+        matrix._basis_rows_mod_p(np.eye(2, dtype=np.int64), p)
+        monkeypatch.setattr(matrix, "_echelon", real)
+        return object if seen[0] == object else seen[0].type
+    return dtype_of

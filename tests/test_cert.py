@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from kronrig import cert as cert_module
+from kronrig import matrix
 from kronrig.cert import (
     Certificate,
     compose_kron,
@@ -545,7 +546,7 @@ def test_reconstruction_check_matches_the_difference(field, monkeypatch):
              ("z only", u, v, _bumped(z, 3, 2))]
     for block, uv_dense, target_dense in itertools.product(
             (8, 3 * 8, 1 << 18), (True, False), (True, False)):
-        monkeypatch.setattr(cert_module, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(matrix, "_BLOCK_CELLS", block)
         tgt = _stored(target, target_dense)
         for name, eu, ev, ez in edits:
             eu = _stored(eu, uv_dense)

@@ -394,7 +394,7 @@ def _deficient(rng, p, shape, rank):
 
 
 # the primes on each side of every switch of the kernel's dtype: p(p - 1)
-# around 2**22 (float32), 2**50 (float64, p around _FLOAT_P = 2**25) and
+# around 2**22 (float32), 2**50 (float64, p around 2**25) and
 # 2**63 (int64), and around 2**31, where storage turns to Python ints
 DTYPE_SWITCH_PRIMES = [
     (2039, np.float32), (2053, np.float64),
@@ -405,8 +405,9 @@ DTYPE_SWITCH_PRIMES = [
 
 
 @pytest.mark.parametrize("p,dtype", DTYPE_SWITCH_PRIMES)
-def test_kernel_matches_reference_at_dtype_switches(p, dtype, reference_basis_rows):
-    assert matrix._elimination_dtype(p)[0] is dtype
+def test_kernel_matches_reference_at_dtype_switches(p, dtype, reference_basis_rows,
+                                                    elimination_dtype):
+    assert elimination_dtype(p) is dtype
     rng = np.random.default_rng(p % 1009)
     b = matrix._PANEL
     for shape, rank in [((b + 30, b + 8), b + 2), ((b + 8, b + 30), b + 2),
@@ -452,12 +453,12 @@ def test_kernel_zero_and_degenerate_shapes(reference_basis_rows):
 
 
 def _limits_at(monkeypatch, limit):
-    """The kernel's float32 limit set to `limit`."""
-    monkeypatch.setattr(matrix, "_ELIMINATION_LIMITS",
-                        ((np.float32, limit),) + matrix._ELIMINATION_LIMITS[1:])
+    """The kernel's float32 limit (_reduce's float32 margin) set to `limit`."""
+    monkeypatch.setitem(matrix._REDUCE_MARGIN, np.float32, limit)
 
 
-def test_delayed_reduction_flushes_exactly_at_the_limit(monkeypatch, reference_basis_rows):
+def test_delayed_reduction_flushes_exactly_at_the_limit(monkeypatch, reference_basis_rows,
+                                                        elimination_dtype):
     """With the float32 limit at 4 + 3 * 16 over F_5 (a residue and three
     products of residues) a bound that reaches the limit takes no flush
     and the next update does: one below it the kernel flushes more often.
@@ -473,7 +474,8 @@ def test_delayed_reduction_flushes_exactly_at_the_limit(monkeypatch, reference_b
     calls = {}
     for limit in (4 + 3 * 16, 4 + 3 * 16 - 1, 4 + 16):
         _limits_at(monkeypatch, limit)
-        assert matrix._elimination_dtype(p) == (np.float32, limit)
+        assert elimination_dtype(p) is np.float32
+        assert matrix._reduce_limit(np.float32) == limit
         seen = []
 
         def spy(x, q):
@@ -488,7 +490,7 @@ def test_delayed_reduction_flushes_exactly_at_the_limit(monkeypatch, reference_b
     assert calls[4 + 16] > calls[4 + 3 * 16 - 1] > calls[4 + 3 * 16]
     # below p(p - 1) = 20 float32 cannot hold one update: float64 takes over
     _limits_at(monkeypatch, 19)
-    assert matrix._elimination_dtype(p)[0] is np.float64
+    assert elimination_dtype(p) is np.float64
 
 
 def test_rank_q_multimodular_basis_rows_are_the_reference_mod_each_prime(

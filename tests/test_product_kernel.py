@@ -1,9 +1,9 @@
 """The blocked product kernel of products with a sparse operand.
 
-`_blocked_matmul` forms a @ b against a dense operand in the narrowest of
-int16, float32, float64 and int64 that `_kernel_dtype` proves exact for
-the product's bound, a block of rows at a time, and reduces each block
-into the result, stored as dense matrices store it.  These tests compare it with an object-dtype
+`_matmul` forms a @ b against a dense operand in the first of int16,
+float32, float64 and int64 that `exact_dtype` proves exact for the
+product's bound, a block of rows at a time, and reduces each block into
+the result, stored as dense matrices store it.  These tests compare it with an object-dtype
 reference in every field, at the int16 and float32 bounds and one past
 each, and pin where `_densify` sends a sparse-by-sparse product.  The
 dense Kronecker product over F_p runs in int16 by the same bound.
@@ -32,17 +32,19 @@ FIELDS = [PrimeField(2), PrimeField(5), PrimeField(65537), PrimeField(33554467),
           PrimeField(2**31 - 1), PrimeField(2147483659), QQ]
 KERNEL_DTYPE = {2: np.int16, 5: np.int16, 65537: np.float64,
                 33554467: np.int64, 2**31 - 1: None, 2147483659: None}
+# the dtypes a product with a sparse operand may run in
+KERNEL_ACCEPTS = (np.int16, np.float32, np.float64, np.int64)
 
 
 def _spy(monkeypatch):
     """The dtypes the kernel runs in, one per call."""
     seen = []
-    real = matrix._blocked_matmul
+    real = matrix._matmul
 
-    def spy(f, x, y):
+    def spy(x, y, *args, **kwargs):
         seen.append(x.dtype.type)
-        return real(f, x, y)
-    monkeypatch.setattr(matrix, "_blocked_matmul", spy)
+        return real(x, y, *args, **kwargs)
+    monkeypatch.setattr(matrix, "_matmul", spy)
     return seen
 
 
@@ -107,9 +109,10 @@ def test_kernel_chooses_the_narrowest_exact_dtype():
                          (1 << 15, np.float32), (limit, np.float32),
                          (limit + 1, np.float64), (1 << 50, np.float64),
                          ((1 << 50) + 1, np.int64), ((1 << 63) - 1, np.int64),
-                         (1 << 63, None)):
-        assert matrix._kernel_dtype(bound, np.zeros(1, dtype=np.int64)) is dtype
-    assert matrix._kernel_dtype(1, np.zeros(1, dtype=object)) is None
+                         (1 << 63, object)):
+        assert matrix.exact_dtype(bound, KERNEL_ACCEPTS,
+                                  np.zeros(1, dtype=np.int64)) is dtype
+    assert matrix.exact_dtype(1, KERNEL_ACCEPTS, np.zeros(1, dtype=object)) is object
 
 
 def _full(field, rows, cols, value):
@@ -253,15 +256,15 @@ def test_madds_counted_once_per_sparse_product(monkeypatch):
     def spy(name, into):
         real = getattr(matrix, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             into.append(name)
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(matrix, name, wrapped)
     spy("_madds", calls)
     spy("_expand_matmul", paths)
-    spy("_blocked_matmul", paths)
+    spy("_matmul", paths)
     for limit, cell_cost, path in ((madds, 16, ["_expand_matmul"]),
-                                   (madds - 1, 16, ["_blocked_matmul"]),
+                                   (madds - 1, 16, ["_matmul"]),
                                    (madds - 1, 1 << 40, [])):
         monkeypatch.setattr(matrix, "_EXPAND_MADDS", limit)
         monkeypatch.setattr(matrix, "_CELL_COST", cell_cost)
@@ -367,7 +370,7 @@ def _q_signed(rows, cols, top, axis):
 ])
 def test_expansion_accumulates_at_each_bound(top, other, inner, form, monkeypatch):
     """Q numerators whose extreme sums reach the bound: float64 up to
-    _FLOAT_LIMIT, int64 from one past it up to 2**63 - 1, Python ints
+    2**50, int64 from one past it up to 2**63 - 1, Python ints
     from 2**63, which int64 would wrap.  Every cell sums `inner`
     products, and each result may be dense (3 * products > cells)."""
     a, b = _q_signed(3, inner, top, 0), _q_signed(inner, 3, other, 1)
@@ -384,7 +387,7 @@ def test_expansion_accumulates_at_each_bound(top, other, inner, form, monkeypatc
 
 def test_expansion_bounds_by_the_terms_of_a_cell(monkeypatch):
     """Inner dimension 64 but at most 2 products a cell: the bound with
-    the inner dimension, 2**24 * 2**25 * 64 = 2**55, passes _FLOAT_LIMIT;
+    the inner dimension, 2**24 * 2**25 * 64 = 2**55, passes 2**50;
     with the 2 terms of a cell's sum it is 2**50, so the sums run in
     float64."""
     top = 1 << 24

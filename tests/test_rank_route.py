@@ -347,7 +347,7 @@ def test_fp_walsh_route_core_is_pinned(fp_walsh_cert, monkeypatch, capsys,
     its limit."""
     ranked = []
     real_rows, real_reduce = matrix._basis_rows, matrix._reduce
-    limit = dict(matrix._ELIMINATION_LIMITS)[np.float32]
+    limit = matrix._reduce_limit(np.float32)
 
     def rows_spy(field, arr):
         ranked.append((arr, real_rows(field, arr)))
@@ -366,7 +366,7 @@ def test_fp_walsh_route_core_is_pinned(fp_walsh_cert, monkeypatch, capsys,
     assert basis == reference_basis_rows(core, 5)
 
 
-def test_float32_reduction_is_exact_up_to_its_limit():
+def test_float32_reduction_is_exact_up_to_its_limit(elimination_dtype):
     """_reduce takes a float32 x to x - p*floor(x * pinv), pinv the
     nearest float32 at or above 1/p.  The quotient is never too small,
     and it stays below the next integer while x < 2**23 / 1.5: the
@@ -374,10 +374,10 @@ def test_float32_reduction_is_exact_up_to_its_limit():
     float32 kernel (p(p - 1) <= 2**22, so p <= 2039).  floor(x * pinv)
     does not decrease as x grows, so exact results at both ends of every
     quotient, up to the limit, make every x in between exact."""
-    limit = dict(matrix._ELIMINATION_LIMITS)[np.float32]
+    limit = matrix._reduce_limit(np.float32)
     assert limit == 1 << 22
-    assert matrix._elimination_dtype(2039)[0] is np.float32
-    assert matrix._elimination_dtype(2053)[0] is np.float64
+    assert elimination_dtype(2039) is np.float32
+    assert elimination_dtype(2053) is np.float64
     for p in (q for q in range(2, 2040) if all(q % d for d in range(2, math.isqrt(q) + 1))):
         starts = np.arange(0, limit + 1, p, dtype=np.int64)
         x = np.concatenate([starts, np.minimum(starts + p - 1, limit), [limit]])

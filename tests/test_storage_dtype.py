@@ -13,7 +13,6 @@ and a product passes both: each must be lifted before it is formed.
 import numpy as np
 import pytest
 
-from kronrig import cert as cert_mod
 from kronrig import matrix
 from kronrig.field import PrimeField
 from kronrig.fileio import parse_matrix, read_cert, read_matrix, render_matrix
@@ -267,7 +266,7 @@ def test_first_mismatch_against_python_ints(p, monkeypatch):
     rows: equal everywhere, then off where z is zero, where z is not
     (and uv + z passes p, or uv - target wraps in an unsigned dtype), and
     where the target is p - 1 with uv 0 (so uv - target wraps)."""
-    monkeypatch.setattr(cert_mod, "_BLOCK_CELLS", 16)
+    monkeypatch.setattr(matrix, "_BLOCK_CELLS", 16)
     f = PrimeField(p)
     rng = np.random.default_rng(p % 971)
     uv_cells = _cells(p, 8, 8, rng)
@@ -278,13 +277,13 @@ def test_first_mismatch_against_python_ints(p, monkeypatch):
     target = [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(uv_cells, z_cells)]
     uv = ExactMatrix.from_dense(f, uv_cells)
     z = ExactMatrix.from_coo(f, 8, 8, [2, 4, 6], [5, 6, 1], [p - 1] * 3)
-    assert cert_mod._first_mismatch(uv, z, ExactMatrix.from_dense(f, target)) is None
+    assert matrix.first_mismatch(uv, z, ExactMatrix.from_dense(f, target)) is None
     for i, j, v in ((4, 3, None), (4, 6, 0), (6, 1, None), (7, 2, p - 1)):
         bad = [list(r) for r in target]
         bad[i][j] = (bad[i][j] + 1) % p if v is None else v
         assert bad[i][j] != target[i][j]
         tm = ExactMatrix.from_dense(f, bad)
-        assert cert_mod._first_mismatch(uv, z, tm) == (i, j)
+        assert matrix.first_mismatch(uv, z, tm) == (i, j)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -318,7 +317,7 @@ def test_fp_walsh_target_and_product_hold_a_byte_a_cell(fp_walsh_cert):
         assert m.num_dense().nbytes <= 1024 * 1024
         assert m.to_dense().dtype == np.int64
         assert m.triplets()[2].dtype == np.int64
-    assert cert_mod._first_mismatch(uv, c.z, target) is None
+    assert matrix.first_mismatch(uv, c.z, target) is None
 
 
 @pytest.mark.parametrize("p", PRIMES)
