@@ -165,32 +165,45 @@ def conjugate_cert(cert, perm):
 # combiners
 
 
-def compose_product(cert_a, cert_b, b_matrix):
-    """Certificate for A @ B from certificates of A and B.
+def compose_product(certs, suffixes):
+    """Certificate for M_0 @ M_1 @ ... @ M_{L-1} from certificates
+    U_j V_j + Z_j of its L factors, in one pass:
 
-    Needs B itself (to push A's low-rank rows through), as a matrix or a
-    KroneckerSpec; a spec is materialized only if A has a low-rank part,
-    in the storage its fill calls for, so that V_A @ B of a sparse B is a
-    sparse product.  The sparse parts multiply, so line budgets multiply
-    as well.
+        U = [U_0 | P_1 U_1 | ... | P_{L-1} U_{L-1}],  P_j = Z_0 ... Z_{j-1},
+        V = [V_0 S_1; V_1 S_2; ...; V_{L-1}],         S_j = M_j ... M_{L-1},
+        Z = P_L,
+
+    the certificate that folding the two-factor case from the right
+    gives, with each block stacked once.  `suffixes` holds S_1, ...,
+    S_{L-1}, each a matrix or a KroneckerSpec; a spec is materialized
+    only if its certificate has a low-rank part, in the storage its fill
+    calls for, so that V_j @ S_{j+1} of a sparse S_{j+1} is a sparse
+    product.  The sparse parts multiply, so line budgets multiply as
+    well; ranks add.
     """
-    if cert_a.n != cert_b.n or cert_a.field != cert_b.field:
+    if not certs or len(suffixes) != len(certs) - 1:
+        raise ValueError("need one suffix product per certificate but the last")
+    f, n = certs[0].field, certs[0].n
+    if any(c.n != n or c.field != f for c in certs):
         raise ValueError("certificate mismatch")
-    if b_matrix.shape != (cert_b.n, cert_b.n):
-        raise ValueError("b_matrix shape mismatch")
-    za, zb = cert_a.z, cert_b.z
-    _guard_nnz(za.nnz * max(zb.row_col_nnz()[0], 1), "sparse product")
-    u = hstack([cert_a.u, za @ cert_b.u])
-    av = cert_a.v
-    if cert_a.inner_dim:
-        if isinstance(b_matrix, KroneckerSpec):
-            b_matrix = b_matrix.materialize()
-        av = av @ b_matrix
-    v = vstack([av, cert_b.v])
-    z = za @ zb
-    return Certificate(cert_a.field, cert_a.n, u, v, z,
-                       cert_a.claimed_rank + cert_b.claimed_rank,
-                       cert_a.claimed_sparsity * cert_b.claimed_sparsity)
+    if any(s.shape != (n, n) for s in suffixes):
+        raise ValueError("suffix product shape mismatch")
+    us, vs, prefix = [], [], None
+    for cert, suffix in zip(certs, [*suffixes, None]):
+        if cert.inner_dim:
+            us.append(cert.u if prefix is None else prefix @ cert.u)
+            if isinstance(suffix, KroneckerSpec):
+                suffix = suffix.materialize()
+            vs.append(cert.v if suffix is None else cert.v @ suffix)
+        if prefix is None:
+            prefix = cert.z
+        else:
+            _guard_nnz(prefix.nnz * max(cert.z.row_col_nnz()[0], 1), "sparse product")
+            prefix = prefix @ cert.z
+    u = hstack(us) if us else ExactMatrix.zeros(f, n, 0)
+    v = vstack(vs) if vs else ExactMatrix.zeros(f, 0, n)
+    return Certificate(f, n, u, v, prefix, sum(c.claimed_rank for c in certs),
+                       math.prod(c.claimed_sparsity for c in certs))
 
 
 def compose_kron(cert_a, cert_b, b_matrix):
@@ -216,7 +229,8 @@ def compose_kron(cert_a, cert_b, b_matrix):
 # the threshold split of a Kronecker product of sparse unit pieces
 
 
-def split_g_kron(field, vectors, offset, weights=None):
+def split_g_kron(field, vectors, offset, weights=None, transpose=False,
+                 check=False):
     """Split kron_i G(x_i) by score thresholds into low rank plus sparse.
 
     High-score columns and low-score rows are absorbed into the
@@ -224,6 +238,13 @@ def split_g_kron(field, vectors, offset, weights=None):
     entry forces every coordinate of the column index to equal the row
     coordinate or sit at the top, and the thresholds pin how many
     coordinates can move.
+
+    With `transpose` the transpose kron_i G(x_i)^T is built and split
+    as itself, with the roles of rows and columns swapped: the result is
+    transpose_cert of the product's split, with no transpose formed.
+    With `check` the certificate is checked entry by entry against the
+    matrix it was split from, and an AssertionError raised unless
+    U @ V + Z rebuilds it.
     """
     weights = weights or WeightScheme.uniform()
     offset = Fraction(offset)
@@ -237,11 +258,15 @@ def split_g_kron(field, vectors, offset, weights=None):
         count *= (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
     _guard_nnz(count, "kron of sparse unit pieces")
 
-    acc = kron_list([v_matrix(field, vec) for vec in vectors])
+    pieces = [v_matrix(field, vec) for vec in vectors]
+    acc = kron_list([g.T for g in pieces] if transpose else pieces)
     high, low = threshold_masks(dims, weights, offset)
     col_idx = np.flatnonzero(high)
     row_idx = np.flatnonzero(low)
     ri, ci, vals = acc.num_triplets()
+    if transpose:
+        # the product's triplets, in its transpose's row-major order
+        ri, ci = ci, ri
     in_low_row = low[ri]
     in_high_col = high[ci]
 
@@ -249,33 +274,44 @@ def split_g_kron(field, vectors, offset, weights=None):
     # the three destinations partition the nonzeros
     assert int(in_low_row.sum()) + int((in_high_col & ~in_low_row).sum()) \
         + int(keep.sum()) == len(ri)
-    z = ExactMatrix(field, n, n, den=acc.den,
-                    coo=(ri[keep].copy(), ci[keep].copy(), vals[keep].copy()))
 
     # u: a unit column per low-score row, then the entries of high-score
     # columns outside those rows; v: the entries of the low-score rows,
     # then a unit row per high-score column.  Over Q a unit is den/den.
+    # Each part is (rows, columns, values), and its transpose swaps the
+    # first two.  Listed in the order of acc's triplets, every part of
+    # the certificate is then canonical but its u, two runs sorted by row.
     r_cnt, c_cnt = len(row_idx), len(col_idx)
     inner = r_cnt + c_cnt
     ones = np.full(inner, acc.den, dtype=exact_dtype(acc.den, (np.int64,)))
+    # the inner index of each peeled row, and of each peeled column (at
+    # offset 0 an index can be both)
+    row_slot, col_slot = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    row_slot[row_idx] = np.arange(r_cnt)
+    col_slot[col_idx] = np.arange(r_cnt, inner)
     um = in_high_col & ~in_low_row
-    u = ExactMatrix.from_num_coo(
-        field, n, inner,
-        np.concatenate([row_idx, ri[um]]),
-        np.concatenate([np.arange(r_cnt), r_cnt + np.searchsorted(col_idx, ci[um])]),
-        np.concatenate([ones[:r_cnt], vals[um]]), acc.den)
-    v = ExactMatrix.from_num_coo(
-        field, inner, n,
-        np.concatenate([np.searchsorted(row_idx, ri[in_low_row]),
-                        np.arange(r_cnt, inner)]),
-        np.concatenate([ci[in_low_row], col_idx]),
-        np.concatenate([vals[in_low_row], ones[r_cnt:]]), acc.den)
-
+    u = (np.concatenate([row_idx, ri[um]]),
+         np.concatenate([np.arange(r_cnt), col_slot[ci[um]]]),
+         np.concatenate([ones[:r_cnt], vals[um]]))
+    v = (np.concatenate([row_slot[ri[in_low_row]], np.arange(r_cnt, inner)]),
+         np.concatenate([ci[in_low_row], col_idx]),
+         np.concatenate([vals[in_low_row], ones[r_cnt:]]))
+    z = (ri[keep], ci[keep], vals[keep])
+    if transpose:
+        u, v, z = (v[1], v[0], v[2]), (u[1], u[0], u[2]), (z[1], z[0], z[2])
+        row_idx, col_idx = col_idx, row_idx
     fill_col, fill_row = neighborhood_counts(dims, weights, offset)
-    return Certificate(field, n, u, v, z, r_cnt + c_cnt, max(fill_col, fill_row),
-                       support_rows=row_idx, support_cols=col_idx,
-                       meta={"dims": dims, "offset": offset,
-                             "fill_col": fill_col, "fill_row": fill_row})
+    cert = Certificate(
+        field, n, ExactMatrix.from_num_coo(field, n, inner, *u, acc.den),
+        ExactMatrix.from_num_coo(field, inner, n, *v, acc.den),
+        ExactMatrix.from_num_coo(field, n, n, *z, acc.den),
+        r_cnt + c_cnt, max(fill_col, fill_row),
+        support_rows=row_idx, support_cols=col_idx,
+        meta={"dims": dims, "offset": offset,
+              "fill_col": fill_col, "fill_row": fill_row})
+    if check and cert.reconstruct() != acc:
+        raise AssertionError("the split does not rebuild the product it splits")
+    return cert
 
 
 # ----------------------------------------------------------------------

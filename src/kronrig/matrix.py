@@ -14,7 +14,7 @@ ints:
     site                      accepts, in table order        bound
     F_p storage               uint8, uint16, field.dtype     p - 1
     F_p dense sum             uint8, uint16, uint32          2(p - 1)
-    entrywise product         int16, uint32, int64 (Q int64) B
+    entrywise, monomial scale int16, uint32, int64 (Q int64) B
     dense product             float64, int64                 p(p - 1); Q B inner
     product, sparse operand   int16, float32, float64, int64 B inner
     sparse x sparse expansion float64 (dense result), int64  B inner
@@ -22,12 +22,14 @@ ints:
     other (_lift)             int64                          the caller's
 
 B is (p - 1)**2 over F_p and max|a| * max|b| over Q.  Products run in
-one kernel, _matmul, except that sparse x sparse products of at most
-_EXPAND_MADDS multiply-adds run in _expand_matmul and some others in
-scipy's sparse product; scipy.sparse is imported on first use, so a
-small instance never pays its import.  Triplets, `to_dense()` and
-indexing give F_p values in `field.dtype` whatever the storage, and Q
-values as `Fraction`s, built on demand.
+one kernel, _matmul, with three exceptions.  A product with a monomial
+operand (one nonzero in every row and column) is a row gather on the
+left and a column relabel on the right, each with an entrywise scale.
+Sparse x sparse products of at most _EXPAND_MADDS multiply-adds run in
+_expand_matmul, and some others in scipy's sparse product; scipy.sparse
+is imported on first use, so a small instance never pays its import.
+Triplets, `to_dense()` and indexing give F_p values in `field.dtype`
+whatever the storage, and Q values as `Fraction`s, built on demand.
 """
 
 import functools
@@ -224,14 +226,16 @@ def _lift(bound, *arrays):
     return tuple(x.astype(dtype, copy=False) for x in arrays)
 
 
-def _product_operands(f, a, b):
-    """a and b in the dtype that their entrywise products are formed in:
-    over F_p the first of int16, uint32 and int64 that holds (p - 1)**2,
-    so that the residue products are reduced there (_reduce); else as
-    _lift gives them for the products' bound."""
+def _product_operands(a, b, x, y):
+    """x and y, arrays of stored values of the matrices a and b, in the
+    dtype that their entrywise products are formed in: over F_p the
+    first of int16, uint32 and int64 that holds (p - 1)**2, so that the
+    residue products are reduced there (_reduce); else as _lift gives
+    them for the products' bound."""
+    f = a.field
     accepts = (np.int16, np.uint32, np.int64) if isinstance(f, PrimeField) else (np.int64,)
-    dtype = exact_dtype(_product_bound(f, a, b, 1), accepts, a, b)
-    return a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    dtype = exact_dtype(_product_bound(f, a, b, 1), accepts, x, y)
+    return x.astype(dtype, copy=False), y.astype(dtype, copy=False)
 
 
 def _times(a, k):
@@ -310,6 +314,15 @@ def _aranges(starts, lengths):
     return out
 
 
+def _stable_order(idx, size):
+    """A stable argsort of the indices idx in range(size): numpy's radix
+    sort of them as uint16 where size is at most 2**16 (every order up
+    to KRON_ORDER_CAP), else its sort of the int64 indices."""
+    if size <= 1 << 16:
+        idx = idx.astype(np.uint16)
+    return np.argsort(idx, kind="stable")
+
+
 def _canon_coo(field, shape, ri, ci, vals, assume_clean=False):
     """Sort row-major, merge duplicates, drop zeros."""
     ri = np.asarray(ri, dtype=np.int64)
@@ -354,7 +367,7 @@ class ExactMatrix:
     `den` is the common denominator of the stored values: 1 over F_p.
     """
 
-    __slots__ = ("field", "rows", "cols", "den", "_dense", "_coo")
+    __slots__ = ("field", "rows", "cols", "den", "_dense", "_coo", "_max")
 
     def __init__(self, field, rows, cols, dense=None, coo=None, den=1):
         """From canonical storage of values over `den`.  Over Q the
@@ -385,6 +398,7 @@ class ExactMatrix:
         self.den = den
         self._dense = dense
         self._coo = coo
+        self._max = None
         _freeze(*(coo if dense is None else (dense,)))
 
     # ------------------------------------------------------------------
@@ -514,6 +528,13 @@ class ExactMatrix:
     def nnz(self):
         return len(self.num_triplets()[0])
 
+    def _max_abs(self):
+        """The largest magnitude of a stored value, as a Python int,
+        computed once: the arrays are read-only."""
+        if self._max is None:
+            self._max = _bound(self._dense if self._dense is not None else self._coo[2])
+        return self._max
+
     def density_preferred(self):
         """Re-wrap with the storage that suits the fill-in."""
         if _prefers_dense(self.rows, self.cols, self.nnz):
@@ -573,35 +594,22 @@ class ExactMatrix:
     @property
     def T(self):
         if self._coo is not None:
+            # a stable sort by column keeps each column's rows ascending
             ri, ci, vals = self._coo
-            coo = _canon_coo(self.field, (self.cols, self.rows), ci.copy(), ri.copy(),
-                             vals.copy(), assume_clean=True)
-            return self._like(self.cols, self.rows, coo=coo)
+            order = _stable_order(ci, self.cols)
+            return self._like(self.cols, self.rows, coo=(ci[order], ri[order], vals[order]))
         return self._like(self.cols, self.rows, dense=self._dense.T.copy())
 
     def permute_rows(self, perm):
         """Rows of the result: result[i, :] = self[perm[i], :]."""
-        perm = np.asarray(perm, dtype=np.int64)
-        if self._dense is not None:
-            return self._like(self.rows, self.cols, dense=self._dense[perm])
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm), dtype=np.int64)
-        ri, ci, vals = self._coo
-        coo = _canon_coo(self.field, self.shape, inv[ri], ci.copy(), vals.copy(),
-                         assume_clean=True)
-        return self._like(self.rows, self.cols, coo=coo)
+        return _gather_rows(self, np.asarray(perm, dtype=np.int64), None, self.den)
 
     def permute_cols(self, perm):
         """Columns of the result: result[:, j] = self[:, perm[j]]."""
         perm = np.asarray(perm, dtype=np.int64)
-        if self._dense is not None:
-            return self._like(self.rows, self.cols, dense=self._dense[:, perm])
         inv = np.empty_like(perm)
         inv[perm] = np.arange(len(perm), dtype=np.int64)
-        ri, ci, vals = self._coo
-        coo = _canon_coo(self.field, self.shape, ri.copy(), inv[ci], vals.copy(),
-                         assume_clean=True)
-        return self._like(self.rows, self.cols, coo=coo)
+        return _relabel_cols(self, inv, None, self.den)
 
     def submatrix(self, row_idx, col_idx):
         arr = self.num_dense()
@@ -706,7 +714,7 @@ class ExactMatrix:
                     f"entries, beyond the cap of {DENSE_CELL_CAP}")
         # the constructor stores the products in _store_dtype (dense) or
         # field.dtype
-        a, b = _product_operands(f, a, b)
+        a, b = _product_operands(self, other, a, b)
         if dense:
             prod = np.kron(a, b)
         else:
@@ -778,11 +786,12 @@ class ExactMatrix:
 
 
 def _product_bound(field, a, b, inner):
-    """A bound on every sum of `inner` products of entries of a and b.
-    Residues are bounded by p - 1 without a look at them."""
+    """A bound on every sum of `inner` products of entries of the
+    matrices a and b.  Residues are bounded by p - 1 without a look at
+    them, and Q numerators by each matrix's _max_abs."""
     if isinstance(field, PrimeField):
         return (field.p - 1) ** 2 * inner
-    return _bound(a) * _bound(b) * inner
+    return a._max_abs() * b._max_abs() * inner
 
 
 def _product(a, b, den):
@@ -792,7 +801,9 @@ def _product(a, b, den):
     (max(rows, cols) times the inner dimension), run in _matmul on dense
     arrays: in float64 BLAS where exact_dtype allows it (over F_p where
     p(p - 1) is within _reduce's margin, the kernel cutting the inner
-    dimension), else in int64 or Python ints.  Above that, a product of
+    dimension), else in int64 or Python ints.  Above that, a product
+    with a monomial operand stored sparse (_is_monomial) is a row gather
+    (_gather_rows) or a column relabel (_relabel_cols).  A product of
     two sparse operands with at most _EXPAND_MADDS multiply-adds
     (_madds) runs in _expand_matmul, and so does every Python-int
     product.  The rest run in the first of int16, float32, float64 and
@@ -808,17 +819,21 @@ def _product(a, b, den):
     x = a._dense if dense_a else a._coo[2]
     y = b._dense if dense_b else b._coo[2]
     if (dense_a and dense_b) or max(a.rows, b.cols) * a.cols <= _SMALL_CELLS:
-        dtype = exact_dtype(_product_bound(f, x, y, 1 if p else a.cols),
+        dtype = exact_dtype(_product_bound(f, a, b, 1 if p else a.cols),
                             (np.float64, np.int64), x, y, p=p)
         x = x.astype(dtype, copy=False) if dense_a else a._scatter(dtype)
         y = y.astype(dtype, copy=False) if dense_b else b._scatter(dtype)
     else:
+        if _is_monomial(a):
+            return _gather_rows(b, a._coo[1], a, den)
+        if _is_monomial(b):
+            return _relabel_cols(a, b._coo[1], b, den)
         madds = None if dense_a or dense_b else _madds(a, b)
         if madds is not None and madds <= _EXPAND_MADDS:
             return _expand_matmul(a, b, den)
         if len(x) == 0 or len(y) == 0:
             return ExactMatrix.zeros(f, a.rows, b.cols)
-        dtype = exact_dtype(_product_bound(f, x, y, a.cols),
+        dtype = exact_dtype(_product_bound(f, a, b, a.cols),
                             (np.int16, np.float32, np.float64, np.int64), x, y, p=p)
         if dtype is object:
             return _expand_matmul(a, b, den)
@@ -841,6 +856,72 @@ def _product(a, b, den):
         x, y = _operand(a, dtype, dense_a), _operand(b, dtype, dense_b)
     out = np.empty((a.rows, b.cols), dtype=_store_dtype(f, x))
     return _product_of_array(a, b, den, _matmul(x, y, p, out=out))
+
+
+def _is_monomial(m):
+    """Whether m is a monomial matrix of order at least 2 stored sparse:
+    exactly one nonzero in every row and every column, so that its
+    triplets are (i, sigma[i], scale[i]), i = 0, 1, ...  (A product with
+    a 1 x 1 matrix is one multiply on every path, and keeps the general
+    one.)"""
+    if m._dense is not None or m.rows != m.cols or m.rows < 2:
+        return False
+    ri, ci, _ = m._coo
+    return (len(ri) == m.rows and bool((ri == np.arange(m.rows)).all())
+            and int(np.bincount(ci, minlength=m.cols).max()) == 1)
+
+
+def _scaled(m, mono, x, at):
+    """x, stored values of m, times the stored values of the monomial
+    matrix `mono` taken at `at` (an index array, or a broadcast shape),
+    formed as entrywise products are (_product_operands); x itself where
+    mono is None or all its values are 1."""
+    y = None if mono is None else mono._coo[2]
+    if y is None or (y == 1).all():
+        return x
+    x, y = _product_operands(m, mono, x, y[at])
+    prod = x * y
+    return _reduce(prod, m.field.p) if isinstance(m.field, PrimeField) else prod
+
+
+def _gather_rows(m, sigma, mono, den):
+    """M @ m over `den`, M the monomial matrix with M[i, sigma[i]] the
+    value of `mono` at (i, sigma[i]), or 1 where mono is None: row i is
+    row sigma[i] of m, scaled.  Stored sparse, the rows are gathered in
+    their new order, so the triplets stay canonical without a sort; the
+    products are nonzero, a field having no zero divisors."""
+    if m._dense is not None:
+        arr = _scaled(m, mono, m._dense[sigma], (slice(None), None))
+        return m._like(len(sigma), m.cols, dense=arr, den=den)
+    ri, ci, vals = m._coo
+    starts = np.searchsorted(ri, np.arange(m.rows + 1))
+    counts = np.diff(starts)[sigma]
+    pos = _aranges(starts[sigma], counts)
+    rows = np.arange(len(sigma)).repeat(counts)
+    return m._like(len(sigma), m.cols, den=den,
+                   coo=(rows, ci[pos], _scaled(m, mono, vals[pos], rows)))
+
+
+def _relabel_cols(m, sigma, mono, den):
+    """m @ M over `den`, M as in _gather_rows: column c of m becomes
+    column sigma[c], scaled by M[c, sigma[c]].  Stored dense, the new
+    columns are gathered.  Stored sparse, the triplets keep their order
+    where each row's new columns still ascend, and are brought back to
+    row-major order otherwise by two stable radix sorts (_stable_order),
+    by new column and then by row."""
+    if m._dense is not None:
+        inv = np.empty_like(sigma)
+        inv[sigma] = np.arange(len(sigma))
+        return m._like(m.rows, len(sigma), den=den,
+                       dense=_scaled(m, mono, m._dense[:, inv], (None, inv)))
+    ri, ci, vals = m._coo
+    cols = sigma[ci]
+    if not ((cols[1:] > cols[:-1]) | (ri[1:] != ri[:-1])).all():
+        order = _stable_order(cols, len(sigma))
+        order = order[_stable_order(ri[order], m.rows)]
+        ri, ci, vals, cols = ri[order], ci[order], vals[order], cols[order]
+    return m._like(m.rows, len(sigma), den=den,
+                   coo=(ri, cols, _scaled(m, mono, vals, ci)))
 
 
 def _matmul(x, y, p=None, c=None, out=None):
@@ -957,9 +1038,9 @@ def _expand_matmul(a, b, den):
     done = np.cumsum(counts)  # products up to each entry's last
     accepts = ((np.float64, np.int64) if _prefers_dense(a.rows, b.cols, int(done[-1]))
                else (np.int64,))
-    dtype = exact_dtype(_product_bound(f, av, bv, a.cols), accepts)
+    dtype = exact_dtype(_product_bound(f, a, b, a.cols), accepts)
     if dtype is not accepts[0]:
-        dtype = exact_dtype(_product_bound(f, av, bv, min(
+        dtype = exact_dtype(_product_bound(f, a, b, min(
             int(np.bincount(ar, minlength=a.rows).max()),
             int(np.bincount(bc, minlength=b.cols).max()))), accepts)
     cells = a.rows * b.cols
@@ -1333,7 +1414,7 @@ def _rank_of_difference(spec, z):
             key=lambda i: math.prod(dims[:i]) ** 2 + math.prod(dims[i:]) ** 2)
     left, right = kron_list(inv[:h]), kron_list(inv[h:])
     n2 = right.rows
-    a, b = _product_operands(f, left.num_dense(), right.num_dense())
+    a, b = _product_operands(left, right, left.num_dense(), right.num_dense())
     acc = a[csel // n2][:, rsel // n2] * b[csel % n2][:, rsel % n2]
     if isinstance(f, PrimeField):
         acc = _reduce(acc, f.p)
@@ -1429,7 +1510,7 @@ def hstack(mats):
     (ri, ci, vals), shape, den = _stack(mats, 1)
     if len(ri) == 0:
         return ExactMatrix.zeros(mats[0].field, *shape)
-    order = np.argsort(ri, kind="stable")
+    order = _stable_order(ri, shape[0])
     return ExactMatrix(mats[0].field, *shape, den=den,
                        coo=(ri[order], ci[order], vals[order]))
 

@@ -3,15 +3,15 @@
 The core path factors every Kronecker factor into its sparse-unit
 chain, pads the chains to a common length, reads the product as a
 product of layers (each layer a Kronecker product of same-kind chain
-slots), splits every non-monomial layer by score thresholds, and folds
-the per-layer certificates back into one certificate for the whole
-product.  On top of that sit three regrouping strategies: packing
-uneven factors into balanced bins, bucketing by doubly-exponential
-order ranges, and the two-regime treatment of families that mix small
-generic factors with large structured ones.  `decompose_kron_product`
-is the one construction entry point for all of them, and
-`predict_parameters` runs the layered path's offset plan without the
-build.
+slots), splits every non-monomial layer by score thresholds, and
+composes the per-layer certificates, in one pass, into one certificate
+for the whole product.  On top of that sit three regrouping
+strategies: packing uneven factors into balanced bins, bucketing by
+doubly-exponential order ranges, and the two-regime treatment of
+families that mix small generic factors with large structured ones.
+`decompose_kron_product` is the one construction entry point for all
+of them, and `predict_parameters` runs the layered path's offset plan
+without the build.
 """
 
 import itertools
@@ -28,7 +28,6 @@ from .cert import (
     monomial_cert,
     split_g_kron,
     subset_expand_combine,
-    transpose_cert,
 )
 from .matrix import (
     ExactMatrix,
@@ -188,18 +187,16 @@ def _layered_certificate(spec, eps, weights, delta):
             for s in slots[1:]:
                 mono = mono.kron(s.mono)
             cert = monomial_cert(mono)
-        elif kind == VCOL:
-            cert = split_g_kron(f, [s.vec for s in slots], offset, weights)
+            if check_layers:
+                layer = KroneckerSpec([mats[i][j] for i in range(k)]).materialize()
+                if cert.reconstruct() != layer:
+                    raise AssertionError(f"layer {j} certificate does not rebuild it")
         else:
-            assert kind == VROW
-            cert = transpose_cert(
-                split_g_kron(f, [s.vec for s in slots], offset, weights))
-        if kind in (VCOL, VROW):
+            # a V-layer is built once, inside the split, and checked there
+            assert kind in (VCOL, VROW)
+            cert = split_g_kron(f, [s.vec for s in slots], offset, weights,
+                                transpose=kind == VROW, check=check_layers)
             assert (cert.claimed_rank, cert.claimed_sparsity) == (r_l, t_l)
-        if check_layers:
-            layer = KroneckerSpec([mats[i][j] for i in range(k)]).materialize()
-            if cert.reconstruct() != layer:
-                raise AssertionError(f"layer {j} certificate does not rebuild it")
         layer_certs.append(cert)
 
     # per-factor suffix products; layer products are their Kronecker mix
@@ -213,10 +210,8 @@ def _layered_certificate(spec, eps, weights, delta):
         assert acc[0] == factors[i]
         suffixes.append(acc)
 
-    cert = layer_certs[length - 1]
-    for j in range(length - 2, -1, -1):
-        target = KroneckerSpec([suffixes[i][j + 1] for i in range(k)])
-        cert = compose_product(layer_certs[j], cert, target)
+    cert = compose_product(layer_certs, [KroneckerSpec([s[j] for s in suffixes])
+                                         for j in range(1, length)])
     assert cert.claimed_rank == n_v * r_l
     assert cert.claimed_sparsity == t_l**n_v
 

@@ -188,7 +188,7 @@ def test_criterion_3_composition_ledgers():
         b = split_g_kron(F5, vb, offset=off_b)
         b_mat = b.reconstruct()
         if a.n == b.n:
-            prod = compose_product(a, b, b_mat)
+            prod = compose_product([a, b], [b_mat])
             assert prod.claimed_rank == a.claimed_rank + b.claimed_rank
             assert prod.claimed_sparsity == a.claimed_sparsity * b.claimed_sparsity
             pairs += 1
@@ -207,7 +207,7 @@ def test_criterion_3_composition_ledgers():
         target_a = KroneckerSpec(ma).materialize()
         target_b = KroneckerSpec(mb).materialize()
 
-        prod = compose_product(ca, cb, target_b)
+        prod = compose_product([ca, cb], [target_b])
         assert prod.claimed_rank == ca.claimed_rank + cb.claimed_rank
         assert prod.claimed_sparsity == ca.claimed_sparsity * cb.claimed_sparsity
         assert verify_cert(prod, target_a @ target_b)["ok"]

@@ -308,7 +308,7 @@ def test_compose_product_full_leaves():
     rng = np.random.default_rng(7)
     a = random_dense(F5, 6, 6, rng)
     b = random_dense(F5, 6, 6, rng)
-    cert = compose_product(full_cert(a), full_cert(b), b)
+    cert = compose_product([full_cert(a), full_cert(b)], [b])
     assert (cert.claimed_rank, cert.claimed_sparsity) == (0, 36)
     report = verify_cert(cert, a @ b)
     assert report["ok"]
@@ -319,7 +319,7 @@ def test_compose_product_full_leaves():
 def test_compose_product_splits():
     xa, xb = [(2, 3), (4, 1)], [(1, 1), (3, 2)]
     ga, gb = dense_g_kron(F5, xa), dense_g_kron(F5, xb)
-    cert = compose_product(split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1), gb)
+    cert = compose_product([split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)], [gb])
     assert (cert.claimed_rank, cert.claimed_sparsity) == (4, 1)
     report = verify_cert(cert, ga @ gb)
     assert report["ok"]
@@ -330,9 +330,9 @@ def test_compose_product_validation():
     a2 = full_cert(ExactMatrix.identity(F5, 2))
     a3 = full_cert(ExactMatrix.identity(F5, 3))
     with pytest.raises(ValueError):
-        compose_product(a2, a3, ExactMatrix.identity(F5, 3))
+        compose_product([a2, a3], [ExactMatrix.identity(F5, 3)])
     with pytest.raises(ValueError):
-        compose_product(a2, a2, ExactMatrix.identity(F5, 3))
+        compose_product([a2, a2], [ExactMatrix.identity(F5, 3)])
 
 
 def test_compose_product_takes_a_kronecker_spec(monkeypatch):
@@ -341,20 +341,103 @@ def test_compose_product_takes_a_kronecker_spec(monkeypatch):
     ca, cb = split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)
     mono = monomial_cert(MonomialMatrix(F5, [2, 0, 3, 1], [1, 4, 2, 3]))
     assert ca.inner_dim > 0 and mono.inner_dim == 0
-    want = compose_product(ca, cb, spec.materialize())
-    want_mono = compose_product(mono, cb, spec.materialize())
+    want = compose_product([ca, cb], [spec.materialize()])
+    want_mono = compose_product([mono, cb], [spec.materialize()])
 
     built = []
     materialize = KroneckerSpec.materialize
     monkeypatch.setattr(KroneckerSpec, "materialize",
                         lambda self: built.append(self) or materialize(self))
-    assert compose_product(ca, cb, spec).same_witness(want)
+    assert compose_product([ca, cb], [spec]).same_witness(want)
     assert built == [spec]
     # A has no low-rank part, so B is never built
-    assert compose_product(mono, cb, spec).same_witness(want_mono)
+    assert compose_product([mono, cb], [spec]).same_witness(want_mono)
     assert built == [spec]
     with pytest.raises(ValueError):
-        compose_product(mono, cb, KroneckerSpec([v_matrix(F5, (1, 1))]))
+        compose_product([mono, cb], [KroneckerSpec([v_matrix(F5, (1, 1))])])
+
+
+def _chain_certs(field, length, rng):
+    """Certificates of random order-6 matrices: splits of kron G(x) of
+    both orientations, monomial leaves and full leaves, in turn."""
+    certs = []
+    for j in range(length):
+        kind = (j + int(rng.integers(3))) % 3
+        if kind == 0:
+            vectors = [tuple(field.rand(rng) for _ in range(d)) for d in (2, 3)]
+            certs.append(split_g_kron(field, vectors, Fraction(int(rng.integers(3)), 2),
+                                      transpose=bool(rng.integers(2))))
+        elif kind == 1:
+            scales = [field.rand(rng) or field.one for _ in range(6)]
+            certs.append(monomial_cert(MonomialMatrix(field, rng.permutation(6), scales)))
+        else:
+            mask = rng.random((6, 6)) < 0.4
+            certs.append(full_cert(ExactMatrix.from_dense(
+                field, [[field.rand(rng) if mask[i, k] else 0 for k in range(6)]
+                        for i in range(6)])))
+    return certs
+
+
+@pytest.mark.parametrize("field", [F5, PrimeField(2147483659), QQ],
+                         ids=lambda f: f.header)
+def test_compose_product_chain_matches_the_left_fold(field):
+    """One chain composition renders the same bytes as the left fold of
+    two-certificate compositions, whose suffix is each next factor."""
+    from kronrig.fileio import render_cert
+    rng = np.random.default_rng(29)
+    for length in (2, 3, 4, 5) * 3:
+        certs = _chain_certs(field, length, rng)
+        mats = [c.reconstruct() for c in certs]
+        suffixes = [mats[-1]]
+        for m in reversed(mats[1:-1]):
+            suffixes.insert(0, m @ suffixes[0])
+        chain = compose_product(certs, suffixes)
+        fold = certs[0]
+        for c, m in zip(certs[1:], mats[1:]):
+            fold = compose_product([fold, c], [m])
+        assert render_cert(chain, as_bytes=True) == render_cert(fold, as_bytes=True)
+        assert verify_cert(chain, mats[0] @ suffixes[0])["ok"]
+
+
+def test_compose_product_chain_validation():
+    a2 = full_cert(ExactMatrix.identity(F5, 2))
+    with pytest.raises(ValueError):
+        compose_product([], [])
+    with pytest.raises(ValueError):
+        compose_product([a2, a2, a2], [ExactMatrix.identity(F5, 2)])
+    with pytest.raises(ValueError):
+        compose_product([a2, a2, a2], [ExactMatrix.identity(F5, 2),
+                                       ExactMatrix.identity(F5, 3)])
+
+
+@pytest.mark.parametrize("field", [F5, F7, QQ], ids=lambda f: f.header)
+def test_row_split_is_the_transposed_column_split(field):
+    """The transpose kron G(x_i)^T split as itself renders the same bytes
+    as transpose_cert of the split of kron G(x_i), with the same supports
+    and meta, and rebuilds the transpose."""
+    from kronrig.fileio import render_cert
+    rng = np.random.default_rng(31)
+    weights = WeightScheme({2: Fraction(1, 2), 3: 2})
+    for dims in ((2, 2), (3, 2), (2, 3, 2)):
+        vectors = [tuple(field.rand(rng) for _ in range(d)) for d in dims]
+        for offset in (0, Fraction(1, 2), 1):
+            for w in (None, weights):
+                rows = split_g_kron(field, vectors, offset, w, transpose=True, check=True)
+                want = transpose_cert(split_g_kron(field, vectors, offset, w))
+                assert render_cert(rows, as_bytes=True) == render_cert(want, as_bytes=True)
+                assert rows.meta == want.meta
+                assert verify_cert(rows, dense_g_kron(field, vectors).T)["ok"]
+
+
+def test_split_check_raises_when_the_split_does_not_rebuild(monkeypatch):
+    vectors = [(2, 3), (4, 1)]
+    split_g_kron(F5, vectors, 1, check=True)
+    monkeypatch.setattr(Certificate, "reconstruct",
+                        lambda self: ExactMatrix.identity(F5, self.n))
+    split_g_kron(F5, vectors, 1)
+    for transpose in (False, True):
+        with pytest.raises(AssertionError, match="does not rebuild"):
+            split_g_kron(F5, vectors, 1, transpose=transpose, check=True)
 
 
 def test_compose_kron_claim_arithmetic():

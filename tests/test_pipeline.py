@@ -146,10 +146,10 @@ def test_compose_product_takes_suffixes_in_the_storage_their_fill_calls_for(
     real_compose, real_materialize = pipeline.compose_product, KroneckerSpec.materialize
     inside, seen = [], []
 
-    def compose(cert_a, cert_b, b_matrix):
-        inside.append(b_matrix)
+    def compose(certs, suffixes):
+        inside.append(suffixes)
         try:
-            return real_compose(cert_a, cert_b, b_matrix)
+            return real_compose(certs, suffixes)
         finally:
             inside.pop()
 

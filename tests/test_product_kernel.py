@@ -151,7 +151,7 @@ def _check_signed_q(top, other, inner, sign, bound, dtype, monkeypatch):
     a[0], b[:, 0] = sign * top, other
     a[1], b[:, 1] = -top, -other
     am, bm = ExactMatrix.from_dense(QQ, a.tolist()), ExactMatrix.from_dense(QQ, b.tolist())
-    assert matrix._product_bound(QQ, am.num_dense(), bm.num_dense(), inner) == bound
+    assert matrix._product_bound(QQ, am, bm, inner) == bound
     sa = ExactMatrix(QQ, rows, inner, coo=am.num_triplets())
     seen = _spy(monkeypatch)
     got = (sa @ bm).to_dense()
@@ -375,8 +375,7 @@ def test_expansion_accumulates_at_each_bound(top, other, inner, form, monkeypatc
     products, and each result may be dense (3 * products > cells)."""
     a, b = _q_signed(3, inner, top, 0), _q_signed(inner, 3, other, 1)
     bound = top * other * inner
-    assert matrix._product_bound(QQ, a.num_triplets()[2], b.num_triplets()[2],
-                                 inner) == bound
+    assert matrix._product_bound(QQ, a, b, inner) == bound
     assert matrix._prefers_dense(3, 3, matrix._madds(a, b))
     forms = _forms(monkeypatch)
     got = matrix._expand_matmul(a, b, 1)
@@ -401,7 +400,7 @@ def test_expansion_bounds_by_the_terms_of_a_cell(monkeypatch):
     bm = ExactMatrix(QQ, inner, 3, dense=b)
     sa = ExactMatrix(QQ, 3, inner, coo=am.num_triplets())
     sb = ExactMatrix(QQ, inner, 3, coo=bm.num_triplets())
-    assert matrix._product_bound(QQ, a, b, inner) == 1 << 55
+    assert matrix._product_bound(QQ, am, bm, inner) == 1 << 55
     forms = _forms(monkeypatch)
     got = matrix._expand_matmul(sa, sb, 1)
     assert forms == ["float64"]
