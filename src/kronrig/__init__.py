@@ -40,7 +40,6 @@ from .matrix import (
     ExactMatrix,
     KRON_ORDER_CAP,
     KroneckerSpec,
-    MonomialMatrix,
     SizeCapError,
     random_invertible,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "FileFormatError",
     "KRON_ORDER_CAP",
     "KroneckerSpec",
-    "MonomialMatrix",
     "OracleCapError",
     "OracleResult",
     "PrimeField",

@@ -29,7 +29,6 @@ from .matrix import (
     ExactMatrix,
     KRON_ORDER_CAP,
     KroneckerSpec,
-    MonomialMatrix,
     SizeCapError,
     exact_dtype,
     first_mismatch,
@@ -112,13 +111,16 @@ def _guard_nnz(estimate, what):
 # leaf certificates
 
 
-def monomial_cert(mono):
-    """A monomial matrix is already one-per-line sparse: empty low-rank part."""
-    f = mono.field
-    n = mono.n
-    empty_u = ExactMatrix.zeros(f, n, 0)
-    empty_v = ExactMatrix.zeros(f, 0, n)
-    return Certificate(f, n, empty_u, empty_v, mono.to_matrix(), 0, 1)
+def monomial_cert(m):
+    """A square matrix with at most one nonzero per line (a permutation
+    or a diagonal, or a Kronecker product of them) is its own sparse
+    part: empty low-rank part, claims rank 0 and fill 1."""
+    if max(m.row_col_nnz()) > 1:
+        raise ValueError("a monomial certificate needs at most one nonzero per line")
+    f = m.field
+    empty_u = ExactMatrix.zeros(f, m.rows, 0)
+    empty_v = ExactMatrix.zeros(f, 0, m.rows)
+    return Certificate(f, m.rows, empty_u, empty_v, m, 0, 1)
 
 
 def full_cert(mat):
@@ -141,11 +143,13 @@ def transpose_cert(cert):
     return cert.transpose()
 
 
-def conjugate_cert(cert, perm):
-    """Certificate for P @ M @ P^T given one for M; P a permutation monomial."""
-    sigma = perm.sigma
-    if not all(v == perm.field.one for v in perm.scales):
-        raise ValueError("conjugation expects a pure permutation")
+def conjugate_cert(cert, sigma):
+    """Certificate for P @ M @ P^T given one for M, P the permutation
+    matrix with entry (i, sigma[i]) = 1: entry (a, b) of the result is
+    M[sigma[a], sigma[b]]."""
+    sigma = np.asarray(sigma, dtype=np.int64)
+    if sigma.shape != (cert.n,) or not (np.sort(sigma) == np.arange(cert.n)).all():
+        raise ValueError(f"sigma is not a permutation of range({cert.n})")
     u = cert.u.permute_rows(sigma)
     v = cert.v.permute_cols(sigma)
     z = cert.z.permute_rows(sigma).permute_cols(sigma)

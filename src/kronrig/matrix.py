@@ -1524,88 +1524,6 @@ def vstack(mats):
 
 
 # ----------------------------------------------------------------------
-# monomial matrices
-
-
-class MonomialMatrix:
-    """One nonzero per row: entry (i, sigma(i)) = scale[i].
-
-    With all scales nonzero and sigma a bijection this is a monomial
-    matrix; zero scales are allowed so diagonal matrices of any rank fit.
-    """
-
-    __slots__ = ("field", "n", "sigma", "scales")
-
-    def __init__(self, field, sigma, scales=None):
-        self.field = field
-        self.sigma = np.asarray(sigma, dtype=np.int64)
-        self.n = len(self.sigma)
-        counts = np.bincount(self.sigma, minlength=self.n)
-        if counts.max(initial=0) > 1 or (self.sigma < 0).any() or \
-                (self.sigma >= self.n).any():
-            raise ValueError("sigma is not a bijection on [n]")
-        if scales is None:
-            scales = [field.one] * self.n
-        self.scales = _canon_vals(field, list(scales))
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, np.arange(n, dtype=np.int64))
-
-    @classmethod
-    def permutation(cls, field, sigma):
-        return cls(field, sigma)
-
-    @classmethod
-    def diagonal(cls, field, values):
-        return cls(field, np.arange(len(values), dtype=np.int64), values)
-
-    @property
-    def is_diagonal(self):
-        return bool((self.sigma == np.arange(self.n)).all())
-
-    def to_matrix(self):
-        return ExactMatrix.from_coo(self.field, self.n, self.n,
-                                    np.arange(self.n, dtype=np.int64),
-                                    self.sigma.copy(), self.scales.copy())
-
-    def compose(self, other):
-        """Monomial product self @ other."""
-        if self.field != other.field or self.n != other.n:
-            raise ValueError("monomial compose mismatch")
-        # the constructor reduces the scales
-        return MonomialMatrix(self.field, other.sigma[self.sigma],
-                              self.scales * other.scales[self.sigma])
-
-    def kron(self, other):
-        sigma = (self.sigma[:, None] * other.n + other.sigma[None, :]).ravel()
-        return MonomialMatrix(self.field, sigma,
-                              np.multiply.outer(self.scales, other.scales).ravel())
-
-    def transpose(self):
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.sigma] = np.arange(self.n, dtype=np.int64)
-        return MonomialMatrix(self.field, inv, self.scales[inv])
-
-    def inverse(self):
-        f = self.field
-        inv_sigma = np.empty(self.n, dtype=np.int64)
-        inv_sigma[self.sigma] = np.arange(self.n, dtype=np.int64)
-        sc = [f.inv(v) for v in self.scales[inv_sigma]]
-        return MonomialMatrix(f, inv_sigma, sc)
-
-    def __repr__(self):
-        kind = "diagonal" if self.is_diagonal else "monomial"
-        return f"<MonomialMatrix {kind} n={self.n} over {self.field.header}>"
-
-
-def transposition(field, n, i, j):
-    sigma = np.arange(n, dtype=np.int64)
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return MonomialMatrix(field, sigma)
-
-
-# ----------------------------------------------------------------------
 # Kronecker structure
 
 

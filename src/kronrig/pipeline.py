@@ -33,7 +33,6 @@ from .matrix import (
     ExactMatrix,
     KRON_ORDER_CAP,
     KroneckerSpec,
-    MonomialMatrix,
     SizeCapError,
     all_digits,
     kron_list,
@@ -181,20 +180,15 @@ def _layered_certificate(spec, eps, weights, delta):
     kinds = slot_kinds(d_max)
     layer_certs = []
     for j, kind in enumerate(kinds):
-        slots = [chains[i][j] for i in range(k)]
         if kind in (PERM, DIAG):
-            mono = slots[0].mono
-            for s in slots[1:]:
-                mono = mono.kron(s.mono)
-            cert = monomial_cert(mono)
-            if check_layers:
-                layer = KroneckerSpec([mats[i][j] for i in range(k)]).materialize()
-                if cert.reconstruct() != layer:
-                    raise AssertionError(f"layer {j} certificate does not rebuild it")
+            # built once, the Kronecker product of the slots' matrices,
+            # and sparse as they are
+            cert = monomial_cert(kron_list([mats[i][j] for i in range(k)]))
         else:
             # a V-layer is built once, inside the split, and checked there
             assert kind in (VCOL, VROW)
-            cert = split_g_kron(f, [s.vec for s in slots], offset, weights,
+            vectors = [chains[i][j].vec for i in range(k)]
+            cert = split_g_kron(f, vectors, offset, weights,
                                 transpose=kind == VROW, check=check_layers)
             assert (cert.claimed_rank, cert.claimed_sparsity) == (r_l, t_l)
         layer_certs.append(cert)
@@ -296,8 +290,7 @@ def _regrouped(cert, entries, groups):
                    for g in groups]
     sigma = regroup_permutation([m.rows for e in entries for m in e],
                                 flat_groups)
-    return conjugate_cert(
-        cert, MonomialMatrix.permutation(entries[0][0].field, sigma))
+    return conjugate_cert(cert, sigma)
 
 
 # ----------------------------------------------------------------------

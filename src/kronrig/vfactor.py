@@ -12,7 +12,7 @@ of 4d-3 terms: d-1 transposed sparse pieces interleaved with
 permutations on the left, a diagonal W in the middle, and d-1 sparse
 pieces interleaved with permutations on the right.  The chain is built
 by peeling one dimension at a time and re-embedding the shrinking core
-through coordinate transpositions, which keeps the middle factor a
+through coordinate swaps, which keeps the middle factor a
 genuine diagonal.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import ExactMatrix, MonomialMatrix, solve_linear, transposition
+from .matrix import ExactMatrix, solve_linear
 
 PERM, DIAG, VCOL, VROW = "perm", "diag", "v", "vt"
 
@@ -49,17 +49,18 @@ def lift_vector(field, vec, d):
     return tuple(vec[:m - 1] + [field.zero] * (d - m) + [vec[m - 1]])
 
 
-def embed_monomial(p, d):
-    """Extend a monomial on the first m coordinates to all d, fixing the rest."""
+def swap(d, i, j):
+    """Index map of the swap of coordinates i and j of range(d)."""
     sigma = np.arange(d, dtype=np.int64)
-    sigma[:p.n] = p.sigma
-    scales = list(p.scales) + [p.field.one] * (d - p.n)
-    return MonomialMatrix(p.field, sigma, scales)
+    sigma[[i, j]] = sigma[[j, i]]
+    return sigma
 
 
 @dataclass(frozen=True)
 class Factor:
-    """One link of a factorization chain, kept in structured form."""
+    """One link of a factorization chain, kept in structured form: the
+    sparse matrix of a PERM or DIAG slot (`mono`), the last column of a
+    V slot (`vec`)."""
 
     kind: str
     field: object
@@ -68,12 +69,19 @@ class Factor:
     vec: tuple = None
 
     @classmethod
-    def perm(cls, mono):
-        return cls(PERM, mono.field, mono.n, mono=mono)
+    def perm(cls, field, sigma):
+        """The permutation matrix with entry (i, sigma[i]) = 1, stored sparse."""
+        d = len(sigma)
+        return cls(PERM, field, d,
+                   mono=ExactMatrix.identity(field, d).permute_rows(sigma))
 
     @classmethod
-    def diag(cls, mono):
-        return cls(DIAG, mono.field, mono.n, mono=mono)
+    def diag(cls, field, values):
+        """The diagonal matrix of the values, stored sparse."""
+        d = len(values)
+        idx = np.arange(d, dtype=np.int64)
+        return cls(DIAG, field, d,
+                   mono=ExactMatrix.from_coo(field, d, d, idx, idx, list(values)))
 
     @classmethod
     def v_col(cls, field, vec):
@@ -85,7 +93,7 @@ class Factor:
 
     def matrix(self):
         if self.kind in (PERM, DIAG):
-            return self.mono.to_matrix()
+            return self.mono
         g = v_matrix(self.field, self.vec)
         return g.T if self.kind == VROW else g
 
@@ -107,7 +115,8 @@ def slot_kinds(d):
 def factor_step(a):
     """Peel one dimension: a == p1 @ G(y)^T @ diag(core, lam) @ G(x) @ p2.
 
-    p1 and p2 are coordinate transpositions (identity allowed), core is
+    p1 and p2 are index maps of coordinate swaps (identity allowed),
+    standing for the permutation matrices with entry (i, p[i]) = 1; core is
     the (d-1) x (d-1) block carried into the next step, and lam marks
     whether the peeled direction kept full rank.
     """
@@ -120,15 +129,15 @@ def factor_step(a):
     mu, rank = solve_linear(field, nums, [0] * last + [a.den])
     if rank == d:
         j = max(i for i in range(d) if mu[i] != 0)
-        p2 = transposition(field, d, j, last)
+        p2 = swap(d, j, last)
         mu[j], mu[last] = mu[last], mu[j]
         inv_tail = field.inv(mu[last])
         x = [field.mul(field.neg(mu[i]), inv_tail) for i in range(last)] + [inv_tail]
-        t = nums[:, p2.sigma]
+        t = nums[:, p2]
         core = ExactMatrix.from_num_dense(field, t[:last, :last], a.den)
         y_head, _ = solve_linear(field, t[:last, :last].T, t[last, :last])
         y = list(y_head) + [field.one]
-        return (MonomialMatrix.identity(field, d), tuple(y), core, field.one,
+        return (np.arange(d, dtype=np.int64), tuple(y), core, field.one,
                 tuple(x), p2)
 
     # rank deficient: move a dependent column, then a dependent row, to the end
@@ -138,16 +147,16 @@ def factor_step(a):
         if a.submatrix(range(d), keep).exact_rank() == rank:
             col_pick = c
             break
-    p2 = transposition(field, d, col_pick, last)
-    m = a.permute_cols(p2.sigma)
+    p2 = swap(d, col_pick, last)
+    m = a.permute_cols(p2)
     row_pick = None
     for r in range(last, -1, -1):
         keep = [t for t in range(d) if t != r]
         if m.submatrix(keep, range(d)).exact_rank() == rank:
             row_pick = r
             break
-    p1 = transposition(field, d, row_pick, last)
-    t = nums[np.ix_(p1.sigma, p2.sigma)]  # m.permute_rows(p1.sigma), over a.den
+    p1 = swap(d, row_pick, last)
+    t = nums[np.ix_(p1, p2)]  # m.permute_rows(p1), over a.den
     core = ExactMatrix.from_num_dense(field, t[:last, :last], a.den)
     x_head, _ = solve_linear(field, t[:, :last], t[:, last])
     y_head, _ = solve_linear(field, t[:last, :].T, t[last, :])
@@ -167,16 +176,19 @@ def v_factorization(a):
     if d != a.cols:
         raise ValueError("need a square matrix")
     if d == 1:
-        return [Factor.diag(MonomialMatrix.diagonal(field, [a[0, 0]]))]
+        return [Factor.diag(field, [a[0, 0]])]
     left, right = [], []
     tail = []
     core = a
     for m in range(d, 1, -1):
         p1, y, core_next, lam, x, p2 = factor_step(core)
-        pi = transposition(field, d, m - 1, d - 1)
-        left.append(Factor.perm(embed_monomial(p1, d).compose(pi)))
+        # p1 and p2 act on the first m coordinates and fix the rest; as
+        # index maps, the product of P and Q is q[p]
+        pi = swap(d, m - 1, d - 1)
+        fixed = np.arange(m, d, dtype=np.int64)
+        left.append(Factor.perm(field, pi[np.concatenate([p1, fixed])]))
         left.append(Factor.v_row(field, lift_vector(field, y, d)))
-        right.insert(0, Factor.perm(pi.compose(embed_monomial(p2, d))))
+        right.insert(0, Factor.perm(field, np.concatenate([p2, fixed])[pi]))
         right.insert(0, Factor.v_col(field, lift_vector(field, x, d)))
         # the coordinate swap drags the bottom diagonal entry to slot m
         if tail:
@@ -185,7 +197,7 @@ def v_factorization(a):
             tail = [lam]
         core = core_next
     w_vals = [core[0, 0]] + tail
-    mid = Factor.diag(MonomialMatrix.diagonal(field, w_vals))
+    mid = Factor.diag(field, w_vals)
     return left + [mid] + right
 
 
@@ -209,8 +221,8 @@ def pad_factorization(factors, target_order):
     left = []
     right = []
     for _ in range(extra):
-        left.append(Factor.perm(MonomialMatrix.identity(field, d)))
+        left.append(Factor.perm(field, np.arange(d)))
         left.append(Factor.v_row(field, ident))
         right.append(Factor.v_col(field, ident))
-        right.append(Factor.perm(MonomialMatrix.identity(field, d)))
+        right.append(Factor.perm(field, np.arange(d)))
     return left + list(factors) + right

@@ -30,7 +30,6 @@ from kronrig.field import QQ, PrimeField
 from kronrig.matrix import (
     ExactMatrix,
     KroneckerSpec,
-    MonomialMatrix,
     SizeCapError,
     kron_list,
     random_dense,
@@ -249,12 +248,24 @@ def test_split_refuses_oversized_fill():
 # leaves and structural transforms
 
 
+def monomial(field, sigma, scales):
+    """The matrix with entry (i, sigma[i]) = scales[i], stored sparse."""
+    n = len(sigma)
+    return ExactMatrix.from_coo(field, n, n, np.arange(n), np.asarray(sigma), scales)
+
+
 def test_monomial_leaf():
-    mono = MonomialMatrix(F5, [2, 0, 1], [1, 3, 4])
+    mono = monomial(F5, [2, 0, 1], [1, 3, 4])
     cert = monomial_cert(mono)
     assert (cert.claimed_rank, cert.claimed_sparsity) == (0, 1)
     assert cert.inner_dim == 0
-    assert verify_cert(cert, mono.to_matrix())["ok"]
+    assert verify_cert(cert, mono)["ok"]
+    # a diagonal with zeros on it keeps the claims; a line of two does not fit
+    zero = monomial_cert(monomial(F5, [0, 1, 2], [0, 0, 0]))
+    assert (zero.claimed_rank, zero.claimed_sparsity) == (0, 1)
+    assert verify_cert(zero, ExactMatrix.zeros(F5, 3, 3))["ok"]
+    with pytest.raises(ValueError, match="one nonzero per line"):
+        monomial_cert(ExactMatrix.from_dense(F5, [[1, 1], [0, 1]]))
 
 
 def test_full_leaf_budget_is_actual_fill():
@@ -281,9 +292,8 @@ def test_conjugation():
     cert = split_g_kron(F5, [(2, 3), (1, 0, 4)], Fraction(1, 2))
     target = dense_g_kron(F5, [(2, 3), (1, 0, 4)])
     sigma = [3, 0, 5, 1, 4, 2]
-    perm = MonomialMatrix.permutation(F5, sigma)
-    p = perm.to_matrix()
-    moved = conjugate_cert(cert, perm)
+    p = monomial(F5, sigma, [1] * 6)
+    moved = conjugate_cert(cert, sigma)
     assert verify_cert(moved, p @ target @ p.T)["ok"]
     assert moved.claimed_rank == cert.claimed_rank
     assert moved.claimed_sparsity == cert.claimed_sparsity
@@ -293,11 +303,13 @@ def test_conjugation():
     assert list(moved.support_cols) == sorted(inv[c] for c in cert.support_cols)
 
 
-def test_conjugation_rejects_scaled_monomials():
-    cert = monomial_cert(MonomialMatrix.identity(F5, 3))
-    scaled = MonomialMatrix(F5, [1, 2, 0], [1, 1, 2])
-    with pytest.raises(ValueError):
-        conjugate_cert(cert, scaled)
+@pytest.mark.parametrize("sigma", [[1, 0], [1, 2, 0, 3], [1, 1, 0],
+                                   [1, 3, 0], [1, -1, 0]],
+                         ids=["short", "long", "repeated", "past_n", "negative"])
+def test_conjugation_rejects_non_permutations(sigma):
+    cert = monomial_cert(ExactMatrix.identity(F5, 3))
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)"):
+        conjugate_cert(cert, sigma)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +351,7 @@ def test_compose_product_takes_a_kronecker_spec(monkeypatch):
     xa, xb = [(2, 3), (4, 1)], [(1, 1), (3, 2)]
     spec = KroneckerSpec([v_matrix(F5, x) for x in xb])
     ca, cb = split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)
-    mono = monomial_cert(MonomialMatrix(F5, [2, 0, 3, 1], [1, 4, 2, 3]))
+    mono = monomial_cert(monomial(F5, [2, 0, 3, 1], [1, 4, 2, 3]))
     assert ca.inner_dim > 0 and mono.inner_dim == 0
     want = compose_product([ca, cb], [spec.materialize()])
     want_mono = compose_product([mono, cb], [spec.materialize()])
@@ -369,7 +381,7 @@ def _chain_certs(field, length, rng):
                                       transpose=bool(rng.integers(2))))
         elif kind == 1:
             scales = [field.rand(rng) or field.one for _ in range(6)]
-            certs.append(monomial_cert(MonomialMatrix(field, rng.permutation(6), scales)))
+            certs.append(monomial_cert(monomial(field, rng.permutation(6), scales)))
         else:
             mask = rng.random((6, 6)) < 0.4
             certs.append(full_cert(ExactMatrix.from_dense(

@@ -14,6 +14,10 @@ Two Q cases cover rationals far beyond int64: factor files whose
 entries have 20-digit numerators and denominators (golden bytes at
 n=12, sha256 pins at n=48), and an n=256 equal-mode run with layer
 checks on, pinned by sha256.
+
+A 2x2 zero factor times a 2^3 Walsh block gives a chain whose diagonal
+layer is all zero: golden bytes for that decompose, its certificate and
+its verify.
 """
 
 import hashlib
@@ -167,3 +171,21 @@ def test_q_equal_mode_sha256(name, tmp_path, monkeypatch, capsys):
     assert _sha((tmp_path / cert).read_bytes()) == want["cert"]
     assert cli.main(["verify", "--cert", cert, *factors]) == 0
     assert _sha(capsys.readouterr().out.encode()) == want["verify"]
+
+
+# the zero factor's diagonal layer has no nonzero, and its monomial
+# certificate still claims fill 1, which the plan's layer_sparsity**v_layers
+# claim takes
+ZERO = ["--factors", str(GOLDEN / "zero2.mat"), "--walsh", "3", "--field", "Fp 5"]
+ZERO_CERT_SHA256 = "e1cae4ec572beaef313ae55a508dcded04b1b2d209abedb771527115ea9c847f"
+
+
+def test_golden_zero_factor(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["decompose", *ZERO, "--epsilon", "0.5", "--out", "zero.cert"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "zero_decompose.out").read_text()
+    cert = (tmp_path / "zero.cert").read_bytes()
+    assert cert == (GOLDEN / "zero.cert").read_bytes()
+    assert _sha(cert) == ZERO_CERT_SHA256
+    assert cli.main(["verify", "--cert", "zero.cert", *ZERO]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "zero_verify.out").read_text()

@@ -15,7 +15,6 @@ from kronrig.hadamard import paley_type_one
 from kronrig.matrix import (
     ExactMatrix,
     KroneckerSpec,
-    MonomialMatrix,
     SizeCapError,
     all_digits,
     hstack,
@@ -24,7 +23,6 @@ from kronrig.matrix import (
     rank_of_product,
     random_dense,
     random_invertible,
-    transposition,
     vstack,
     _canon_coo,
 )
@@ -734,8 +732,8 @@ def test_permutations():
     for v in _storage_variants(m):
         assert v.permute_rows(perm) == m.permute_rows(perm)
         assert v.permute_cols(perm) == m.permute_cols(perm)
-    # conjugating by a transposition matrix matches index swaps
-    t = transposition(F5, 3, 0, 2).to_matrix()
+    # multiplying by the matrix of a coordinate swap matches index swaps
+    t = ExactMatrix.from_dense(F5, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert t @ m == m.permute_rows([2, 1, 0])
     assert m @ t == m.permute_cols([2, 1, 0])
 
@@ -921,8 +919,8 @@ def _storage_cases(field, rng):
             field, [[field.rand_nonzero(rng) for _ in range(d)] for _ in range(d)])
 
     def mono(d):
-        return MonomialMatrix(field, rng.permutation(d),
-                              [field.rand_nonzero(rng) for _ in range(d)]).to_matrix()
+        return ExactMatrix.from_coo(field, d, d, np.arange(d), rng.permutation(d),
+                                    [field.rand_nonzero(rng) for _ in range(d)])
 
     def vm(d):
         return v_matrix(field, [field.rand_nonzero(rng) for _ in range(d)])
@@ -997,37 +995,6 @@ def test_kron_digit_consistency():
             for t, m in enumerate(mats):
                 want = want * int(m.to_dense()[digs[i, t] - 1, digs[j, t] - 1]) % 7
             assert M[i, j] == want
-
-
-# ----------------------------------------------------------------------
-# monomial matrices
-
-
-def test_monomial_against_materialized():
-    rng = np.random.default_rng(71)
-    for f in [F5, QQ]:
-        s1 = rng.permutation(4)
-        s2 = rng.permutation(4)
-        m1 = MonomialMatrix(f, s1, [f.rand_nonzero(rng) if f is not QQ else
-                                    Fraction(int(rng.integers(1, 5))) for _ in range(4)])
-        m2 = MonomialMatrix(f, s2)
-        assert m1.compose(m2).to_matrix() == m1.to_matrix() @ m2.to_matrix()
-        assert m1.kron(m2).to_matrix() == m1.to_matrix().kron(m2.to_matrix())
-        assert m1.transpose().to_matrix() == m1.to_matrix().T
-        ident = m1.compose(m1.inverse()).to_matrix()
-        assert ident == ExactMatrix.identity(f, 4)
-
-
-def test_monomial_diagonal():
-    d = MonomialMatrix.diagonal(F5, [2, 0, 3])
-    assert d.is_diagonal
-    assert d.to_matrix().to_dense().tolist() == [[2, 0, 0], [0, 0, 0], [0, 0, 3]]
-    assert d.to_matrix().exact_rank() == 2
-
-
-def test_monomial_rejects_non_bijection():
-    with pytest.raises(ValueError):
-        MonomialMatrix(F5, [0, 0, 1])
 
 
 def test_random_invertible():

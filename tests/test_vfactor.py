@@ -10,11 +10,10 @@ from kronrig import vfactor
 from kronrig.field import PrimeField, QQ
 from kronrig.matrix import (
     ExactMatrix,
-    MonomialMatrix,
+    _is_monomial,
     kron_list,
     random_dense,
     random_invertible,
-    transposition,
 )
 from kronrig.vfactor import (
     DIAG,
@@ -22,7 +21,6 @@ from kronrig.vfactor import (
     PERM,
     VCOL,
     VROW,
-    embed_monomial,
     factor_step,
     lift_vector,
     pad_factorization,
@@ -38,6 +36,13 @@ F_BIG = PrimeField(2147483659)  # residues past int64 products
 F_61 = PrimeField(2**61 - 1)    # the largest supported modulus size
 
 
+def perm_matrix(field, sigma):
+    """The permutation matrix with entry (i, sigma[i]) = 1, entry by entry."""
+    d = len(sigma)
+    return ExactMatrix.from_dense(field, [[int(sigma[i] == j) for j in range(d)]
+                                          for i in range(d)])
+
+
 def assemble_step(field, d, p1, y, core, lam, x, p2):
     mid_vals = list(core.to_dense()[i][i] for i in range(0)) or None
     mid = ExactMatrix.zeros(field, d, d, dense=True).to_dense().copy()
@@ -47,8 +52,8 @@ def assemble_step(field, d, p1, y, core, lam, x, p2):
             mid[i][j] = cd[i][j]
     mid[d - 1][d - 1] = lam
     mid_m = ExactMatrix.from_dense(field, mid)
-    return (p1.to_matrix() @ v_matrix(field, y).T @ mid_m
-            @ v_matrix(field, x) @ p2.to_matrix())
+    return (perm_matrix(field, p1) @ v_matrix(field, y).T @ mid_m
+            @ v_matrix(field, x) @ perm_matrix(field, p2))
 
 
 def chain_product(factors):
@@ -239,8 +244,8 @@ def test_factor_step_identity_frozen():
     for d in (1, 2, 4):
         p1, y, core, lam, x, p2 = factor_step(ExactMatrix.identity(F5, d))
         e_last = tuple([0] * (d - 1) + [1])
-        assert p1.is_diagonal and all(v == 1 for v in p1.scales)
-        assert p2.is_diagonal and all(v == 1 for v in p2.scales)
+        assert p1.tolist() == list(range(d))
+        assert p2.tolist() == list(range(d))
         assert y == e_last and x == e_last
         assert lam == 1
         assert core == ExactMatrix.identity(F5, d - 1) if d > 1 else core.rows == 0
@@ -258,7 +263,7 @@ def test_factor_step_reconstructs():
                 if a.exact_rank() == d:
                     assert lam == field.one
                     assert core.exact_rank() == d - 1
-                    assert p1.is_diagonal          # left side stays untouched
+                    assert p1.tolist() == list(range(d))  # left side stays untouched
                 else:
                     assert lam == field.zero
                     assert x[-1] == field.zero and y[-1] == field.zero
@@ -279,7 +284,9 @@ def test_lift_conjugation_identity():
             for i in range(m, d):
                 big[i][i] = field.one
             direct = ExactMatrix.from_dense(field, big)
-            pi = transposition(field, d, m - 1, d - 1).to_matrix()
+            swap = list(range(d))
+            swap[m - 1], swap[d - 1] = d - 1, m - 1
+            pi = perm_matrix(field, swap)
             lifted = v_matrix(field, lift_vector(field, x, d))
             assert pi @ lifted @ pi == direct
 
@@ -295,16 +302,63 @@ def test_chain_reconstructs_and_slots():
                 assert len(chain) == 4 * d - 3
                 assert [f.kind for f in chain] == slot_kinds(d)
                 assert chain_product(chain) == a
+                assert_monomial_slots(field, chain)
                 for f in chain:
                     assert f.size == d
-                    if f.kind == PERM:
-                        assert all(v == field.one for v in f.mono.scales)
-                    elif f.kind == DIAG:
-                        assert f.mono.is_diagonal
-                    elif f.kind == VCOL:
+                    if f.kind == VCOL:
                         assert f.matrix().row_col_nnz()[0] <= 2
                     elif f.kind == VROW:
                         assert f.matrix().row_col_nnz()[1] <= 2
+
+
+def assert_monomial_slots(field, chain):
+    """Every PERM slot is a permutation matrix of ones and every DIAG slot
+    a diagonal, stored sparse, and the slot's matrix is the one it holds."""
+    for f in chain:
+        if f.kind not in (PERM, DIAG):
+            continue
+        m = f.matrix()
+        assert m is f.mono and not m.is_dense
+        ri, ci, vals = m.triplets()
+        if f.kind == DIAG:
+            assert (ri == ci).all()
+        elif m.rows > 1:
+            assert _is_monomial(m)
+            assert all(v == field.one for v in vals)
+        else:  # of order 1 a product is one multiply, not a gather
+            assert m == ExactMatrix.identity(field, 1)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F_BIG, QQ], ids=lambda f: f.header)
+def test_monomial_slots_are_sparse_matrices(field):
+    rng = np.random.default_rng(233)
+    for d in (1, 2, 3, 4, 5):
+        for singular in (False, True):
+            a = random_singular(field, d, rng) if singular else \
+                random_invertible(field, d, rng)
+            chain = v_factorization(a)
+            assert_monomial_slots(field, chain)
+            assert_monomial_slots(field, pad_factorization(chain, 6))
+            assert chain_product(chain) == a
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F_BIG, QQ], ids=lambda f: f.header)
+def test_factor_step_permutations_are_index_arrays(field):
+    """p1 and p2 are int64 index maps, each the identity or one swap, and
+    p1 is the identity on a full-rank step."""
+    rng = np.random.default_rng(239)
+    for d in (1, 2, 3, 4, 5):
+        for singular in (False, True, True):
+            a = random_singular(field, d, rng) if singular else \
+                random_invertible(field, d, rng)
+            p1, _, _, _, _, p2 = factor_step(a)
+            for p in (p1, p2):
+                assert isinstance(p, np.ndarray) and p.dtype == np.int64
+                assert sorted(p.tolist()) == list(range(d))
+                moved = np.flatnonzero(p != np.arange(d))
+                assert len(moved) in (0, 2)
+            if a.exact_rank() == d:
+                assert p1.tolist() == list(range(d))
 
 
 def test_chain_on_identity_multiplies_out():
@@ -323,8 +377,9 @@ def test_chain_deterministic():
         if f.vec is not None:
             assert f.vec == g.vec
         if f.mono is not None:
-            assert (f.mono.sigma == g.mono.sigma).all()
-            assert (f.mono.scales == g.mono.scales).all()
+            assert f.mono.is_dense == g.mono.is_dense
+            for a, b in zip(f.mono.num_triplets(), g.mono.num_triplets()):
+                assert a.tolist() == b.tolist()
 
 
 def test_padding_preserves_product_and_layout():
@@ -339,13 +394,6 @@ def test_padding_preserves_product_and_layout():
             assert all(f.size == d for f in chain)
     with pytest.raises(ValueError):
         pad_factorization(v_factorization(ExactMatrix.identity(F3, 3)), 2)
-
-
-def test_embed_monomial():
-    p = MonomialMatrix(F5, [1, 0], [2, 3])
-    e = embed_monomial(p, 4)
-    assert e.sigma.tolist() == [1, 0, 2, 3]
-    assert e.scales.tolist() == [2, 3, 1, 1]
 
 
 def test_per_factor_sizes_mix_in_kron():
