@@ -234,7 +234,7 @@ def compose_kron(cert_a, cert_b, b_matrix):
 
 
 def split_g_kron(field, vectors, offset, weights=None, transpose=False,
-                 check=False):
+                 check=False, *, pieces=None, scores=None):
     """Split kron_i G(x_i) by score thresholds into low rank plus sparse.
 
     High-score columns and low-score rows are absorbed into the
@@ -249,6 +249,11 @@ def split_g_kron(field, vectors, offset, weights=None, transpose=False,
     With `check` the certificate is checked entry by entry against the
     matrix it was split from, and an AssertionError raised unless
     U @ V + Z rebuilds it.
+
+    A caller that already holds them passes `pieces`, the matrices
+    G(x_i) of the vectors (their transposes with `transpose`), and
+    `scores`, the pair (threshold_masks, neighborhood_counts) of their
+    orders, the weights and the offset; each is built here otherwise.
     """
     weights = weights or WeightScheme.uniform()
     offset = Fraction(offset)
@@ -262,9 +267,15 @@ def split_g_kron(field, vectors, offset, weights=None, transpose=False,
         count *= (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
     _guard_nnz(count, "kron of sparse unit pieces")
 
-    pieces = [v_matrix(field, vec) for vec in vectors]
-    acc = kron_list([g.T for g in pieces] if transpose else pieces)
-    high, low = threshold_masks(dims, weights, offset)
+    if pieces is None:
+        pieces = [v_matrix(field, vec) for vec in vectors]
+        if transpose:
+            pieces = [g.T for g in pieces]
+    if scores is None:
+        scores = (threshold_masks(dims, weights, offset),
+                  neighborhood_counts(dims, weights, offset))
+    (high, low), (fill_col, fill_row) = scores
+    acc = kron_list(pieces)
     col_idx = np.flatnonzero(high)
     row_idx = np.flatnonzero(low)
     ri, ci, vals = acc.num_triplets()
@@ -275,9 +286,10 @@ def split_g_kron(field, vectors, offset, weights=None, transpose=False,
     in_high_col = high[ci]
 
     keep = ~in_low_row & ~in_high_col
-    # the three destinations partition the nonzeros
-    assert int(in_low_row.sum()) + int((in_high_col & ~in_low_row).sum()) \
-        + int(keep.sum()) == len(ri)
+    if int(in_low_row.sum()) + int((in_high_col & ~in_low_row).sum()) \
+            + int(keep.sum()) != len(ri):
+        raise AssertionError("the split's three destinations do not "
+                             "partition the nonzeros")
 
     # u: a unit column per low-score row, then the entries of high-score
     # columns outside those rows; v: the entries of the low-score rows,
@@ -304,7 +316,6 @@ def split_g_kron(field, vectors, offset, weights=None, transpose=False,
     if transpose:
         u, v, z = (v[1], v[0], v[2]), (u[1], u[0], u[2]), (z[1], z[0], z[2])
         row_idx, col_idx = col_idx, row_idx
-    fill_col, fill_row = neighborhood_counts(dims, weights, offset)
     cert = Certificate(
         field, n, ExactMatrix.from_num_coo(field, n, inner, *u, acc.den),
         ExactMatrix.from_num_coo(field, inner, n, *v, acc.den),

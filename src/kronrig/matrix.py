@@ -1367,6 +1367,18 @@ def rank_of_product(u, v, uv=None, difference=None):
     return (u.submatrix(rows, np.arange(u.cols)) @ v).exact_rank()
 
 
+def _distinct(factors):
+    """The distinct factors, in first-seen order, and each factor's index
+    among them; a factor repeats one that it is or equals."""
+    distinct, which = [], []
+    for m in factors:
+        j = next((j for j, d in enumerate(distinct) if d is m or d == m), len(distinct))
+        if j == len(distinct):
+            distinct.append(m)
+        which.append(j)
+    return distinct, which
+
+
 def _rank_of_difference(spec, z):
     """rank(A - z) for A the product of `spec`, from z's nonzero rows R and
     columns C, or None where that route does not apply.
@@ -1394,12 +1406,7 @@ def _rank_of_difference(spec, z):
     rsel, csel = _occupied(ri, n), _occupied(ci, n)
     if len(rsel) * len(csel) > DENSE_CELL_CAP:
         return None
-    distinct, which = [], []  # which[i]: the index of factor i in distinct
-    for m in spec.factors:
-        j = next((j for j, d in enumerate(distinct) if d is m or d == m), len(distinct))
-        if j == len(distinct):
-            distinct.append(m)
-        which.append(j)
+    distinct, which = _distinct(spec.factors)
     if any(m.exact_rank() < m.rows for m in distinct):
         return None
     if len(csel) == 0:

@@ -116,8 +116,10 @@ def _finish(a, r, support, new_vals, measure, value):
     trips = [(i, j, f.sub(arr[i, j], v))
              for (i, j), v in zip(support, new_vals)]
     z = ExactMatrix.from_triplets(f, a.rows, a.cols, trips)
-    assert z.nnz == len(support)
-    assert (a - z).exact_rank() <= r
+    if z.nnz != len(support):
+        raise AssertionError("a changed entry of the witness kept its value")
+    if (a - z).exact_rank() > r:
+        raise AssertionError(f"the witness leaves rank above {r}")
     return OracleResult(r, value, measure, z)
 
 

@@ -34,6 +34,7 @@ from .matrix import (
     KRON_ORDER_CAP,
     KroneckerSpec,
     SizeCapError,
+    _distinct,
     all_digits,
     kron_list,
     mixed_radix_strides,
@@ -47,8 +48,9 @@ from .scores import (
     neighborhood_counts,
     score_distribution,
     threshold_counts,
+    threshold_masks,
 )
-from .vfactor import DIAG, PERM, VCOL, VROW, pad_factorization, slot_kinds, v_factorization
+from .vfactor import DIAG, PERM, VROW, pad_factorization, slot_kinds, v_factorization
 
 # candidate offsets appended past the grid, taken from actual score gaps
 EXTENSION_POINTS = 17
@@ -167,47 +169,56 @@ def _plan(dims, weights, eps, delta):
 
 
 def _layered_certificate(spec, eps, weights, delta):
-    f, dims, n, factors = spec.field, spec.dims, spec.n, spec.factors
-    k = len(dims)
+    f, dims, n = spec.field, spec.dims, spec.n
     d_max = max(dims)
     n_v = 2 * (d_max - 1)
     m = mean_score(dims, weights)
     offset, r_l, t_l, info = _plan(dims, weights, eps, delta)
     check_layers = n <= 1024
-
-    chains = [pad_factorization(v_factorization(a), d_max) for a in factors]
-    mats = [[fac.matrix() for fac in chain] for chain in chains]
     kinds = slot_kinds(d_max)
-    layer_certs = []
-    for j, kind in enumerate(kinds):
-        if kind in (PERM, DIAG):
-            # built once, the Kronecker product of the slots' matrices,
-            # and sparse as they are
-            cert = monomial_cert(kron_list([mats[i][j] for i in range(k)]))
-        else:
-            # a V-layer is built once, inside the split, and checked there
-            assert kind in (VCOL, VROW)
-            vectors = [chains[i][j].vec for i in range(k)]
-            cert = split_g_kron(f, vectors, offset, weights,
-                                transpose=kind == VROW, check=check_layers)
-            assert (cert.claimed_rank, cert.claimed_sparsity) == (r_l, t_l)
-        layer_certs.append(cert)
-
-    # per-factor suffix products; layer products are their Kronecker mix
     length = len(kinds)
-    suffixes = []
-    for i in range(k):
+
+    # one chain per distinct factor: its slots, their matrices, and its
+    # suffix products, whose Kronecker mix are the layer products
+    distinct, which = _distinct(spec.factors)
+    chains, mats, suffixes = [], [], []
+    for a in distinct:
+        chain = pad_factorization(v_factorization(a), d_max)
+        slots = [fac.matrix() for fac in chain]
         acc = [None] * (length + 1)
-        acc[length] = ExactMatrix.identity(f, dims[i])
+        acc[length] = ExactMatrix.identity(f, a.rows)
         for j in range(length - 1, -1, -1):
-            acc[j] = mats[i][j] @ acc[j + 1]
-        assert acc[0] == factors[i]
+            acc[j] = slots[j] @ acc[j + 1]
+        if acc[0] != a:
+            raise AssertionError("a factor's chain does not multiply to it")
+        chains.append(chain)
+        mats.append(slots)
         suffixes.append(acc)
 
-    cert = compose_product(layer_certs, [KroneckerSpec([s[j] for s in suffixes])
+    # every V-layer has the same orders, weights and offset, so the same
+    # threshold masks and fill counts
+    scores = (threshold_masks(dims, weights, offset),
+              neighborhood_counts(dims, weights, offset)) if n_v else None
+    layer_certs = []
+    for j, kind in enumerate(kinds):
+        pieces = [mats[i][j] for i in which]
+        if kind in (PERM, DIAG):
+            # the Kronecker product of the slots' matrices, sparse as they are
+            cert = monomial_cert(kron_list(pieces))
+        else:
+            # a V-layer is split from the slots' G(x) (G(x)^T in a row
+            # slot) and checked there
+            cert = split_g_kron(f, [chains[i][j].vec for i in which], offset,
+                                weights, transpose=kind == VROW,
+                                check=check_layers, pieces=pieces, scores=scores)
+            if (cert.claimed_rank, cert.claimed_sparsity) != (r_l, t_l):
+                raise AssertionError("a V-layer's claims differ from the plan's")
+        layer_certs.append(cert)
+
+    cert = compose_product(layer_certs, [KroneckerSpec([suffixes[i][j] for i in which])
                                          for j in range(1, length)])
-    assert cert.claimed_rank == n_v * r_l
-    assert cert.claimed_sparsity == t_l**n_v
+    if (cert.claimed_rank, cert.claimed_sparsity) != (n_v * r_l, t_l**n_v):
+        raise AssertionError("the composed claims differ from the plan's")
 
     report = {
         "field": f.header,

@@ -18,6 +18,10 @@ checks on, pinned by sha256.
 A 2x2 zero factor times a 2^3 Walsh block gives a chain whose diagonal
 layer is all zero: golden bytes for that decompose, its certificate and
 its verify.
+
+Equal factors held in different objects (a matrix read from a dense
+and from a sparse file; two Paley matrices built apart) are pinned by
+their decompose and verify stdout and their certificate's sha256.
 """
 
 import hashlib
@@ -189,3 +193,28 @@ def test_golden_zero_factor(tmp_path, monkeypatch, capsys):
     assert _sha(cert) == ZERO_CERT_SHA256
     assert cli.main(["verify", "--cert", "zero.cert", *ZERO]) == 0
     assert capsys.readouterr().out == (GOLDEN / "zero_verify.out").read_text()
+
+
+# Equal factors held in different objects, written before the layered
+# construction shared one chain among them: one 2x2 matrix read from a
+# dense file and from a sparse file, and two Paley matrices built apart.
+TWINS = {
+    "eqfiles": (["--factors", str(GOLDEN / "eq2.mat"), "--factors",
+                 str(GOLDEN / "eq2s.mat"), "--walsh", "2", "--field", "Fp 5"],
+                "b01b2aca0076d0d77612a3a5b46c0261cd703563c2f01c46fcebbc0ee5d5a6cb"),
+    "eqpaley": (["--paley1", "3", "--paley1", "3", "--field", "Fp 7"],
+                "537a59bb84a79c52725d1c8fd0b6b69e6b24d030eb52b215f7d48690691fed38"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_golden_equal_factors_in_different_objects(name, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    factors, cert_sha = TWINS[name]
+    cert = f"{name}.cert"
+    assert cli.main(["decompose", *factors, "--epsilon", "0.5", "--out", cert]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}_decompose.out").read_text()
+    assert _sha((tmp_path / cert).read_bytes()) == cert_sha
+    assert cli.main(["verify", "--cert", cert, *factors]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}_verify.out").read_text()
