@@ -38,7 +38,6 @@ from .matrix import (
     vstack,
 )
 from .scores import WeightScheme, neighborhood_counts, threshold_masks
-from .vfactor import v_matrix
 
 # explicit-triplet budget for any single sparse object built here
 CERT_NNZ_CAP = 1 << 25
@@ -233,9 +232,26 @@ def compose_kron(cert_a, cert_b, b_matrix):
 # the threshold split of a Kronecker product of sparse unit pieces
 
 
-def split_g_kron(field, vectors, offset, weights=None, transpose=False,
-                 check=False, *, pieces=None, scores=None):
+def _check_g_piece(g, transpose):
+    """Raise ValueError unless g is G(x), or G(x)^T with `transpose`:
+    square, with the identity in its first d-1 columns (rows)."""
+    d = g.rows
+    ri, ci, vals = g.num_triplets()
+    head = (ri if transpose else ci) < d - 1
+    if g.cols != d or (vals[head] != g.den).any() or not all(
+            np.array_equal(k[head], np.arange(d - 1)) for k in (ri, ci)):
+        side = "rows" if transpose else "columns"
+        raise ValueError(f"a {d} x {g.cols} piece is not G(x){'^T' * transpose}: square "
+                         f"with the identity in its first d-1 {side}")
+
+
+def split_g_kron(pieces, offset, weights=None, transpose=False, check=False, *,
+                 scores=None):
     """Split kron_i G(x_i) by score thresholds into low rank plus sparse.
+
+    `pieces` are the matrices G(x_i): identity in the first d_i - 1
+    columns, the vector x_i as the last (with `transpose`, the G(x_i)^T).
+    A piece of another shape raises ValueError.
 
     High-score columns and low-score rows are absorbed into the
     low-rank part; what survives is sparse per line because a nonzero
@@ -243,34 +259,29 @@ def split_g_kron(field, vectors, offset, weights=None, transpose=False,
     coordinate or sit at the top, and the thresholds pin how many
     coordinates can move.
 
-    With `transpose` the transpose kron_i G(x_i)^T is built and split
-    as itself, with the roles of rows and columns swapped: the result is
+    With `transpose` the transpose kron_i G(x_i)^T is split as itself,
+    with the roles of rows and columns swapped: the result is
     transpose_cert of the product's split, with no transpose formed.
     With `check` the certificate is checked entry by entry against the
     matrix it was split from, and an AssertionError raised unless
     U @ V + Z rebuilds it.
 
-    A caller that already holds them passes `pieces`, the matrices
-    G(x_i) of the vectors (their transposes with `transpose`), and
-    `scores`, the pair (threshold_masks, neighborhood_counts) of their
-    orders, the weights and the offset; each is built here otherwise.
+    A caller that already holds them passes `scores`, the pair
+    (threshold_masks, neighborhood_counts) of the pieces' orders, the
+    weights and the offset; they are counted here otherwise.
     """
+    for g in pieces:
+        _check_g_piece(g, transpose)
+    field = pieces[0].field
     weights = weights or WeightScheme.uniform()
     offset = Fraction(offset)
-    dims = tuple(len(v) for v in vectors)
+    dims = tuple(g.rows for g in pieces)
     n = math.prod(dims)
     if n > KRON_ORDER_CAP:
         raise SizeCapError(f"order {n} beyond the materialization cap")
     # nnz(G(x)) = (d - 1) + nnz(x): the identity's d - 1 columns, then x
-    count = 1
-    for v in vectors:
-        count *= (len(v) - 1) + sum(1 for t in v if field.canon(t) != 0)
-    _guard_nnz(count, "kron of sparse unit pieces")
+    _guard_nnz(math.prod(g.nnz for g in pieces), "kron of sparse unit pieces")
 
-    if pieces is None:
-        pieces = [v_matrix(field, vec) for vec in vectors]
-        if transpose:
-            pieces = [g.T for g in pieces]
     if scores is None:
         scores = (threshold_masks(dims, weights, offset),
                   neighborhood_counts(dims, weights, offset))

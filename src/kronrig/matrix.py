@@ -1397,7 +1397,9 @@ def _rank_of_difference(spec, z):
     and M together, about n each when the orders balance.  The route
     needs every factor of full rank, |C| * |R| within the cell cap, and
     the factors' solves (about sum d^3 integer operations) within the n^2
-    cells of A.  Each distinct factor is ranked and solved once.
+    cells of A.  Each distinct factor is solved once, and its rank read
+    off that solve; with no nonzero column in z, where no inverse is
+    needed, each is only ranked.
     """
     n, dims = spec.n, spec.dims
     if sum(d ** 3 for d in dims) > n * n:
@@ -1407,14 +1409,14 @@ def _rank_of_difference(spec, z):
     if len(rsel) * len(csel) > DENSE_CELL_CAP:
         return None
     distinct, which = _distinct(spec.factors)
-    if any(m.exact_rank() < m.rows for m in distinct):
-        return None
     if len(csel) == 0:
-        return n
+        return None if any(m.exact_rank() < m.rows for m in distinct) else n
     f = spec.field
     inv = []
     for m in distinct:
-        x, _ = solve_linear(f, m.num_dense(), np.diag([m.den] * m.rows))
+        x, pivots = solve_linear(f, m.num_dense(), np.diag([m.den] * m.rows))
+        if len(pivots) < m.rows:
+            return None
         inv.append(ExactMatrix.from_dense(f, x))
     inv = [inv[j] for j in which]
     h = min(range(1, len(dims)),
@@ -1438,10 +1440,11 @@ def _rank_of_difference(spec, z):
 
 
 def solve_linear(field, a, b):
-    """(x, rank) for a @ x = b, a integer and b an integer vector or
+    """(x, pivots) for a @ x = b, a integer and b an integer vector or
     matrix: x is one exact solution with its free variables zero (a list,
     or a list of rows if b is a matrix), or None if there is none, and
-    rank is the rank of a.
+    pivots are a's pivot columns in increasing order, the first of a's
+    columns that span its column space (as many as a's rank).
 
     Over F_p the integers are taken mod p; over Q they are the system
     itself (scaling a row of it by the row's denominators clears them).
@@ -1477,13 +1480,12 @@ def solve_linear(field, a, b):
             if f and i != r:
                 rows[i] = tidy([top[c] * u - f * v for u, v in zip(row, top)])
         pivots.append(c)
-    rank = len(pivots)
-    if any(any(row[n:]) for row in rows[rank:]):
-        return None, rank
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None, pivots
     x = [[field.zero] * k for _ in range(n)]
     for row, c in zip(rows, pivots):
         x[c] = [field.div(v, row[c]) for v in row[n:]]
-    return (x if b.ndim == 2 else [xc[0] for xc in x]), rank
+    return (x if b.ndim == 2 else [xc[0] for xc in x]), pivots
 
 
 # ----------------------------------------------------------------------

@@ -178,21 +178,19 @@ def _layered_certificate(spec, eps, weights, delta):
     kinds = slot_kinds(d_max)
     length = len(kinds)
 
-    # one chain per distinct factor: its slots, their matrices, and its
-    # suffix products, whose Kronecker mix are the layer products
+    # one chain per distinct factor: its slot matrices and its suffix
+    # products, whose Kronecker mix are the layer products
     distinct, which = _distinct(spec.factors)
-    chains, mats, suffixes = [], [], []
+    chains, suffixes = [], []
     for a in distinct:
         chain = pad_factorization(v_factorization(a), d_max)
-        slots = [fac.matrix() for fac in chain]
         acc = [None] * (length + 1)
         acc[length] = ExactMatrix.identity(f, a.rows)
         for j in range(length - 1, -1, -1):
-            acc[j] = slots[j] @ acc[j + 1]
+            acc[j] = chain[j] @ acc[j + 1]
         if acc[0] != a:
             raise AssertionError("a factor's chain does not multiply to it")
         chains.append(chain)
-        mats.append(slots)
         suffixes.append(acc)
 
     # every V-layer has the same orders, weights and offset, so the same
@@ -201,16 +199,15 @@ def _layered_certificate(spec, eps, weights, delta):
               neighborhood_counts(dims, weights, offset)) if n_v else None
     layer_certs = []
     for j, kind in enumerate(kinds):
-        pieces = [mats[i][j] for i in which]
+        pieces = [chains[i][j] for i in which]
         if kind in (PERM, DIAG):
             # the Kronecker product of the slots' matrices, sparse as they are
             cert = monomial_cert(kron_list(pieces))
         else:
             # a V-layer is split from the slots' G(x) (G(x)^T in a row
             # slot) and checked there
-            cert = split_g_kron(f, [chains[i][j].vec for i in which], offset,
-                                weights, transpose=kind == VROW,
-                                check=check_layers, pieces=pieces, scores=scores)
+            cert = split_g_kron(pieces, offset, weights, transpose=kind == VROW,
+                                check=check_layers, scores=scores)
             if (cert.claimed_rank, cert.claimed_sparsity) != (r_l, t_l):
                 raise AssertionError("a V-layer's claims differ from the plan's")
         layer_certs.append(cert)

@@ -14,9 +14,10 @@ pieces interleaved with permutations on the right.  The chain is built
 by peeling one dimension at a time and re-embedding the shrinking core
 through coordinate swaps, which keeps the middle factor a
 genuine diagonal.
-"""
 
-from dataclasses import dataclass
+A chain is the list of its terms' matrices, each stored sparse; what a
+term is follows from its position, which `slot_kinds` lists.
+"""
 
 import numpy as np
 
@@ -56,53 +57,15 @@ def swap(d, i, j):
     return sigma
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One link of a factorization chain, kept in structured form: the
-    sparse matrix of a PERM or DIAG slot (`mono`), the last column of a
-    V slot (`vec`)."""
-
-    kind: str
-    field: object
-    size: int
-    mono: object = None
-    vec: tuple = None
-
-    @classmethod
-    def perm(cls, field, sigma):
-        """The permutation matrix with entry (i, sigma[i]) = 1, stored sparse."""
-        d = len(sigma)
-        return cls(PERM, field, d,
-                   mono=ExactMatrix.identity(field, d).permute_rows(sigma))
-
-    @classmethod
-    def diag(cls, field, values):
-        """The diagonal matrix of the values, stored sparse."""
-        d = len(values)
-        idx = np.arange(d, dtype=np.int64)
-        return cls(DIAG, field, d,
-                   mono=ExactMatrix.from_coo(field, d, d, idx, idx, list(values)))
-
-    @classmethod
-    def v_col(cls, field, vec):
-        return cls(VCOL, field, len(vec), vec=tuple(field.canon(v) for v in vec))
-
-    @classmethod
-    def v_row(cls, field, vec):
-        return cls(VROW, field, len(vec), vec=tuple(field.canon(v) for v in vec))
-
-    def matrix(self):
-        if self.kind in (PERM, DIAG):
-            return self.mono
-        g = v_matrix(self.field, self.vec)
-        return g.T if self.kind == VROW else g
-
-    def __repr__(self):
-        return f"<Factor {self.kind} d={self.size}>"
+def _diag(field, values):
+    """The diagonal matrix of the values, stored sparse."""
+    idx = np.arange(len(values), dtype=np.int64)
+    return ExactMatrix.from_coo(field, len(values), len(values), idx, idx, list(values))
 
 
 def slot_kinds(d):
-    """Expected kind sequence of a full chain for a d x d matrix."""
+    """The kind of each term of a full chain for a d x d matrix: PERM,
+    DIAG, VCOL for G(x) or VROW for G(y)^T."""
     if d == 1:
         return [DIAG]
     return [PERM, VROW] * (d - 1) + [DIAG] + [VCOL, PERM] * (d - 1)
@@ -126,8 +89,8 @@ def factor_step(a):
         raise ValueError("factor_step needs a square matrix")
     last = d - 1
     nums = a.num_dense()
-    mu, rank = solve_linear(field, nums, [0] * last + [a.den])
-    if rank == d:
+    mu, pivots = solve_linear(field, nums, [0] * last + [a.den])
+    if len(pivots) == d:
         j = max(i for i in range(d) if mu[i] != 0)
         p2 = swap(d, j, last)
         mu[j], mu[last] = mu[last], mu[j]
@@ -140,23 +103,14 @@ def factor_step(a):
         return (np.arange(d, dtype=np.int64), tuple(y), core, field.one,
                 tuple(x), p2)
 
-    # rank deficient: move a dependent column, then a dependent row, to the end
-    col_pick = None
-    for c in range(last, -1, -1):
-        keep = [t for t in range(d) if t != c]
-        if a.submatrix(range(d), keep).exact_rank() == rank:
-            col_pick = c
-            break
-    p2 = swap(d, col_pick, last)
-    m = a.permute_cols(p2)
-    row_pick = None
-    for r in range(last, -1, -1):
-        keep = [t for t in range(d) if t != r]
-        if m.submatrix(keep, range(d)).exact_rank() == rank:
-            row_pick = r
-            break
-    p1 = swap(d, row_pick, last)
-    t = nums[np.ix_(p1, p2)]  # m.permute_rows(p1), over a.den
+    # rank deficient: move the last column, then the last row, whose removal
+    # keeps the rank to the end.  A pivot column is only in the fundamental
+    # circuits of later non-pivot columns, so that is the last non-pivot one.
+    _, row_pivots = solve_linear(field, nums.T, [0] * d)
+    col_pick = max(set(range(d)) - set(pivots))
+    row_pick = max(set(range(d)) - set(row_pivots))
+    p1, p2 = swap(d, row_pick, last), swap(d, col_pick, last)
+    t = nums[np.ix_(p1, p2)]
     core = ExactMatrix.from_num_dense(field, t[:last, :last], a.den)
     x_head, _ = solve_linear(field, t[:, :last], t[:, last])
     y_head, _ = solve_linear(field, t[:last, :].T, t[last, :])
@@ -170,26 +124,29 @@ def factor_step(a):
 
 
 def v_factorization(a):
-    """Alternating chain of 4d-3 structured factors multiplying to a."""
+    """The chain of a: its 4d-3 terms' matrices in `slot_kinds(d)` order,
+    multiplying to a."""
     field = a.field
     d = a.rows
     if d != a.cols:
         raise ValueError("need a square matrix")
     if d == 1:
-        return [Factor.diag(field, [a[0, 0]])]
+        return [_diag(field, [a[0, 0]])]
     left, right = [], []
     tail = []
     core = a
+    # ident.permute_rows(sigma) has entry (i, sigma[i]) = 1
+    ident = ExactMatrix.identity(field, d)
     for m in range(d, 1, -1):
         p1, y, core_next, lam, x, p2 = factor_step(core)
         # p1 and p2 act on the first m coordinates and fix the rest; as
         # index maps, the product of P and Q is q[p]
         pi = swap(d, m - 1, d - 1)
         fixed = np.arange(m, d, dtype=np.int64)
-        left.append(Factor.perm(field, pi[np.concatenate([p1, fixed])]))
-        left.append(Factor.v_row(field, lift_vector(field, y, d)))
-        right.insert(0, Factor.perm(field, np.concatenate([p2, fixed])[pi]))
-        right.insert(0, Factor.v_col(field, lift_vector(field, x, d)))
+        left.append(ident.permute_rows(pi[np.concatenate([p1, fixed])]))
+        left.append(v_matrix(field, lift_vector(field, y, d)).T)
+        right.insert(0, ident.permute_rows(np.concatenate([p2, fixed])[pi]))
+        right.insert(0, v_matrix(field, lift_vector(field, x, d)))
         # the coordinate swap drags the bottom diagonal entry to slot m
         if tail:
             tail = [tail[-1]] + tail[:-1] + [lam]
@@ -197,32 +154,22 @@ def v_factorization(a):
             tail = [lam]
         core = core_next
     w_vals = [core[0, 0]] + tail
-    mid = Factor.diag(field, w_vals)
-    return left + [mid] + right
+    return left + [_diag(field, w_vals)] + right
 
 
-def pad_factorization(factors, target_order):
+def pad_factorization(chain, target_order):
     """Stretch a chain to the slot layout of a target_order chain.
 
-    Padding factors keep the original matrix size; only the number of
+    Padding terms keep the original matrix size; only the number of
     slots changes, so chains for differently sized matrices can be
-    zipped together slot by slot.  Pads are identity permutations on
-    the outside and identity-shaped sparse pieces next to them.
+    zipped together slot by slot.  Every pad is the identity: a
+    permutation slot's identity permutation, or a sparse-piece slot's
+    G(e_d).
     """
-    field = factors[0].field
-    d = factors[0].size
-    native = (len(factors) + 3) // 4
+    native = (len(chain) + 3) // 4
     if native > target_order:
         raise ValueError(f"cannot pad an order-{native} chain down to {target_order}")
-    extra = target_order - native
-    if extra == 0:
-        return list(factors)
-    ident = tuple([field.zero] * (d - 1) + [field.one])
-    left = []
-    right = []
-    for _ in range(extra):
-        left.append(Factor.perm(field, np.arange(d)))
-        left.append(Factor.v_row(field, ident))
-        right.append(Factor.v_col(field, ident))
-        right.append(Factor.perm(field, np.arange(d)))
-    return left + list(factors) + right
+    f, d = chain[0].field, chain[0].rows
+    extra = 2 * (target_order - native)
+    pads = [ExactMatrix.identity(f, d) for _ in range(2 * extra)]
+    return pads[:extra] + list(chain) + pads[extra:]

@@ -8,11 +8,13 @@ kronrig.  The fixture below puts the absolute directory that holds the
 imported ``kronrig`` package first on ``PYTHONPATH``, so every child runs
 the same code as the test process.
 
-`fp_walsh_cert` is the certificate of the fp_walsh benchmark workload's
-full instance (n = 1024), built once for the tests that need its shape.
+`fp_walsh_cert` and `q_family_cert` are the certificates of the
+benchmark workloads' full instances (n = 1024 and n = 96), each built
+once for the tests that need its shape.
 `reference_basis_rows` is a plain-Python elimination to check the rank
 kernel against, and `elimination_dtype` reads the dtype the kernel
-eliminates in.
+eliminates in.  `g_pieces` builds the pieces `split_g_kron` splits, for
+tests to import (`from conftest import g_pieces`).
 """
 
 import contextlib
@@ -26,9 +28,17 @@ import pytest
 
 import kronrig
 from kronrig import cli, matrix
+from kronrig.vfactor import v_matrix
 
 KRONRIG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(kronrig.__file__)))
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def g_pieces(field, vectors, transpose=False):
+    """G(x) for each last column x, built by `v_matrix`; G(x)^T with
+    `transpose`: what `split_g_kron` takes to split kron_i G(x_i)."""
+    pieces = [v_matrix(field, x) for x in vectors]
+    return [g.T for g in pieces] if transpose else pieces
 
 
 @pytest.fixture(autouse=True)
@@ -36,19 +46,30 @@ def child_imports_kronrig_under_test(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", KRONRIG_ROOT, prepend=os.pathsep)
 
 
-@pytest.fixture(scope="session")
-def fp_walsh_cert(tmp_path_factory):
-    """(certificate path, decompose argv, verify argv) of the fp_walsh
+def _workload_cert(name, tmp_path_factory):
+    """(certificate path, decompose argv, verify argv) of the benchmark
     workload's full instance of seed 1, decomposed by the CLI."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workdir = tmp_path_factory.mktemp("fp_walsh")
-    (_, decompose), (_, verify) = workloads.WORKLOADS["fp_walsh"].cycle(1, str(workdir))
+    workdir = tmp_path_factory.mktemp(name)
+    (_, decompose), (_, verify) = workloads.WORKLOADS[name].cycle(1, str(workdir))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(decompose) == 0
     assert decompose[-2] == "--out"
     return decompose[-1], decompose, verify
+
+
+@pytest.fixture(scope="session")
+def fp_walsh_cert(tmp_path_factory):
+    """_workload_cert of the fp_walsh workload."""
+    return _workload_cert("fp_walsh", tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def q_family_cert(tmp_path_factory):
+    """_workload_cert of the q_family workload."""
+    return _workload_cert("q_family", tmp_path_factory)
 
 
 def _reference_basis_rows(a, p):

@@ -43,6 +43,8 @@ from kronrig.pipeline import (
 )
 from kronrig.scores import WeightScheme, threshold_counts
 
+from conftest import g_pieces
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -147,7 +149,7 @@ def test_criterion_2_and_7_split_exactness_and_monotonicity():
         vectors = [(1 + (i % 4), 1 + ((i + 1) % 4)) for i in range(k)]
         prev_rank, prev_sparsity = None, None
         for off in offsets:
-            cert = split_g_kron(F5, vectors, offset=off)
+            cert = split_g_kron(g_pieces(F5, vectors), offset=off)
             hi = int((scores >= math.ceil(m + off)).sum())
             lo = int((scores <= math.floor(m - off)).sum())
             assert cert.claimed_rank == hi + lo, (k, off)
@@ -184,8 +186,8 @@ def test_criterion_3_composition_ledgers():
     ]:
         va = [tuple(range(2, 2 + d)) for d in dims_a]
         vb = [tuple(range(2, 2 + d)) for d in dims_b]
-        a = split_g_kron(F5, va, offset=off_a)
-        b = split_g_kron(F5, vb, offset=off_b)
+        a = split_g_kron(g_pieces(F5, va), offset=off_a)
+        b = split_g_kron(g_pieces(F5, vb), offset=off_b)
         b_mat = b.reconstruct()
         if a.n == b.n:
             prod = compose_product([a, b], [b_mat])

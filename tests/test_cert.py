@@ -37,6 +37,8 @@ from kronrig.matrix import (
 from kronrig.scores import WeightScheme
 from kronrig.vfactor import v_matrix
 
+from conftest import g_pieces
+
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -97,7 +99,7 @@ def brute_threshold_sets(dims, wmap, offset):
 
 def test_split_two_by_two_frozen():
     # vectors (2,3) and (4,1) over F5, uniform weights, offset 1
-    cert = split_g_kron(F5, [(2, 3), (4, 1)], 1)
+    cert = split_g_kron(g_pieces(F5, [(2, 3), (4, 1)]), 1)
     assert cert.n == 4
     assert cert.claimed_rank == 2
     assert cert.claimed_sparsity == 1
@@ -120,7 +122,7 @@ def test_split_matches_enumeration():
         for dims in ((2, 2), (3, 2), (2, 3, 2)):
             vectors = [tuple(field.rand(rng) for _ in range(d)) for d in dims]
             for offset in (0, Fraction(1, 2), 1, Fraction(3, 2)):
-                cert = split_g_kron(field, vectors, offset)
+                cert = split_g_kron(g_pieces(field, vectors), offset)
                 rows, cols = brute_threshold_sets(dims, {}, Fraction(offset))
                 assert list(cert.support_rows) == rows
                 assert list(cert.support_cols) == cols
@@ -133,7 +135,7 @@ def test_split_weighted():
     wmap = {2: Fraction(1, 2), 3: 2}
     weights = WeightScheme(wmap)
     vectors = [(1, 4), (2, 0, 3)]
-    cert = split_g_kron(F5, vectors, Fraction(1, 2), weights)
+    cert = split_g_kron(g_pieces(F5, vectors), Fraction(1, 2), weights)
     rows, cols = brute_threshold_sets((2, 3), wmap, Fraction(1, 2))
     assert list(cert.support_rows) == rows
     assert list(cert.support_cols) == cols
@@ -145,15 +147,15 @@ def test_split_zero_offset_peels_everything():
     # surviving entry would need a column scoring strictly below its row,
     # which the compatibility structure forbids
     vectors = [(3, 1), (2, 2), (1, 4)]
-    cert = split_g_kron(F5, vectors, 0)
+    cert = split_g_kron(g_pieces(F5, vectors), 0)
     assert cert.z.is_zero()
     assert cert.claimed_rank >= cert.n
     assert verify_cert(cert, dense_g_kron(F5, vectors))["ok"]
 
 
 def test_split_deterministic():
-    a = split_g_kron(F5, [(2, 3), (4, 1)], 1)
-    b = split_g_kron(F5, [(2, 3), (4, 1)], 1)
+    a = split_g_kron(g_pieces(F5, [(2, 3), (4, 1)]), 1)
+    b = split_g_kron(g_pieces(F5, [(2, 3), (4, 1)]), 1)
     assert a.same_witness(b)
 
 
@@ -182,11 +184,11 @@ def test_split_kron_in_halves_matches_left_fold(field, monkeypatch):
         orders.clear()
         with monkeypatch.context() as mp:
             mp.setattr(ExactMatrix, "kron", spy)
-            halves = split_g_kron(field, vectors, offset)
+            halves = split_g_kron(g_pieces(field, vectors), offset)
         assert orders[-1] == 96 and max(orders[:-1]) == 16
         with monkeypatch.context() as mp:
             mp.setattr(cert_module, "kron_list", _left_fold)
-            fold = split_g_kron(field, vectors, offset)
+            fold = split_g_kron(g_pieces(field, vectors), offset)
         assert halves.same_witness(fold)
         assert list(halves.support_rows) == list(fold.support_rows)
         assert list(halves.support_cols) == list(fold.support_cols)
@@ -195,7 +197,7 @@ def test_split_kron_in_halves_matches_left_fold(field, monkeypatch):
 
 def test_split_refuses_oversized_orders():
     with pytest.raises(SizeCapError):
-        split_g_kron(F5, [(1, 2)] * 17, 1)
+        split_g_kron(g_pieces(F5, [(1, 2)] * 17), 1)
 
 
 @pytest.mark.parametrize("vectors", [[(2, 3), (4, 1)], [(0, 3), (1, 2, 3)],
@@ -211,11 +213,11 @@ def test_split_nnz_guard_counts_exactly(vectors, monkeypatch):
     assert count == math.prod(len(v) - 1 + sum(1 for t in v if t % 5)
                               for v in vectors) < old
     monkeypatch.setattr(cert_module, "CERT_NNZ_CAP", count)
-    cert = split_g_kron(F5, vectors, Fraction(1, 2))
+    cert = split_g_kron(g_pieces(F5, vectors), Fraction(1, 2))
     assert verify_cert(cert, dense_g_kron(F5, vectors))["ok"]
     monkeypatch.setattr(cert_module, "CERT_NNZ_CAP", count - 1)
     with pytest.raises(SizeCapError, match=f"hold about {count} "):
-        split_g_kron(F5, vectors, Fraction(1, 2))
+        split_g_kron(g_pieces(F5, vectors), Fraction(1, 2))
 
 
 def test_split_nnz_guard_lets_walsh_14_through(monkeypatch):
@@ -227,21 +229,50 @@ def test_split_nnz_guard_lets_walsh_14_through(monkeypatch):
     class Reached(Exception):
         pass
 
-    def stop(field, vec):
+    def stop(*args):
         raise Reached
-    monkeypatch.setattr(cert_module, "v_matrix", stop)
+    monkeypatch.setattr(cert_module, "threshold_masks", stop)
     assert 3 ** 14 <= cert_module.CERT_NNZ_CAP < min(4 ** 14, 3 ** 16)
     with pytest.raises(Reached):
-        split_g_kron(F5, [(1, 4)] * 14, Fraction(1, 2))
+        split_g_kron(g_pieces(F5, [(1, 4)] * 14), Fraction(1, 2))
     with pytest.raises(SizeCapError, match=f"hold about {3 ** 16} "):
-        split_g_kron(F5, [(1, 4)] * 16, Fraction(1, 2))
+        split_g_kron(g_pieces(F5, [(1, 4)] * 16), Fraction(1, 2))
+
+
+def test_split_refuses_pieces_not_of_the_g_shape():
+    """Each piece must be G(x), or G(x)^T with transpose: square, with the
+    identity in its first d - 1 columns (rows).  Over Q the identity is
+    stored over the piece's denominator."""
+    good = v_matrix(F5, (2, 3, 4))
+    rational = v_matrix(QQ, (Fraction(1, 2), 3))
+    assert rational.den == 2
+    for g in (good, rational):
+        split_g_kron([g, g], 1)
+        split_g_kron([g.T], 1, transpose=True)
+
+    non_square = ExactMatrix.from_dense(F5, [[1, 0, 2], [0, 1, 3]])
+    with pytest.raises(ValueError, match=r"a 2 x 3 piece is not G\(x\): square"):
+        split_g_kron([good, non_square], 1)
+    for wrong in ([[1, 0, 2], [0, 2, 3], [0, 0, 4]],    # a 2 on the diagonal
+                  [[1, 0, 2], [0, 0, 3], [0, 0, 4]],    # a diagonal entry missing
+                  [[1, 0, 2], [1, 1, 3], [0, 0, 4]]):   # an entry off it
+        piece = ExactMatrix.from_dense(F5, wrong)
+        with pytest.raises(ValueError, match=r"not G\(x\): square .* d-1 columns"):
+            split_g_kron([good, piece], 1)
+        with pytest.raises(ValueError, match=r"not G\(x\)\^T: square .* d-1 rows"):
+            split_g_kron([good.T, piece.T], 1, transpose=True)
+    with pytest.raises(ValueError, match=r"not G\(x\)"):
+        split_g_kron([ExactMatrix.from_dense(QQ, [[Fraction(1, 2), 1], [0, 1]])], 1)
+    # G(x) with a nonzero head of x is not the transpose of any G(y)
+    with pytest.raises(ValueError, match=r"not G\(x\)\^T"):
+        split_g_kron([good], 1, transpose=True)
 
 
 def test_split_refuses_oversized_fill():
     # sixteen dense binary factors stay under the order cap but the
     # explicit-entry estimate 4**16 does not
     with pytest.raises(SizeCapError):
-        split_g_kron(F5, [(1, 2)] * 16, 1)
+        split_g_kron(g_pieces(F5, [(1, 2)] * 16), 1)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +309,7 @@ def test_full_leaf_budget_is_actual_fill():
 
 
 def test_transpose_round_trip():
-    cert = split_g_kron(F5, [(2, 3), (1, 0, 4)], Fraction(1, 2))
+    cert = split_g_kron(g_pieces(F5, [(2, 3), (1, 0, 4)]), Fraction(1, 2))
     target = dense_g_kron(F5, [(2, 3), (1, 0, 4)])
     flipped = transpose_cert(cert)
     assert verify_cert(flipped, target.T)["ok"]
@@ -289,7 +320,7 @@ def test_transpose_round_trip():
 
 
 def test_conjugation():
-    cert = split_g_kron(F5, [(2, 3), (1, 0, 4)], Fraction(1, 2))
+    cert = split_g_kron(g_pieces(F5, [(2, 3), (1, 0, 4)]), Fraction(1, 2))
     target = dense_g_kron(F5, [(2, 3), (1, 0, 4)])
     sigma = [3, 0, 5, 1, 4, 2]
     p = monomial(F5, sigma, [1] * 6)
@@ -331,7 +362,8 @@ def test_compose_product_full_leaves():
 def test_compose_product_splits():
     xa, xb = [(2, 3), (4, 1)], [(1, 1), (3, 2)]
     ga, gb = dense_g_kron(F5, xa), dense_g_kron(F5, xb)
-    cert = compose_product([split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)], [gb])
+    cert = compose_product([split_g_kron(g_pieces(F5, xa), 1),
+                            split_g_kron(g_pieces(F5, xb), 1)], [gb])
     assert (cert.claimed_rank, cert.claimed_sparsity) == (4, 1)
     report = verify_cert(cert, ga @ gb)
     assert report["ok"]
@@ -350,7 +382,7 @@ def test_compose_product_validation():
 def test_compose_product_takes_a_kronecker_spec(monkeypatch):
     xa, xb = [(2, 3), (4, 1)], [(1, 1), (3, 2)]
     spec = KroneckerSpec([v_matrix(F5, x) for x in xb])
-    ca, cb = split_g_kron(F5, xa, 1), split_g_kron(F5, xb, 1)
+    ca, cb = split_g_kron(g_pieces(F5, xa), 1), split_g_kron(g_pieces(F5, xb), 1)
     mono = monomial_cert(monomial(F5, [2, 0, 3, 1], [1, 4, 2, 3]))
     assert ca.inner_dim > 0 and mono.inner_dim == 0
     want = compose_product([ca, cb], [spec.materialize()])
@@ -377,8 +409,10 @@ def _chain_certs(field, length, rng):
         kind = (j + int(rng.integers(3))) % 3
         if kind == 0:
             vectors = [tuple(field.rand(rng) for _ in range(d)) for d in (2, 3)]
-            certs.append(split_g_kron(field, vectors, Fraction(int(rng.integers(3)), 2),
-                                      transpose=bool(rng.integers(2))))
+            offset = Fraction(int(rng.integers(3)), 2)
+            transpose = bool(rng.integers(2))
+            certs.append(split_g_kron(g_pieces(field, vectors, transpose), offset,
+                                      transpose=transpose))
         elif kind == 1:
             scales = [field.rand(rng) or field.one for _ in range(6)]
             certs.append(monomial_cert(monomial(field, rng.permutation(6), scales)))
@@ -434,8 +468,9 @@ def test_row_split_is_the_transposed_column_split(field):
         vectors = [tuple(field.rand(rng) for _ in range(d)) for d in dims]
         for offset in (0, Fraction(1, 2), 1):
             for w in (None, weights):
-                rows = split_g_kron(field, vectors, offset, w, transpose=True, check=True)
-                want = transpose_cert(split_g_kron(field, vectors, offset, w))
+                rows = split_g_kron(g_pieces(field, vectors, True), offset, w,
+                                    transpose=True, check=True)
+                want = transpose_cert(split_g_kron(g_pieces(field, vectors), offset, w))
                 assert render_cert(rows, as_bytes=True) == render_cert(want, as_bytes=True)
                 assert rows.meta == want.meta
                 assert verify_cert(rows, dense_g_kron(field, vectors).T)["ok"]
@@ -443,13 +478,14 @@ def test_row_split_is_the_transposed_column_split(field):
 
 def test_split_check_raises_when_the_split_does_not_rebuild(monkeypatch):
     vectors = [(2, 3), (4, 1)]
-    split_g_kron(F5, vectors, 1, check=True)
+    split_g_kron(g_pieces(F5, vectors), 1, check=True)
     monkeypatch.setattr(Certificate, "reconstruct",
                         lambda self: ExactMatrix.identity(F5, self.n))
-    split_g_kron(F5, vectors, 1)
+    split_g_kron(g_pieces(F5, vectors), 1)
     for transpose in (False, True):
         with pytest.raises(AssertionError, match="does not rebuild"):
-            split_g_kron(F5, vectors, 1, transpose=transpose, check=True)
+            split_g_kron(g_pieces(F5, vectors, transpose), 1, transpose=transpose,
+                         check=True)
 
 
 def test_compose_kron_claim_arithmetic():
@@ -458,7 +494,7 @@ def test_compose_kron_claim_arithmetic():
     xa = [(2, 3), (4, 1)]
     ga = dense_g_kron(F5, xa)
     b = random_dense(F5, 3, 3, rng)
-    cert_a = split_g_kron(F5, xa, 1)
+    cert_a = split_g_kron(g_pieces(F5, xa), 1)
     cert_b = full_cert(b)
     cert = compose_kron(cert_a, cert_b, b)
     assert cert.n == 12

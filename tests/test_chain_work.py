@@ -6,7 +6,7 @@ matrices and the suffix products run once per distinct factor, where
 factors are the same if one is or equals the other.  Every V-layer of a
 chain has the same orders, weights and offset, so `threshold_masks` and
 `neighborhood_counts` count its scores once, and each split takes the
-chain's own slot matrices, never building a G(x) of its own.
+chain's own slot matrices as its pieces.
 
 The checks that guard a certificate are explicit raises, so they hold
 under `python -O` too.
@@ -28,6 +28,8 @@ from kronrig.fileio import render_cert
 from kronrig.hadamard import paley_type_one, walsh_factors
 from kronrig.matrix import ExactMatrix, KroneckerSpec, _distinct, random_invertible
 from kronrig.scores import WeightScheme, neighborhood_counts, threshold_masks
+
+from conftest import g_pieces
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -74,7 +76,6 @@ def counts(monkeypatch):
             calls["v_matrix_in_split"] = calls.get("v_matrix_in_split", 0) + 1
         return real_v(field, vec)
     monkeypatch.setattr(vfactor, "v_matrix", v_matrix)
-    monkeypatch.setattr(cert_module, "v_matrix", v_matrix)
     return calls
 
 
@@ -133,19 +134,11 @@ def test_equal_factors_in_different_objects_share_one_chain(counts):
     assert verify_cert(cert, KroneckerSpec(paley))["ok"]
 
 
-def test_vector_split_builds_its_own_pieces(counts):
-    """The public vector form builds one G(x) a vector, and its scores."""
-    cert_module.split_g_kron(F5, [(2, 3), (4, 1), (1, 0)], 1, transpose=True)
-    assert counts["v_matrix_in_split"] == 3
-    assert counts["threshold_masks"] == counts["neighborhood_counts"] == 1
-
-
 @pytest.mark.parametrize("field", [F5, F7, QQ], ids=lambda f: f.header)
-def test_split_from_given_pieces_and_scores_is_the_vector_split(field):
-    """Given the G(x_i) (G(x_i)^T with transpose) and the scores, the
-    split renders the same bytes and meta as the vector form."""
-    from kronrig.vfactor import v_matrix
-
+def test_split_with_given_scores_is_the_split_that_counts_them(field):
+    """Given the scores of its orders, weights and offset, the split
+    renders the same bytes and meta as the split that counts them itself,
+    and its fills are the scores'."""
     rng = np.random.default_rng(17)
     weights = WeightScheme({2: Fraction(1, 2), 3: 2})
     for dims in ((2, 2), (3, 2), (2, 3, 2)):
@@ -155,12 +148,10 @@ def test_split_from_given_pieces_and_scores_is_the_vector_split(field):
                 scores = (threshold_masks(dims, w or WeightScheme.uniform(), offset),
                           neighborhood_counts(dims, w or WeightScheme.uniform(), offset))
                 for transpose in (False, True):
-                    pieces = [v_matrix(field, v) for v in vectors]
-                    if transpose:
-                        pieces = [g.T for g in pieces]
-                    given = split_g_kron(field, vectors, offset, w, transpose=transpose,
-                                         check=True, pieces=pieces, scores=scores)
-                    want = split_g_kron(field, vectors, offset, w, transpose=transpose)
+                    pieces = g_pieces(field, vectors, transpose)
+                    given = split_g_kron(pieces, offset, w, transpose=transpose,
+                                         check=True, scores=scores)
+                    want = split_g_kron(pieces, offset, w, transpose=transpose)
                     assert render_cert(given, as_bytes=True) == render_cert(want, as_bytes=True)
                     assert given.meta == want.meta
                     assert (given.meta["fill_col"], given.meta["fill_row"]) == scores[1]

@@ -332,9 +332,10 @@ def test_cert_round_trip():
 def test_cert_with_supports_round_trip():
     from fractions import Fraction as Fr
 
+    from conftest import g_pieces
     from kronrig.cert import split_g_kron
 
-    cert = split_g_kron(F5, [(2, 3), (4, 1)], offset=Fr(1))
+    cert = split_g_kron(g_pieces(F5, [(2, 3), (4, 1)]), offset=Fr(1))
     assert cert.support_rows is not None
     back = parse_cert(render_cert(cert))
     assert back.same_witness(cert)

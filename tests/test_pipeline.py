@@ -113,25 +113,37 @@ def test_equal_mode_singular_factor():
 
 
 def test_layered_certificate_builds_each_slot_matrix_once(monkeypatch):
-    from kronrig.vfactor import Factor
+    """Each G(x) slot matrix is built once, by `v_matrix` in its chain:
+    chains of orders 2 and 3 have 2 and 4 such slots, their padding
+    none, and no split builds one."""
+    from kronrig import vfactor
 
-    real = Factor.matrix
-    calls = []
+    real_v, real_split = vfactor.v_matrix, pipeline.split_g_kron
+    built, inside, splits = [], [], []
 
-    def counting(self):
-        calls.append(id(self))
-        return real(self)
+    def counting(field, vec):
+        built.append(bool(inside))
+        return real_v(field, vec)
 
-    monkeypatch.setattr(Factor, "matrix", counting)
+    def split(*args, **kwargs):
+        inside.append(True)
+        splits.append(True)
+        try:
+            return real_split(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(vfactor, "v_matrix", counting)
+    monkeypatch.setattr(pipeline, "split_g_kron", split)
     rng = np.random.default_rng(61)
     for field in (F5, QQ):
         facs = [random_invertible(field, d, rng) for d in (2, 3)]
-        calls.clear()
+        built.clear()
+        splits.clear()
         cert, rep = decompose_kron_product(facs, "0.5")
         assert rep["layer_checks"]
-        # two chains padded to the 4*3 - 3 slots of the larger factor
-        assert len(calls) == 2 * 9
-        assert len(set(calls)) == len(calls)
+        assert built == [False] * 6
+        assert len(splits) == rep["v_layers"] == 4
         assert verify_cert(cert, KroneckerSpec(facs).materialize())["ok"]
 
 

@@ -96,6 +96,10 @@ def test_route_declines_singular_factor_and_large_factors(monkeypatch):
     singular = ExactMatrix.from_dense(f, [[1, 2], [2, 4]])
     z = ExactMatrix.from_triplets(f, 4, 4, [(0, 1, 3)])
     assert matrix._rank_of_difference(KroneckerSpec([good, singular]), z) is None
+    # with no nonzero column in z the factors are ranked, not solved
+    zero = ExactMatrix.zeros(f, 4, 4)
+    assert matrix._rank_of_difference(KroneckerSpec([good, singular]), zero) is None
+    assert matrix._rank_of_difference(KroneckerSpec([good, good]), zero) == 4
     # one factor: its solve would cost d^3 > n^2
     assert matrix._rank_of_difference(KroneckerSpec([good.kron(good)]), z) is None
     # |C| * |R| over the cell cap
@@ -107,14 +111,14 @@ def test_solve_linear_with_matrix_right_side():
     for f in FIELDS:
         rng = np.random.default_rng(5)
         m = random_invertible(f, 4, rng)
-        x, rank = matrix.solve_linear(f, m.num_dense(), np.diag([m.den] * 4))
-        assert rank == 4
+        x, pivots = matrix.solve_linear(f, m.num_dense(), np.diag([m.den] * 4))
+        assert pivots == [0, 1, 2, 3]
         assert m @ ExactMatrix.from_dense(f, x) == ExactMatrix.identity(f, 4)
         b = np.arange(8, dtype=object).reshape(4, 2)
-        x, rank = matrix.solve_linear(f, m.num_dense(), b * m.den)
-        assert rank == 4
+        x, pivots = matrix.solve_linear(f, m.num_dense(), b * m.den)
+        assert pivots == [0, 1, 2, 3]
         assert m @ ExactMatrix.from_dense(f, x) == ExactMatrix.from_dense(f, b.tolist())
-    assert matrix.solve_linear(QQ, [[1, 1], [2, 2]], [[1, 0], [2, 1]]) == (None, 1)
+    assert matrix.solve_linear(QQ, [[1, 1], [2, 2]], [[1, 0], [2, 1]]) == (None, [0])
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +317,9 @@ def test_corrupted_and_target_file_verifies_keep_the_dense_route(
 # the route's factors, the fp_walsh core and the float32 reduction
 
 def test_route_ranks_and_inverts_each_distinct_factor_once(monkeypatch):
-    """Factors that repeat, as one object or as equal matrices, are ranked
-    and solved once each; the rank is unchanged."""
+    """Factors that repeat, as one object or as equal matrices, are solved
+    once each, and their ranks read off those solves: the only exact rank
+    is the core's.  The rank is unchanged."""
     rng = np.random.default_rng(79)
     for f in [PrimeField(5), QQ]:
         w = ExactMatrix.from_dense(f, [[1, 1], [1, -1]])
@@ -332,7 +337,7 @@ def test_route_ranks_and_inverts_each_distinct_factor_once(monkeypatch):
                             lambda *args: solved.append(len(args[1])) or real_solve(*args))
         assert matrix._rank_of_difference(spec, z) == want
         monkeypatch.undo()
-        assert ranked[:2] == [(2, 2), (3, 3)] and len(ranked) == 3  # and the core
+        assert len(ranked) == 1
         assert sorted(solved) == [2, 3]
 
 
@@ -342,9 +347,9 @@ def test_fp_walsh_route_core_is_pinned(fp_walsh_cert, monkeypatch, capsys,
     (--walsh 8 and two random 2x2 factors over F_5, n = 1024): Z has 252
     nonzero columns, so the core is 252 x 252; its rank is 201, so
     rank(U·V) = 1024 - 252 + 201 = 973; its basis rows are the reference
-    elimination's.  The only other ranks are those of the three distinct
-    factors, and every float32 array the kernel reduces stays within
-    its limit."""
+    elimination's.  No other rank runs (the three distinct factors' ranks
+    are read off the solves that invert them), and every float32 array
+    the kernel reduces stays within its limit."""
     ranked = []
     real_rows, real_reduce = matrix._basis_rows, matrix._reduce
     limit = matrix._reduce_limit(np.float32)
@@ -360,10 +365,29 @@ def test_fp_walsh_route_core_is_pinned(fp_walsh_cert, monkeypatch, capsys,
     monkeypatch.setattr(matrix, "_reduce", reduce_spy)
     assert cli.main(fp_walsh_cert[2]) == 0
     assert "rank_actual: 973\n" in capsys.readouterr().out
-    assert sorted(arr.shape for arr, _ in ranked) == [(2, 2)] * 3 + [(252, 252)]
+    assert [arr.shape for arr, _ in ranked] == [(252, 252)]
     core, basis = ranked[-1]
     assert core.shape == (252, 252) and len(basis) == 201
     assert basis == reference_basis_rows(core, 5)
+
+
+@pytest.mark.parametrize("workload, ranks", [("fp_walsh", [(252, 252)]),
+                                             ("q_family", [(2, 2), (3, 3), (4, 4)])])
+def test_verify_rank_calls_of_the_benchmark_instances(workload, ranks, request,
+                                                      monkeypatch, capsys):
+    """The exact ranks a verify of each benchmark workload's instance
+    runs.  fp_walsh: one, the route's core; its three distinct factors'
+    ranks are read off the solves that invert them.  q_family: Z has no
+    nonzero column, so nothing is inverted, and each of its three distinct
+    factors is ranked."""
+    verify = request.getfixturevalue(f"{workload}_cert")[2]
+    ranked = []
+    real_rank = ExactMatrix.exact_rank
+    monkeypatch.setattr(ExactMatrix, "exact_rank",
+                        lambda m: ranked.append(m.shape) or real_rank(m))
+    assert cli.main(verify) == 0
+    assert "ok: True\n" in capsys.readouterr().out
+    assert sorted(ranked) == ranks
 
 
 def test_float32_reduction_is_exact_up_to_its_limit(elimination_dtype):

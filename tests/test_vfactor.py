@@ -17,9 +17,7 @@ from kronrig.matrix import (
 )
 from kronrig.vfactor import (
     DIAG,
-    Factor,
     PERM,
-    VCOL,
     VROW,
     factor_step,
     lift_vector,
@@ -56,11 +54,11 @@ def assemble_step(field, d, p1, y, core, lam, x, p2):
             @ v_matrix(field, x) @ perm_matrix(field, p2))
 
 
-def chain_product(factors):
-    """The product of a chain's factors, folded left to right."""
-    acc = factors[0].matrix()
-    for f in factors[1:]:
-        acc = acc @ f.matrix()
+def chain_product(chain):
+    """The product of a chain's slot matrices, folded left to right."""
+    acc = chain[0]
+    for m in chain[1:]:
+        acc = acc @ m
     return acc
 
 
@@ -80,21 +78,24 @@ def test_v_matrix_shape():
 
 def test_solve_linear():
     a = [[1, 2], [3, 4]]
-    x, rank = solve_linear(F5, a, [1, 0])
-    assert x is not None and rank == 2
+    x, pivots = solve_linear(F5, a, [1, 0])
+    assert x is not None and pivots == [0, 1]
     m = ExactMatrix.from_dense(F5, a)
     got = m @ ExactMatrix.from_dense(F5, [[x[0]], [x[1]]])
     assert got.to_dense().ravel().tolist() == [1, 0]
     # inconsistent system
-    assert solve_linear(F5, [[1, 1], [2, 2]], [0, 1]) == (None, 1)
+    assert solve_linear(F5, [[1, 1], [2, 2]], [0, 1]) == (None, [0])
     # underdetermined: free variables pinned to zero
-    x, rank = solve_linear(QQ, [[1, 1, 1]], [3])
-    assert x == [3, 0, 0] and rank == 1
+    x, pivots = solve_linear(QQ, [[1, 1, 1]], [3])
+    assert x == [3, 0, 0] and pivots == [0]
+    # a zero column is no pivot, and a column spanned by earlier ones neither
+    assert solve_linear(F5, [[0, 1, 2, 0], [0, 1, 2, 1]], [0, 0])[1] == [1, 3]
 
 
 def reference_solve(field, a, b):
     """Gauss-Jordan on field values (Fractions over Q), one row at a time
-    through the field's operations: (x, rank), free variables zero."""
+    through the field's operations: (x, pivot columns), free variables
+    zero."""
     a = np.array(a, dtype=object)
     m, n = a.shape
     aug = np.empty((m, n + 1), dtype=object)
@@ -125,11 +126,11 @@ def reference_solve(field, a, b):
             break
     for i in range(r, m):
         if aug[i, n] != 0:
-            return None, r
+            return None, piv_cols
     x = [field.zero] * n
     for row, c in enumerate(piv_cols):
         x[c] = aug[row, n]
-    return x, r
+    return x, piv_cols
 
 
 def random_values(field, shape, rng):
@@ -184,11 +185,11 @@ def test_solve_linear_matches_fraction_reference(field):
         for trial in range(8):
             a, b = random_system(field, m, n, rng, consistent=trial % 2 == 0)
             ia, ib = integer_rows(field, a, b)
-            x, rank = solve_linear(field, ia, ib)
-            assert (x, rank) == reference_solve(field, a, b), (m, n, trial)
+            x, pivots = solve_linear(field, ia, ib)
+            assert (x, pivots) == reference_solve(field, a, b), (m, n, trial)
             if m and n:
-                assert rank == ExactMatrix.from_dense(field, a).exact_rank()
-            seen.add((x is not None, rank == min(m, n)))
+                assert len(pivots) == ExactMatrix.from_dense(field, a).exact_rank()
+            seen.add((x is not None, len(pivots) == min(m, n)))
             widest = max([widest] + [abs(int(v)) for v in list(ia.ravel()) + ib])
     # consistent of full and of deficient rank, and inconsistent, all met
     assert {(True, True), (True, False), (False, False)} <= seen
@@ -199,22 +200,24 @@ def test_solve_linear_matches_fraction_reference(field):
 def test_solve_linear_empty_shapes():
     # the shapes factor_step passes at d = 1, and their kin
     for field in (F5, F_BIG, QQ):
-        for m, n, b, want in [(0, 0, [], ([], 0)),
-                              (1, 0, [0], ([], 0)),
-                              (1, 0, [3], (None, 0)),
-                              (4, 0, [0] * 4, ([], 0)),
-                              (4, 0, [0, 0, 2, 0], (None, 0)),
-                              (0, 2, [], ([0, 0], 0))]:
+        for m, n, b, want in [(0, 0, [], ([], [])),
+                              (1, 0, [0], ([], [])),
+                              (1, 0, [3], (None, [])),
+                              (4, 0, [0] * 4, ([], [])),
+                              (4, 0, [0, 0, 2, 0], (None, [])),
+                              (0, 2, [], ([0, 0], []))]:
             assert solve_linear(field, np.zeros((m, n), dtype=np.int64), b) == want
 
 
 def test_factor_step_takes_rank_from_its_solve(monkeypatch):
+    """The rank, and on a singular step the dependent column and row, come
+    from the step's own eliminations: no rank kernel runs."""
     real_solve, real_rank = vfactor.solve_linear, ExactMatrix.exact_rank
     solved, ranked = [], []
 
     def spy_solve(field, a, b):
         out = real_solve(field, a, b)
-        solved.append(out[1])
+        solved.append(len(out[1]))
         return out
 
     def spy_rank(self):
@@ -235,9 +238,33 @@ def test_factor_step_takes_rank_from_its_solve(monkeypatch):
                 p1, y, core, lam, x, p2 = factor_step(a)
                 assert solved[0] == want, (field.header, d)
                 assert lam == (field.one if want == d else field.zero)
-                if want == d:
-                    assert ranked == []  # no rank kernel run on a full-rank step
+                assert ranked == []
                 assert assemble_step(field, d, p1, y, core, lam, x, p2) == a
+
+
+def _moved(p):
+    """The coordinate an index map of one swap with the last moves there,
+    the last one for the identity."""
+    moved = np.flatnonzero(p != np.arange(len(p)))
+    return int(moved.min()) if moved.size else len(p) - 1
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F_BIG, QQ], ids=lambda f: f.header)
+def test_singular_step_moves_the_last_removable_column_and_row(field):
+    """A singular step moves to the end the last column whose removal
+    keeps the rank, and the last such row, as a scan of the rank of each
+    d x (d - 1) submatrix finds them."""
+    rng = np.random.default_rng(241)
+    for d in (1, 2, 3, 4, 5, 6, 7):
+        for _ in range(12):
+            a = random_singular(field, d, rng)
+            rank = a.exact_rank()
+            col = max(c for c in range(d) if a.submatrix(
+                range(d), [t for t in range(d) if t != c]).exact_rank() == rank)
+            row = max(r for r in range(d) if a.submatrix(
+                [t for t in range(d) if t != r], range(d)).exact_rank() == rank)
+            p1, _, _, _, _, p2 = factor_step(a)
+            assert (_moved(p2), _moved(p1)) == (col, row), (d, a.to_dense())
 
 
 def test_factor_step_identity_frozen():
@@ -300,33 +327,33 @@ def test_chain_reconstructs_and_slots():
                     random_singular(field, d, rng)
                 chain = v_factorization(a)
                 assert len(chain) == 4 * d - 3
-                assert [f.kind for f in chain] == slot_kinds(d)
                 assert chain_product(chain) == a
-                assert_monomial_slots(field, chain)
-                for f in chain:
-                    assert f.size == d
-                    if f.kind == VCOL:
-                        assert f.matrix().row_col_nnz()[0] <= 2
-                    elif f.kind == VROW:
-                        assert f.matrix().row_col_nnz()[1] <= 2
+                assert_slots(field, chain, d)
 
 
-def assert_monomial_slots(field, chain):
-    """Every PERM slot is a permutation matrix of ones and every DIAG slot
-    a diagonal, stored sparse, and the slot's matrix is the one it holds."""
-    for f in chain:
-        if f.kind not in (PERM, DIAG):
-            continue
-        m = f.matrix()
-        assert m is f.mono and not m.is_dense
+def assert_slots(field, chain, d):
+    """Each slot matrix of a chain is d x d, stored sparse, and of the
+    shape its place in `slot_kinds` gives: PERM a permutation matrix of
+    ones, DIAG a diagonal, VCOL a G(x), the identity in its first d-1
+    columns, and VROW a G(y)^T, the identity in its first d-1 rows."""
+    kinds = slot_kinds((len(chain) + 3) // 4)
+    assert len(chain) == len(kinds)
+    for kind, m in zip(kinds, chain):
+        assert m.shape == (d, d) and not m.is_dense
         ri, ci, vals = m.triplets()
-        if f.kind == DIAG:
+        if kind == DIAG:
             assert (ri == ci).all()
-        elif m.rows > 1:
+        elif kind == PERM and d > 1:
             assert _is_monomial(m)
             assert all(v == field.one for v in vals)
-        else:  # of order 1 a product is one multiply, not a gather
+        elif kind == PERM:  # of order 1 a product is one multiply, not a gather
             assert m == ExactMatrix.identity(field, 1)
+        else:
+            if kind == VROW:
+                ri, ci = ci, ri
+            head = ci < d - 1
+            assert ri[head].tolist() == ci[head].tolist() == list(range(d - 1))
+            assert all(v == field.one for v in vals[head])
 
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F_BIG, QQ], ids=lambda f: f.header)
@@ -337,8 +364,8 @@ def test_monomial_slots_are_sparse_matrices(field):
             a = random_singular(field, d, rng) if singular else \
                 random_invertible(field, d, rng)
             chain = v_factorization(a)
-            assert_monomial_slots(field, chain)
-            assert_monomial_slots(field, pad_factorization(chain, 6))
+            assert_slots(field, chain, d)
+            assert_slots(field, pad_factorization(chain, 6), d)
             assert chain_product(chain) == a
 
 
@@ -372,14 +399,11 @@ def test_chain_deterministic():
     a = random_dense(F5, 4, 4, rng)
     c1 = v_factorization(a)
     c2 = v_factorization(a)
+    assert len(c1) == len(c2)
     for f, g in zip(c1, c2):
-        assert f.kind == g.kind
-        if f.vec is not None:
-            assert f.vec == g.vec
-        if f.mono is not None:
-            assert f.mono.is_dense == g.mono.is_dense
-            for a, b in zip(f.mono.num_triplets(), g.mono.num_triplets()):
-                assert a.tolist() == b.tolist()
+        assert (f.is_dense, f.den) == (g.is_dense, g.den)
+        for a, b in zip(f.num_triplets(), g.num_triplets()):
+            assert a.tolist() == b.tolist()
 
 
 def test_padding_preserves_product_and_layout():
@@ -390,8 +414,10 @@ def test_padding_preserves_product_and_layout():
             chain = pad_factorization(v_factorization(a), target)
             assert len(chain) == 4 * target - 3
             assert chain_product(chain) == a
-            assert [f.kind for f in chain] == slot_kinds(target)
-            assert all(f.size == d for f in chain)
+            assert_slots(field, chain, d)
+            pads = 2 * (target - d)
+            ident = ExactMatrix.identity(field, d)
+            assert all(m == ident for m in chain[:pads] + chain[len(chain) - pads:])
     with pytest.raises(ValueError):
         pad_factorization(v_factorization(ExactMatrix.identity(F3, 3)), 2)
 
@@ -404,7 +430,7 @@ def test_per_factor_sizes_mix_in_kron():
     b = random_dense(F5, 3, 3, rng)
     ca = pad_factorization(v_factorization(a), 3)
     cb = v_factorization(b)
-    layers = [fa.matrix().kron(fb.matrix()) for fa, fb in zip(ca, cb)]
+    layers = [fa.kron(fb) for fa, fb in zip(ca, cb)]
     prod = layers[0]
     for lay in layers[1:]:
         prod = prod @ lay
